@@ -1,8 +1,9 @@
 """Perf smoke harness: batched vs per-cycle Monte-Carlo wall-clock.
 
 Times ``measure_acceptance`` over the same workload through the per-cycle
-engine (:class:`~repro.sim.vectorized.VectorizedEDN`, ``batch=1``) and the
-batched engine (:class:`~repro.sim.batched.BatchedEDN`, auto chunking) at
+reference interpreter (:class:`~repro.sim.stagegraph.StageGraphReference`,
+``batch=1``) and the compiled router (:class:`~repro.sim.batched.BatchedEDN`,
+auto chunking) at
 ``N`` in {1024, 4096, 16384} (the ``EDN(16,4,4,l)`` family for
 ``l`` in {4, 5, 6}), then writes ``BENCH_batched_routing.json`` at the
 repository root so later PRs can track the perf trajectory.
@@ -42,8 +43,8 @@ clients pushing >=1000 overlapping cells through one instance (server
 dedupe rate floor 0.5), per-worker plan-cache hit rates, streaming
 partials, and service-vs-inline bit-identity — into ``BENCH_serve.json``.
 ``--saturation`` times buffered stepping at N=4096 — the compiled
-per-wire FIFO kernels against the legacy per-packet deque engine (>=5x
-floor, throughput agreement asserted) — and records the ``saturation``
+per-wire FIFO kernels against the per-packet reference interpreter (>=5x
+floor, bit-identical measurements asserted) — and records the ``saturation``
 experiment's detected knees at N=64 into ``BENCH_saturation.json``.
 ``--fault-buffered`` times faulty vs fault-free buffered stepping at
 N=4096 through the same compiled FIFO kernels (fault-overhead ceiling
@@ -62,9 +63,9 @@ from pathlib import Path
 
 from repro.api import NetworkSpec, available_backends, build_router, resolve_backend
 from repro.core.config import EDNParams
-from repro.sim.batched import BatchedEDN
+from repro.sim.batched import BatchedEDN, CompiledStageRouter
 from repro.sim.montecarlo import measure_acceptance
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 from repro.workloads import TrafficGenerator, UniformTraffic, make_traffic
 
 #: EDN(16,4,4,l) has (16/4)^l * 4 inputs: l = 4, 5, 6 -> 1K, 4K, 16K.
@@ -129,12 +130,12 @@ SATURATION_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_saturation.j
 #: EDN(16,4,4,5) puts the buffered comparison at N = 4096 terminals.
 SATURATION_STAGES = 5
 SATURATION_DEPTH = 2
-#: Cycle budget of the timed buffered runs (the legacy deque engine pays
-#: ~50 ms/cycle at N = 4096 — it walks every FIFO in Python).
+#: Cycle budget of the timed buffered runs (the per-packet interpreter
+#: walks every FIFO in Python, tens of ms per cycle at N = 4096).
 SATURATION_CYCLES = 40
 SATURATION_WARMUP = 10
-#: Compiled-vs-legacy-deque speedup floor asserted at N = 4096 (the
-#: merge criterion of the buffered stage-graph PR).
+#: Compiled-vs-per-packet speedup floor asserted at N = 4096 (the merge
+#: criterion of the buffered stage-graph PR).
 SATURATION_SPEEDUP_FLOOR = 5.0
 #: Knee curves are swept at N = 64 (EDN(16,4,4,2) and kin) where the
 #: full rate ladder stays cheap.
@@ -203,7 +204,11 @@ def run(output: Path = OUTPUT) -> dict:
         per_cycle_s, per_cycle = _best_of(
             REPEATS,
             lambda: measure_acceptance(
-                VectorizedEDN(params), traffic, cycles=CYCLES, seed=SEED, batch=1
+                StageGraphReference(edn_graph(params)),
+                traffic,
+                cycles=CYCLES,
+                seed=SEED,
+                batch=1,
             ),
         )
         batched_engine = BatchedEDN(params)
@@ -234,7 +239,7 @@ def run(output: Path = OUTPUT) -> dict:
         "benchmark": "batched_routing",
         "workload": f"measure_acceptance, uniform traffic r=1.0, {CYCLES} cycles, seed {SEED}",
         "engines": {
-            "per_cycle": "VectorizedEDN via measure_acceptance(batch=1)",
+            "per_cycle": "StageGraphReference via measure_acceptance(batch=1)",
             "batched": "BatchedEDN via measure_acceptance(batch=auto)",
         },
         "host": {
@@ -612,10 +617,8 @@ def run_fault_buffered(output: Path = FAULT_BUFFERED_OUTPUT) -> tuple[dict, list
     Returns ``(report, failures)``.
     """
     from repro.core.faults import random_graph_faults
-    from repro.sim.batched import CompiledStageRouter
     from repro.sim.buffered import measure_buffered
     from repro.sim.rng import make_rng
-    from repro.sim.stagegraph import edn_graph
 
     results = []
     failures: list[str] = []
@@ -738,10 +741,10 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
 
     * **repeated fixed-budget calls** — ``measure_acceptance`` called
       repeatedly at :data:`PLAN_CALL_CYCLES` cycles per call.  ``seed_path``
-      builds a plan-less engine per call (exactly the pre-plan behavior:
-      per-call table recompute, per-call scratch allocation, generic
-      kernel); ``cold`` compiles a plan per call (cache cleared each
-      time); ``warm`` hits the plan cache.  Acceptance must be
+      builds a router on a fresh uncached plan per call (per-call table
+      compile, per-call scratch allocation); ``cold`` compiles a plan per
+      call through the cache (cleared each time); ``warm`` hits the plan
+      cache.  Acceptance must be
       bit-identical across all three.
     * **matched-precision sweep** — the family sweep ``EDN(16,4,4,l)``,
       ``l`` in {4, 5, 6}, at rates {1.0, 0.75}, measured to equal
@@ -772,7 +775,7 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
     )
 
     def _seed_call():
-        engine = BatchedEDN(params, plan=None)
+        engine = CompiledStageRouter(edn_graph(params), plan=None)
         return measure_acceptance(engine, traffic, cycles=PLAN_CALL_CYCLES, seed=SEED)
 
     def _cold_call():
@@ -860,7 +863,7 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
         )
 
         def _fixed_call():
-            engine = BatchedEDN(cell_params, plan=None)  # the seed path
+            engine = CompiledStageRouter(edn_graph(cell_params), plan=None)  # the seed path
             return measure_acceptance(
                 engine, cell_traffic, cycles=fixed_budget, seed=SEED
             )
@@ -899,7 +902,7 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
             "N=16384 plus the EDN(16,4,4,l) x rate matched-precision sweep"
         ),
         "modes": {
-            "seed_path": "fresh plan-less engine per call (pre-plan behavior)",
+            "seed_path": "fresh uncached plan per call (no plan cache)",
             "cold": "plan compiled per call (cache cleared each call)",
             "warm": "plan-cache hit (shared tables + thread-local workspace)",
         },
@@ -957,18 +960,15 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
 
 
 def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
-    """Buffered stepping: compiled kernels vs the legacy deque engine; write JSON.
+    """Buffered stepping: compiled kernels vs the per-packet interpreter; write JSON.
 
     Times one buffered run of ``EDN(16,4,4,5)`` (N = 4096) at full
     offered load, depth :data:`SATURATION_DEPTH`, through the compiled
-    buffered stage-graph path (:func:`repro.sim.buffered.measure_buffered`)
-    and the original per-packet deque engine
-    (:class:`repro.ext.buffered.DequeBufferedEDN`), under identical
-    ``(rate, cycles, warmup, seed)``.  The engines share no code and
-    consume randomness in different orders, so throughput is checked for
-    statistical agreement (not bit-identity — that cross-check lives in
-    ``tests/sim/test_buffered_core.py`` against
-    :class:`~repro.sim.stagegraph.BufferedStageReference`).  Asserts the
+    buffered stage-graph path and the independent per-packet
+    :class:`~repro.sim.stagegraph.BufferedStageReference` interpreter
+    (both through :func:`repro.sim.buffered.measure_buffered`), under
+    identical ``(rate, cycles, warmup, seed)``; the two measurements must
+    be bit-identical.  Asserts the
     :data:`SATURATION_SPEEDUP_FLOOR` x per-cycle speedup at N = 4096
     (the merge criterion of the buffered stage-graph PR) and records the
     ``saturation`` experiment's detected knees at N = 64 so the bench
@@ -976,14 +976,7 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
 
     Returns ``(report, failures)``.
     """
-    import warnings as _warnings
-
     from repro.sim.buffered import measure_buffered
-    from repro.sim.stagegraph import edn_graph
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.ext.buffered import DequeBufferedEDN
 
     failures: list[str] = []
     params = EDNParams(16, 4, 4, SATURATION_STAGES)
@@ -991,33 +984,27 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
     assert n_inputs == 4_096
     graph = edn_graph(params)
 
-    compiled_s, compiled_m = _best_of(
-        REPEATS,
-        lambda: measure_buffered(
+    def _run(engine):
+        return measure_buffered(
             graph,
             traffic="uniform:1",
             depth=SATURATION_DEPTH,
             cycles=SATURATION_CYCLES,
             warmup=SATURATION_WARMUP,
             seed=SEED,
-        ),
-    )
-    legacy_s, legacy_m = _best_of(
-        2,  # ~50 ms/cycle in Python; two repeats bound the noise
-        lambda: DequeBufferedEDN(params, depth=SATURATION_DEPTH).run(
-            rate=1.0,
-            cycles=SATURATION_CYCLES,
-            warmup=SATURATION_WARMUP,
-            seed=SEED,
-        ),
-    )
+            engine=engine,
+        )
+
+    compiled_s, compiled_m = _best_of(REPEATS, lambda: _run("compiled"))
+    # Tens of ms per cycle in Python; two repeats bound the noise.
+    legacy_s, legacy_m = _best_of(2, lambda: _run("reference"))
     total_cycles = SATURATION_CYCLES + SATURATION_WARMUP
     speedup = legacy_s / compiled_s
-    agree = abs(compiled_m.throughput - legacy_m.throughput) < 0.05
+    agree = compiled_m == legacy_m
     if not agree:
         failures.append(
-            f"compiled throughput {compiled_m.throughput:.4f} vs legacy "
-            f"{legacy_m.throughput:.4f}: outside the 0.05 agreement band"
+            f"compiled measurement (throughput {compiled_m.throughput:.4f}) "
+            f"differs from the per-packet reference ({legacy_m.throughput:.4f})"
         )
     if speedup < SATURATION_SPEEDUP_FLOOR:
         failures.append(
@@ -1026,7 +1013,7 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
         )
     print(
         f"N={n_inputs:>6} buffered depth {SATURATION_DEPTH}: compiled "
-        f"{compiled_s:.3f}s  legacy deque {legacy_s:.3f}s  speedup "
+        f"{compiled_s:.3f}s  per-packet {legacy_s:.3f}s  speedup "
         f"{speedup:.1f}x  thr {compiled_m.throughput:.4f}/{legacy_m.throughput:.4f}"
     )
 
@@ -1063,11 +1050,11 @@ def run_saturation(output: Path = SATURATION_OUTPUT) -> tuple[dict, list[str]]:
         ),
         "engines": {
             "compiled": "CompiledStageRouter.step via measure_buffered (per-wire FIFO state on the compiled plan)",
-            "legacy": "DequeBufferedEDN (per-packet Python deques, the pre-core engine)",
+            "legacy": "BufferedStageReference via measure_buffered (per-packet Python lists)",
         },
         "floor": {
             "speedup_at_4096": SATURATION_SPEEDUP_FLOOR,
-            "throughput_agreement": 0.05,
+            "measurements": "bit-identical",
         },
         "host": {
             "machine": platform.machine(),
@@ -1350,7 +1337,6 @@ def run_native_kernel(output: Path = NATIVE_OUTPUT) -> tuple[dict, list[str]]:
 
     import numpy as np
 
-    from repro.sim.batched import CompiledStageRouter
     from repro.sim.native import NativeStageRouter, available_tiers
     from repro.sim.rng import make_rng
     from repro.sim.stagegraph import delta_graph
@@ -1521,7 +1507,7 @@ def main(argv: list[str] | None = None) -> int:
         "--saturation",
         action="store_true",
         help="time buffered stepping at N=4096: compiled kernels vs the "
-             "legacy deque engine (>=5x floor), recording saturation knees",
+             "per-packet interpreter (>=5x floor), recording saturation knees",
     )
     parser.add_argument(
         "--native-kernel",

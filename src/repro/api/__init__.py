@@ -11,8 +11,8 @@ The canonical way to construct and drive *any* network in the repository:
 4. :func:`measure` goes straight from spec to an acceptance measurement.
 
 Every engine in the repo sits behind the same protocol — the reference
-per-message EDN, the vectorized and batched array EDNs, fault-injected
-networks, and the delta/omega/crossbar/Clos/Beneš baselines — selected by
+per-message EDN, the compiled stage-graph router and its reference
+interpreter, fault-injected networks, and the delta/omega/crossbar/Clos/Beneš baselines — selected by
 the string-keyed backend registry (``backend="auto"`` picks batched
 engines where available and falls back to the per-cycle loop).
 

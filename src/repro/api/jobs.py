@@ -368,31 +368,20 @@ def measure_cell(cell: SweepCell, *, progress=None):
     A cell whose config sets ``buffer_depth`` runs the buffered
     packet-switched discipline instead
     (:func:`~repro.sim.buffered.measure_buffered`, warmup fixed at
-    ``cycles // 4``): ``backend`` ``auto``/``batched`` select the
-    compiled kernels, ``reference``/``vectorized`` the per-packet
-    interpreter — bit-identical either way, so the content key's
+    ``cycles // 4``) on the buffered engine its backend declares in the
+    registry — the compiled FIFO kernels for ``auto``/``native``/
+    ``batched``, the per-packet interpreter for ``vectorized``/
+    ``reference``: bit-identical either way, so the content key's
     ``backend`` field stays honest.
     """
-    from repro.api.registry import build_router
+    from repro.api.registry import build_router, resolve_backend
     from repro.sim.montecarlo import measure_acceptance
 
     config = cell.config
     if config.buffer_depth is not None:
         from repro.sim.buffered import measure_buffered
 
-        engines = {
-            "auto": "compiled",
-            "batched": "compiled",
-            "native": "compiled",
-            "reference": "reference",
-            "vectorized": "reference",
-        }
-        engine = engines.get(config.backend)
-        if engine is None:
-            raise ConfigurationError(
-                f"buffered cells support backends {sorted(engines)}, "
-                f"got {config.backend!r}"
-            )
+        backend = resolve_backend(cell.spec, config.backend, buffered=True)
         cycles = config.cycles if config.cycles is not None else 400
         return measure_buffered(
             cell.spec.stage_graph(),
@@ -402,7 +391,7 @@ def measure_cell(cell: SweepCell, *, progress=None):
             cycles=cycles,
             warmup=cycles // 4,
             seed=config.seed if config.seed is not None else 0,
-            engine=engine,
+            engine=backend.buffered_engine,
             faults=cell.spec.faults,
         )
     router = build_router(cell.spec, cell.config.backend)

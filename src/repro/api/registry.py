@@ -5,7 +5,8 @@ A *backend* is a named way of turning a :class:`NetworkSpec` into a
 which spec features they support; :func:`build_router` resolves a name (or
 ``"auto"``) against a spec and instantiates the router.
 
-Registered backends:
+Every stage-graph kind (``edn``, ``delta``, ``omega``, ``dilated``) has
+one compiled engine and one independent interpreter:
 
 =============  =======================================  =================
 name           engine                                   kinds
@@ -17,28 +18,29 @@ name           engine                                   kinds
                ``pip install repro[native]`` or a C
                toolchain, and drops out of the
                registry when neither is present
-``batched``    native ``(batch, N)`` array engines —    edn, delta,
-               :class:`BatchedEDN` plus the compiled    omega, dilated,
-               stage-graph router every delta-family    crossbar
-               baseline compiles to
-               (:class:`CompiledStageRouter`), and
-               the batched crossbar
-``vectorized`` per-cycle array engines behind the       edn, delta,
-               automatic batch loop — the independent   omega, dilated,
-               cross-check path (the stage-graph        crossbar
-               kinds use the sort-based
-               :class:`StageGraphReference`
-               interpreter)
-``reference``  the per-message reference engine         edn
-               (non-default wire policies; faulted
-               EDNs via :class:`FaultyEDNetwork`)
+``batched``    the compiled stage-graph router          edn, delta,
+               (:class:`CompiledStageRouter`) every     omega, dilated,
+               stage-graph kind compiles to, and the    crossbar
+               batched crossbar
+``vectorized`` the per-cycle sort-based                 edn, delta,
+               :class:`StageGraphReference`             omega, dilated,
+               interpreter (and the crossbar) behind    crossbar
+               the automatic batch loop — the
+               independent cross-check path
+``reference``  the paper's per-message engine           edn
+               (:class:`EDNetwork`; non-default wire
+               policies; faulted EDNs via
+               :class:`FaultyEDNetwork`)
 ``matching``   Clos matching decomposition              clos
 ``looping``    Beneš looping algorithm                  benes
-``native:gpu`` Array-API counts-only kernel (CuPy       edn, delta,
-               when importable, NumPy otherwise);       omega, dilated
-               explicit opt-in, never picked by
-               ``auto``
 =============  =======================================  =================
+
+The buffered packet-switched discipline has the same two engines: each
+backend that can run it names its ``buffered_engine`` — ``"compiled"``
+(:class:`CompiledStageRouter` with per-wire FIFOs) for ``native`` and
+``batched``, ``"reference"`` (the per-packet
+:class:`BufferedStageReference`) for ``vectorized`` and ``reference`` —
+and ``resolve_backend(spec, backend, buffered=True)`` picks among them.
 
 ``auto`` picks the first supporting backend in :data:`AUTO_PREFERENCE`
 order — the JIT backend when its dependencies are present, then batched
@@ -49,7 +51,7 @@ has always dispatched on ``route_batch`` availability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.exceptions import ConfigurationError
 from repro.api.router import (
@@ -82,8 +84,9 @@ class Backend:
     ``availability`` reports a host-environment problem (missing
     optional dependency, no toolchain) as a message, or ``None`` when
     the backend can run here; ``auto_ok`` additionally gates whether
-    ``auto`` may pick the backend (an available backend can still opt
-    out of automatic selection, e.g. the GPU path).
+    ``auto`` may pick the backend.  ``buffered_engine`` names the
+    :func:`~repro.sim.buffered.measure_buffered` engine the backend runs
+    buffered cells on (``None``: it runs none).
     """
 
     name: str
@@ -94,8 +97,12 @@ class Backend:
     accepts: Callable[[NetworkSpec], bool]
     availability: Callable[[], str | None]
     auto_ok: Callable[[], bool]
+    buffered_engine: Optional[str] = None
 
-    def supports(self, spec: NetworkSpec) -> bool:
+    def supports(self, spec: NetworkSpec, *, buffered: bool = False) -> bool:
+        if buffered:
+            # Both buffered engines step any stage graph.
+            return self.buffered_engine is not None
         return spec.kind in self.kinds and self.accepts(spec)
 
     def runnable(self) -> bool:
@@ -120,6 +127,7 @@ def register_backend(
     accepts: Callable[[NetworkSpec], bool] | None = None,
     availability: Callable[[], str | None] | None = None,
     auto_ok: Callable[[], bool] | None = None,
+    buffered_engine: Optional[str] = None,
 ):
     """Register ``fn`` as the builder of backend ``name`` (decorator)."""
 
@@ -135,18 +143,20 @@ def register_backend(
             accepts=accepts if accepts is not None else (lambda spec: True),
             availability=availability if availability is not None else (lambda: None),
             auto_ok=auto_ok if auto_ok is not None else (lambda: True),
+            buffered_engine=buffered_engine,
         )
         return fn
 
     return decorate
 
 
-def available_backends(spec: NetworkSpec) -> list[str]:
+def available_backends(spec: NetworkSpec, *, buffered: bool = False) -> list[str]:
     """Backends able to build ``spec`` *on this host*, preference first.
 
     Environment-gated backends (``native`` needs numba or a C toolchain)
     drop out of the list when their dependency is missing, so the
     doctests below pin specs the gated backends never serve.
+    ``buffered=True`` lists the backends that run buffered cells instead.
 
     >>> available_backends(NetworkSpec.crossbar(8))
     ['batched', 'vectorized']
@@ -158,26 +168,32 @@ def available_backends(spec: NetworkSpec) -> list[str]:
         name
         for name in ordered
         if name in BACKENDS
-        and BACKENDS[name].supports(spec)
+        and BACKENDS[name].supports(spec, buffered=buffered)
         and BACKENDS[name].runnable()
     ]
 
 
-def resolve_backend(spec: NetworkSpec, backend: str = "auto") -> Backend:
+def resolve_backend(
+    spec: NetworkSpec, backend: str = "auto", *, buffered: bool = False
+) -> Backend:
     """The :class:`Backend` that ``backend`` selects for ``spec``.
 
     ``auto`` walks :data:`AUTO_PREFERENCE`, skipping backends that opted
     out of automatic selection; an explicit name must exist, be runnable
     on this host, and support the spec, with the error naming the
-    alternatives.
+    alternatives.  ``buffered=True`` resolves among the backends with a
+    buffered engine (a cell with a ``buffer_depth``).
 
     >>> resolve_backend(NetworkSpec.crossbar(8)).name
     'batched'
     >>> resolve_backend(NetworkSpec.clos(8, 8)).name
     'matching'
+    >>> spec = NetworkSpec.delta(2, 2, 3)
+    >>> resolve_backend(spec, "vectorized", buffered=True).buffered_engine
+    'reference'
     """
     if backend == "auto":
-        for name in available_backends(spec):
+        for name in available_backends(spec, buffered=buffered):
             if BACKENDS[name].auto_ok():
                 return BACKENDS[name]
         raise ConfigurationError(
@@ -197,7 +213,12 @@ def resolve_backend(spec: NetworkSpec, backend: str = "auto") -> Backend:
     reason = entry.availability()
     if reason is not None:
         raise ConfigurationError(f"backend {backend!r} is unavailable: {reason}")
-    if not entry.supports(spec):
+    if buffered and not entry.supports(spec, buffered=True):
+        raise ConfigurationError(
+            f"backend {backend!r} runs no buffered cells; buffered backends: "
+            f"{available_backends(spec, buffered=True)}"
+        )
+    if not buffered and not entry.supports(spec):
         if spec.faults:
             from dataclasses import replace
 
@@ -233,10 +254,6 @@ def build_router(spec: NetworkSpec, backend: str = "auto") -> Router:
 # ----------------------------------------------------------------------
 
 
-def _no_faults(spec: NetworkSpec) -> bool:
-    return not spec.faults
-
-
 def _array_engine_ok(spec: NetworkSpec) -> bool:
     # Array engines fix first-free wire assignment (acceptance-equivalent).
     # Faults are fine: spec validation restricts them to the stage-graph
@@ -251,24 +268,20 @@ def _label_only(spec: NetworkSpec) -> bool:
 
 @register_backend(
     "batched",
-    description="native (batch, N) array engines — the Monte-Carlo fast path",
+    description="the compiled stage-graph router — the Monte-Carlo fast path",
     kinds={"edn", "delta", "omega", "dilated", "crossbar"},
     batched=True,
     accepts=_array_engine_ok,
+    buffered_engine="compiled",
 )
 def _build_batched(spec: NetworkSpec) -> Router:
     from repro.baselines.crossbar_network import CrossbarNetwork
-    from repro.sim.batched import BatchedEDN, CompiledStageRouter
+    from repro.sim.batched import CompiledStageRouter
 
-    if spec.kind == "edn" and not spec.faults:
-        return BatchedEDN(spec.edn_params, priority=spec.priority)
     if spec.kind == "crossbar":
         return CrossbarNetwork(*spec.shape, priority=spec.priority)
-    # Every delta-family baseline compiles to the same plan-cached
-    # stage-graph kernels; the spec carries the topology as data.  A
-    # faulted EDN also routes here: the graph kernels are where the
-    # fault masks are lowered, and the EDN-specialized engine stays
-    # fault-free.
+    # Every stage-graph kind compiles to the same plan-cached kernels; the
+    # spec carries the topology (and its fault masks) as data.
     return CompiledStageRouter(
         spec.stage_graph(), priority=spec.priority, faults=spec.faults
     )
@@ -276,18 +289,16 @@ def _build_batched(spec: NetworkSpec) -> Router:
 
 @register_backend(
     "vectorized",
-    description="per-cycle array engines behind the automatic batch loop",
+    description="per-cycle reference interpreter behind the automatic batch loop",
     kinds={"edn", "delta", "omega", "dilated", "crossbar"},
     batched=False,
     accepts=_array_engine_ok,
+    buffered_engine="reference",
 )
 def _build_vectorized(spec: NetworkSpec) -> Router:
     from repro.baselines.crossbar_network import CrossbarNetwork
     from repro.sim.stagegraph import StageGraphReference
-    from repro.sim.vectorized import VectorizedEDN
 
-    if spec.kind == "edn" and not spec.faults:
-        return PerCycleRouter(VectorizedEDN(spec.edn_params, priority=spec.priority))
     if spec.kind == "crossbar":
         return PerCycleRouter(CrossbarNetwork(*spec.shape, priority=spec.priority))
     # The sort-based per-cycle interpreter behind the generic batch loop:
@@ -315,6 +326,7 @@ def _reference_ok(spec: NetworkSpec) -> bool:
     kinds={"edn"},
     batched=False,
     accepts=_reference_ok,
+    buffered_engine="reference",
 )
 def _build_reference(spec: NetworkSpec) -> Router:
     from repro.core.faults import FaultSet, FaultyEDNetwork
@@ -381,6 +393,7 @@ def _native_auto_ok() -> bool:
     accepts=_array_engine_ok,
     availability=_native_availability,
     auto_ok=_native_auto_ok,
+    buffered_engine="compiled",
 )
 def _build_native(spec: NetworkSpec) -> Router:
     from repro.sim.native import NativeStageRouter
@@ -390,27 +403,4 @@ def _build_native(spec: NetworkSpec) -> Router:
     # inherits the full batched capability surface for everything else.
     return NativeStageRouter(
         spec.stage_graph(), priority=spec.priority, faults=spec.faults
-    )
-
-
-def _native_gpu_ok(spec: NetworkSpec) -> bool:
-    # The Array-API counts path lowers neither fault masks nor random
-    # priority yet; keep the capability gate explicit so the resolver's
-    # error names the fault-capable alternatives.
-    return _array_engine_ok(spec) and spec.priority == "label" and not spec.faults
-
-
-@register_backend(
-    "native:gpu",
-    description="Array-API counts kernel (CuPy when present, NumPy otherwise)",
-    kinds={"edn", "delta", "omega", "dilated"},
-    batched=True,
-    accepts=_native_gpu_ok,
-    auto_ok=lambda: False,
-)
-def _build_native_gpu(spec: NetworkSpec) -> Router:
-    from repro.sim.native import NativeStageRouter
-
-    return NativeStageRouter(
-        spec.stage_graph(), priority=spec.priority, device="gpu"
     )

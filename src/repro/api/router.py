@@ -5,12 +5,12 @@ vectors.  The canonical method is batched: ``route_batch`` takes a
 ``(batch, N)`` demand matrix (entry ``[i, s]`` = requested output of source
 ``s`` in independent cycle ``i``, ``-1`` = idle) and returns a
 :class:`~repro.sim.batched.BatchCycleResult`; ``route`` handles one cycle.
-Natively-batched engines (:class:`~repro.sim.batched.BatchedEDN`, the
-crossbar baseline) satisfy the protocol directly; everything else is
+Natively-batched engines (:class:`~repro.sim.batched.CompiledStageRouter`,
+the crossbar baseline) satisfy the protocol directly; everything else is
 wrapped here:
 
-* :class:`PerCycleRouter` — any per-cycle array engine (vectorized EDN,
-  delta, omega, crossbar) gains an automatic batch loop;
+* :class:`PerCycleRouter` — any per-cycle engine (the stage-graph
+  reference interpreter, the crossbar) gains an automatic batch loop;
 * :class:`ReferenceEDNRouter` — the reference engine
   (:class:`~repro.core.network.EDNetwork`) and its fault-injected sibling,
   converted from per-message objects to outcome arrays;
@@ -44,7 +44,7 @@ from repro.core.exceptions import RoutingError
 from repro.core.network import EDNetwork, Message
 from repro.core.faults import FaultyEDNetwork
 from repro.sim.batched import BatchCycleResult, validate_demand_matrix
-from repro.sim.vectorized import IDLE, VectorCycleResult
+from repro.sim.stagegraph import IDLE, VectorCycleResult
 
 __all__ = [
     "Router",
@@ -81,7 +81,7 @@ class _BatchByLoop:
     order, so per-cycle and batched paths of a wrapped engine agree
     bit for bit (deterministic disciplines) or draw identically-ordered
     streams (random priority).  ``rng`` also accepts a sequence of one
-    generator per cycle (the :class:`~repro.sim.batched.BatchedEDN`
+    generator per cycle (the :class:`~repro.sim.batched.CompiledStageRouter`
     convention the Monte-Carlo harness uses for chunk-size-invariant
     random-priority streams); row ``i`` then routes with ``rng[i]``.
     """
@@ -118,8 +118,8 @@ class PerCycleRouter(_BatchByLoop):
     """Adapt a per-cycle array engine to the full :class:`Router` protocol.
 
     ``engine`` must expose ``n_inputs``/``n_outputs`` and
-    ``route(dests, rng)`` returning outcome arrays (the vectorized EDN
-    result contract); batching is the generic row loop.
+    ``route(dests, rng)`` returning outcome arrays (the
+    :class:`~repro.sim.stagegraph.VectorCycleResult` contract); batching is the generic row loop.
     """
 
     def __init__(self, engine):

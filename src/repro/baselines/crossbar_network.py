@@ -29,7 +29,7 @@ IDLE = -1
 
 @dataclass
 class CrossbarCycleResult:
-    """Outcome arrays matching the vectorized-EDN result protocol.
+    """Outcome arrays matching the stage-graph routers' result protocol.
 
     Holds one cycle (1-D arrays, from :meth:`CrossbarNetwork.route`) or a
     whole batch (2-D ``(batch, n)`` arrays, from
@@ -72,7 +72,7 @@ class CrossbarNetwork:
     """An ``n_inputs x n_outputs`` crossbar with output contention only.
 
     Satisfies the same router protocol as
-    :class:`~repro.sim.vectorized.VectorizedEDN`, so the Monte-Carlo
+    :class:`~repro.sim.batched.CompiledStageRouter`, so the Monte-Carlo
     harness and experiment code treat it interchangeably.
 
     >>> import numpy as np
@@ -150,7 +150,7 @@ class CrossbarNetwork:
 
         Returns a :class:`CrossbarCycleResult` whose arrays are
         ``(batch, n_inputs)``-shaped, matching the
-        :class:`~repro.sim.batched.BatchedEDN` result protocol (including
+        :class:`~repro.sim.batched.BatchCycleResult` protocol (including
         ``offered_per_cycle`` / ``delivered_per_cycle``).  Cycle ``i``
         resolves exactly like ``route(dests[i])``: the output index is
         folded into the contention key with a per-cycle offset, so one

@@ -24,8 +24,7 @@ from repro.core.config import EDNParams
 from repro.core.cost import crosspoint_cost, wire_cost
 from repro.sim.batched import BatchAcceptanceCounts, BatchCycleResult, CompiledStageRouter
 from repro.sim.rng import SeedLike, as_generator
-from repro.sim.stagegraph import StageGraph, delta_graph
-from repro.sim.vectorized import VectorCycleResult
+from repro.sim.stagegraph import StageGraph, VectorCycleResult, delta_graph
 
 __all__ = ["DeltaNetwork"]
 

@@ -22,8 +22,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.labels import ilog2, is_power_of_two
 from repro.sim.batched import BatchAcceptanceCounts, BatchCycleResult, CompiledStageRouter
 from repro.sim.rng import SeedLike, as_generator
-from repro.sim.stagegraph import StageGraph, omega_graph
-from repro.sim.vectorized import VectorCycleResult
+from repro.sim.stagegraph import StageGraph, VectorCycleResult, omega_graph
 
 __all__ = ["OmegaNetwork"]
 
@@ -61,7 +60,7 @@ class OmegaNetwork:
         return self.n
 
     def route(self, dests: np.ndarray, rng: SeedLike = None) -> VectorCycleResult:
-        """Route one cycle; semantics match the vectorized EDN result.
+        """Route one cycle into a :class:`VectorCycleResult`.
 
         ``rng`` accepts anything seed-like (``int``/``SeedSequence``/
         ``Generator``); ``None`` falls back to the constructor's ``seed``

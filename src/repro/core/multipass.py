@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, RoutingError
-from repro.sim.vectorized import VectorizedEDN
 
 __all__ = ["MultipassResult", "route_permutation_multipass"]
 
@@ -42,7 +41,7 @@ class MultipassResult:
 
 
 def route_permutation_multipass(
-    network: VectorizedEDN,
+    network,
     permutation: np.ndarray,
     *,
     max_passes: int = 10_000,
@@ -50,8 +49,9 @@ def route_permutation_multipass(
 ) -> MultipassResult:
     """Deliver every message of ``permutation``, one network pass at a time.
 
-    Each pass offers all still-undelivered messages from their sources;
-    delivered ones retire.  Deterministic under label priority (no ``rng``
+    ``network`` is any cycle router (``route(dests, rng)``, e.g. a
+    :class:`~repro.sim.batched.BatchedEDN`).  Each pass offers all
+    still-undelivered messages from their sources; delivered ones retire.  Deterministic under label priority (no ``rng``
     needed); pass one when the network uses a random discipline.
     """
     n = network.n_inputs

@@ -12,9 +12,9 @@ retries them from the cluster queues).
 This engine is the *reference* implementation: one switch object per
 hyperbar/crossbar, explicit wire labels, full path recording.  It is meant
 for correctness (Lemma 1 / Theorems 1-2 are tested against it) and for
-networks up to a few thousand terminals.  The vectorized engine in
-:mod:`repro.sim.vectorized` reproduces identical decisions with numpy for
-Monte-Carlo work at scale; an integration test pins the two to each other.
+networks up to a few thousand terminals.  The stage-graph engines in
+:mod:`repro.sim` reproduce identical decisions with numpy for Monte-Carlo
+work at scale; integration tests pin them to this one.
 """
 
 from __future__ import annotations

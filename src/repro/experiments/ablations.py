@@ -25,10 +25,10 @@ from repro.api.spec import RunConfig
 from repro.core.config import EDNParams
 from repro.core.hyperbar import Hyperbar
 from repro.experiments.base import ExperimentResult
+from repro.sim.batched import BatchedEDN
 from repro.sim.montecarlo import measure_acceptance
 from repro.sim.rng import make_rng
 from repro.workloads import UniformTraffic
-from repro.sim.vectorized import VectorizedEDN
 from repro.simd.ra_edn import RAEDNSystem
 from repro.simd.schedule import LowestIndexSchedule, RandomSchedule, RoundRobinSchedule
 from repro.simd.simulator import RAEDNSimulator
@@ -54,7 +54,7 @@ def run_priority(
     )
     rows = []
     for discipline in ("label", "random"):
-        router = VectorizedEDN(params, priority=discipline)
+        router = BatchedEDN(params, priority=discipline)
         measured = measure_acceptance(router, traffic, cycles=cycles, seed=seed)
         # Fairness: per-input delivery counts over the same traffic.
         rng = make_rng(seed)

@@ -23,9 +23,9 @@ from repro.core.analysis import acceptance_probability
 from repro.core.config import EDNParams
 from repro.experiments.base import ExperimentResult
 from repro.ext.admissibility import admissible_fraction
+from repro.sim.batched import BatchedEDN
 from repro.sim.buffered import measure_buffered
 from repro.sim.stagegraph import edn_graph
-from repro.sim.vectorized import VectorizedEDN
 
 __all__ = ["run_buffered", "run_admissibility"]
 
@@ -97,11 +97,11 @@ def run_admissibility(
     )
     rows = []
     census = [
-        ("delta EDN(2,2,1,3), 8x8", VectorizedEDN(EDNParams(2, 2, 1, 3)), None),
-        ("EDN(4,2,2,2), 8x8", VectorizedEDN(EDNParams(4, 2, 2, 2)), None),
-        ("EDN(8,2,4,1), 8x8", VectorizedEDN(EDNParams(8, 2, 4, 1)), None),
-        ("EDN(16,4,4,2), 64x64", VectorizedEDN(EDNParams(16, 4, 4, 2)), samples),
-        ("EDN(64,16,4,2), 1024x1024", VectorizedEDN(EDNParams(64, 16, 4, 2)), samples),
+        ("delta EDN(2,2,1,3), 8x8", BatchedEDN(EDNParams(2, 2, 1, 3)), None),
+        ("EDN(4,2,2,2), 8x8", BatchedEDN(EDNParams(4, 2, 2, 2)), None),
+        ("EDN(8,2,4,1), 8x8", BatchedEDN(EDNParams(8, 2, 4, 1)), None),
+        ("EDN(16,4,4,2), 64x64", BatchedEDN(EDNParams(16, 4, 4, 2)), samples),
+        ("EDN(64,16,4,2), 1024x1024", BatchedEDN(EDNParams(64, 16, 4, 2)), samples),
     ]
     for label, network, sample_budget in census:
         fraction, population = admissible_fraction(

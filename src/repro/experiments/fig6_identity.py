@@ -23,10 +23,10 @@ from repro.api.spec import RunConfig
 from repro.core.config import EDNParams
 from repro.core.tags import RetirementOrder
 from repro.experiments.base import ExperimentResult
+from repro.sim.batched import BatchedEDN
 from repro.sim.montecarlo import measure_acceptance
 from repro.sim.rng import make_rng
 from repro.workloads import PermutationTraffic, structured_permutation
-from repro.sim.vectorized import VectorizedEDN
 
 __all__ = ["run"]
 
@@ -44,9 +44,9 @@ def run(
     cfg = (config if config is not None else RunConfig()).resolve(cycles=cycles, seed=seed)
     cycles, seed = cfg.cycles, cfg.seed
     params = EDNParams(64, 16, 4, 2)
-    canonical = VectorizedEDN(params)
+    canonical = BatchedEDN(params)
     reversed_order = RetirementOrder.reversed_order(params.l)
-    modified = VectorizedEDN(params, retirement_order=reversed_order)
+    modified = BatchedEDN(params, retirement_order=reversed_order)
     fixup = reversed_order.fixup_permutation(params)
     rng = make_rng(seed)
 

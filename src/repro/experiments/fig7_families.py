@@ -12,7 +12,7 @@ crossbar as reference.  Expected shape (the paper's reading):
 * the delta (``c = 1``) family "performs the worse" and falls off fastest
   with size.
 
-``run_montecarlo_validation`` rides the same curves with the vectorized
+``run_montecarlo_validation`` rides the same curves with the compiled
 simulator at simulable sizes, quantifying the independence-approximation
 optimism of Eq. 4 (a few percent, growing slowly with depth).
 """
@@ -97,7 +97,7 @@ def _mc_point(task, seed_key) -> list[object]:
     params = EDNParams(*shape)
     analytic = acceptance_probability(params, rate)
     traffic = UniformTraffic(params.num_inputs, params.num_outputs, rate)
-    # BatchedEDN consults the plan cache, so within one worker process the
+    # Routers consult the plan cache, so within one worker process the
     # family members of equal shape share compiled wiring tables.
     measured = measure_acceptance(
         BatchedEDN(params),

@@ -2,14 +2,10 @@
 
 The paper's analysis is strictly circuit-switched and bufferless ("It is
 assumed that the network is circuit-switched, and so there are no buffers
-or queues in the network", Section 3.2).  This subpackage explores the
-era's standard follow-ups on top of the same topology:
+or queues in the network", Section 3.2).  Buffered packet switching
+lives in the compiled core (:mod:`repro.sim.buffered`); this subpackage
+holds the combinatorial follow-up:
 
-* :mod:`repro.ext.buffered` — synchronous packet switching with per-wire
-  FIFO buffers and back-pressure (Dias & Jump / Jenq style), measuring
-  throughput and latency where the paper measures acceptance.  Now a
-  deprecated compat shim: the discipline lives in the compiled core
-  (:mod:`repro.sim.buffered`), and importing the shim warns;
 * :mod:`repro.ext.admissibility` — exhaustive censuses of which
   permutations route conflict-free in a single pass, quantifying how
   capacity enlarges the admissible set (Lemma 2's combinatorial shadow).
@@ -18,19 +14,6 @@ era's standard follow-ups on top of the same topology:
 from repro.ext.admissibility import admissible_fraction, is_admissible
 
 __all__ = [
-    "BufferedEDN",
-    "BufferedMetrics",
     "is_admissible",
     "admissible_fraction",
 ]
-
-
-def __getattr__(name: str):
-    # ``repro.ext.buffered`` is a deprecated compat shim that warns on
-    # import; resolve its re-exports lazily so merely importing this
-    # package (e.g. for admissibility) stays silent.
-    if name in ("BufferedEDN", "BufferedMetrics"):
-        from repro.ext import buffered
-
-        return getattr(buffered, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

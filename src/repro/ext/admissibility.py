@@ -14,7 +14,9 @@ along the way is oversubscribed, a property of the demand pattern alone.
 
 Exhaustive censuses are exponential (``N!``); the functions below support
 both exhaustive enumeration for ``N <= 8`` and Monte-Carlo estimation above
-that.
+that.  ``network`` is any router with ``route``/``route_batch`` (the
+compiled :class:`~repro.sim.batched.BatchedEDN` in the experiments), and
+censuses route their permutations in batches.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError
 from repro.sim.rng import make_rng
-from repro.sim.vectorized import VectorizedEDN
 
 __all__ = ["is_admissible", "admissible_fraction"]
 
 _EXHAUSTIVE_LIMIT = 8
+#: Permutations routed per ``route_batch`` call during a census.
+_CHUNK = 4096
 
 
-def is_admissible(network: VectorizedEDN, permutation: np.ndarray) -> bool:
+def is_admissible(network, permutation: np.ndarray) -> bool:
     """True iff ``permutation`` routes completely in one pass."""
     permutation = np.asarray(permutation, dtype=np.int64)
     if sorted(permutation.tolist()) != list(range(network.n_outputs)):
@@ -42,8 +45,17 @@ def is_admissible(network: VectorizedEDN, permutation: np.ndarray) -> bool:
     return result.num_delivered == network.n_inputs
 
 
+def _count_admissible(network, permutations: np.ndarray) -> int:
+    """How many rows of a ``(k, N)`` permutation matrix route in one pass."""
+    good = 0
+    for start in range(0, len(permutations), _CHUNK):
+        result = network.route_batch(permutations[start : start + _CHUNK])
+        good += int((result.delivered_per_cycle == network.n_inputs).sum())
+    return good
+
+
 def admissible_fraction(
-    network: VectorizedEDN,
+    network,
     *,
     samples: int | None = None,
     seed: int | None = 0,
@@ -59,15 +71,10 @@ def admissible_fraction(
     if network.n_outputs != n:
         raise ConfigurationError("admissibility census needs a square network")
     if samples is None and n <= _EXHAUSTIVE_LIMIT:
-        good = 0
-        for perm in iter_permutations(range(n)):
-            if is_admissible(network, np.array(perm, dtype=np.int64)):
-                good += 1
-        return good / factorial(n), factorial(n)
+        every = np.array(list(iter_permutations(range(n))), dtype=np.int64)
+        return _count_admissible(network, every) / factorial(n), factorial(n)
     if samples is None:
         samples = 2_000
     rng = make_rng(seed)
-    good = sum(
-        1 for _ in range(samples) if is_admissible(network, rng.permutation(n))
-    )
-    return good / samples, samples
+    drawn = np.array([rng.permutation(n) for _ in range(samples)], dtype=np.int64)
+    return _count_admissible(network, drawn) / samples, samples

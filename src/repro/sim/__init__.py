@@ -1,40 +1,37 @@
-"""Simulation substrate: kernel, RNG streams, statistics, traffic, Monte-Carlo.
+"""Simulation substrate: RNG streams, statistics, the stage-graph core, Monte-Carlo.
 
 This package supplies the *machinery*; for constructing and driving
 networks, prefer the :mod:`repro.api` facade — ``NetworkSpec`` names any
 topology in the repo, ``build_router`` selects an engine through the
-backend registry (the batched engines below under ``backend="auto"``),
+backend registry (the compiled routers below under ``backend="auto"``),
 and ``RunConfig`` threads cycles/seed/jobs/batch through
 :func:`~repro.sim.montecarlo.measure_acceptance` and the experiment
 runners.
 
-* :mod:`repro.sim.engine` — discrete-event kernel and cycle driver;
+One engine per semantics:
+
+* :mod:`repro.sim.stagegraph` — the topology-agnostic stage-graph core:
+  every unidirectional multistage network (EDN, delta, omega, dilated
+  delta) as a :class:`StageGraph` descriptor, plus the independent
+  interpreters the compiled engines are checked against — the per-cycle
+  :class:`StageGraphReference` (bufferless) and the per-packet
+  :class:`BufferedStageReference` (buffered);
+* :mod:`repro.sim.plan` — a :class:`StageGraph` compiles to a
+  :class:`StagePlan` (tables, narrow dtypes) behind a keyed LRU cache,
+  plus reusable :class:`ChunkWorkspace` scratch, so repeated router
+  construction and chunk routing skip all topology setup and
+  steady-state allocation (see ``docs/PERFORMANCE.md``);
+* :mod:`repro.sim.batched` — :class:`CompiledStageRouter`, the one NumPy
+  router over ``(batch, N)`` demand matrices: many independent cycles
+  per call, bit-identical per message to the per-cycle interpreter
+  (:class:`BatchedEDN` is its ``EDNParams`` constructor);
+* :mod:`repro.sim.native` — the native kernel: every :class:`StagePlan`
+  lowered to fused per-stage loops compiled with numba or as
+  plan-specialized C (``backend="native"``; counts-only Monte-Carlo,
+  bit-identical to the NumPy kernels);
 * :mod:`repro.sim.rng` — reproducible independent random streams;
 * :mod:`repro.sim.stats` — online statistics and confidence intervals
   (streaming ratio-of-sums estimator with a delta-method interval);
-* :mod:`repro.sim.stagegraph` — the topology-agnostic stage-graph core:
-  every unidirectional multistage network (EDN, delta, omega, dilated
-  delta) as a :class:`StageGraph` descriptor, plus the per-cycle
-  reference interpreter used as the cross-check path;
-* :mod:`repro.sim.plan` — compiled :class:`StagePlan`/:class:`RoutingPlan`
-  tables behind a keyed LRU cache plus reusable :class:`ChunkWorkspace`
-  scratch, so repeated engine construction and chunk routing skip all
-  topology setup and steady-state allocation (see ``docs/PERFORMANCE.md``);
-* :mod:`repro.sim.traffic` — compatibility alias of the traffic models,
-  which live in the :mod:`repro.workloads` subsystem (registry-backed
-  ``name[:args]`` specs: uniform, permutation, hot-spot/NUTS, bursty,
-  mixture, trace replay, structured patterns), single-cycle or batched;
-* :mod:`repro.sim.vectorized` — numpy EDN router, one cycle per call;
-* :mod:`repro.sim.batched` — numpy routers over ``(batch, N)`` demand
-  matrices (:class:`BatchedEDN` and the graph-driven
-  :class:`CompiledStageRouter` the delta-family baselines compile to):
-  many independent cycles per call, bit-identical per message to the
-  single-cycle engines;
-* :mod:`repro.sim.native` — the JIT kernel backend: every
-  :class:`StagePlan` lowered to fused per-stage loops compiled with
-  numba or as plan-specialized C (``backend="native"``; counts-only
-  Monte-Carlo, bit-identical to the batched kernels), plus the
-  Array-API counts path behind ``backend="native:gpu"``;
 * :mod:`repro.sim.montecarlo` — acceptance-probability measurement,
   routed in batched chunks wherever the router supports it, with
   optional adaptive early stopping (``rel_err=``: the cycle budget
@@ -47,28 +44,20 @@ runners.
   :func:`measure_buffered` with streaming :class:`LatencyStats`
   histograms (mean/p50/p95/p99 + delta-method CI).
 
-Batched-engine semantics
-------------------------
-``BatchedEDN.route_batch`` treats each row of a ``(batch, N)`` demand
-matrix as one independent network cycle (the paper's assumption 3: blocked
-requests do not couple cycles), so a Monte-Carlo estimate over ``k``
-cycles is one or a few engine calls instead of ``k``.  Under the default
-label priority contention is resolved sort-free from packed per-bucket
-occupancy counters; under random priority the cycle index is folded into
-the contention sort key so one batch-wide argsort resolves every cycle.
-Per-message outcomes equal ``VectorizedEDN.route`` row for row.
+Traffic models live in the :mod:`repro.workloads` subsystem and are
+re-exported here.
 
-Measured wall-clock per Monte-Carlo point (uniform traffic at full load,
-200 cycles, ``EDN(16,4,4,l)``, recorded by ``benchmarks/perf_smoke.py``
-into ``BENCH_batched_routing.json``):
-
-===========  ==============  ============  ========
-``N``        per-cycle path  batched path  speedup
-===========  ==============  ============  ========
-1,024        0.122 s         0.014 s       8.8x
-4,096        0.409 s         0.063 s       6.5x
-16,384       1.730 s         0.332 s       5.2x
-===========  ==============  ============  ========
+Batched-routing semantics
+-------------------------
+``CompiledStageRouter.route_batch`` treats each row of a ``(batch, N)``
+demand matrix as one independent network cycle (the paper's assumption
+3: blocked requests do not couple cycles), so a Monte-Carlo estimate over
+``k`` cycles is one or a few router calls instead of ``k``.  Under the
+default label priority contention is resolved sort-free from packed
+per-bucket occupancy counters; under random priority the cycle index is
+folded into the contention sort key so one batch-wide argsort resolves
+every cycle.  Per-message outcomes equal ``StageGraphReference.route``
+row for row.
 """
 
 from repro.sim.batched import (
@@ -78,17 +67,13 @@ from repro.sim.batched import (
     CompiledStageRouter,
 )
 from repro.sim.buffered import BufferedMeasurement, measure_buffered
-from repro.sim.engine import CycleDriver, EventHandle, Simulator
 from repro.sim.plan import (
     BufferedState,
     ChunkWorkspace,
-    RoutingPlan,
     StagePlan,
     clear_plan_cache,
-    compile_plan,
     compile_stage_plan,
     plan_cache_info,
-    plan_for,
     stage_plan_for,
 )
 from repro.sim.stagegraph import (
@@ -97,6 +82,7 @@ from repro.sim.stagegraph import (
     GraphStage,
     StageGraph,
     StageGraphReference,
+    VectorCycleResult,
     delta_graph,
     dilated_graph,
     edn_graph,
@@ -105,7 +91,6 @@ from repro.sim.stagegraph import (
 from repro.sim.native import NativeStageRouter, available_tiers
 from repro.sim.montecarlo import (
     AcceptanceMeasurement,
-    ReferenceRouterAdapter,
     measure_acceptance,
 )
 from repro.sim.rng import make_rng, spawn, spawn_keys, stream_for
@@ -130,12 +115,8 @@ from repro.workloads.models import (
     UniformTraffic,
     structured_permutation,
 )
-from repro.sim.vectorized import VectorCycleResult, VectorizedEDN
 
 __all__ = [
-    "Simulator",
-    "EventHandle",
-    "CycleDriver",
     "make_rng",
     "spawn",
     "spawn_keys",
@@ -146,7 +127,6 @@ __all__ = [
     "available_tiers",
     "BatchCycleResult",
     "BatchAcceptanceCounts",
-    "RoutingPlan",
     "StagePlan",
     "GraphStage",
     "StageGraph",
@@ -161,8 +141,6 @@ __all__ = [
     "omega_graph",
     "dilated_graph",
     "ChunkWorkspace",
-    "plan_for",
-    "compile_plan",
     "stage_plan_for",
     "compile_stage_plan",
     "clear_plan_cache",
@@ -184,9 +162,7 @@ __all__ = [
     "TraceTraffic",
     "structured_permutation",
     "STRUCTURED_PATTERNS",
-    "VectorizedEDN",
     "VectorCycleResult",
     "measure_acceptance",
     "AcceptanceMeasurement",
-    "ReferenceRouterAdapter",
 ]

@@ -6,10 +6,12 @@ statistically honest comparisons against the analytic models (Eqs. 4-5).
 
 The harness is router-agnostic: anything exposing ``n_inputs``,
 ``n_outputs`` and ``route(dests, rng) -> result`` with ``num_offered`` /
-``num_delivered`` works, which lets the same code drive the vectorized EDN,
-the reference EDN (via an adapter), and the baseline networks.  Routers
-that additionally expose ``route_batch(dests, rng)`` (the
-:class:`~repro.sim.batched.BatchedEDN` protocol) are driven in chunks of
+``num_delivered`` works, which lets the same code drive the stage-graph
+interpreter, the reference EDN (through
+:class:`~repro.api.router.ReferenceEDNRouter`), and the baseline
+networks.  Routers that additionally expose ``route_batch(dests, rng)``
+(the :class:`~repro.sim.batched.CompiledStageRouter` protocol) are driven
+in chunks of
 many cycles per call, which removes the per-cycle Python overhead that
 otherwise dominates at large ``N`` — see :mod:`repro.sim.batched` and the
 measured speedups in ``BENCH_batched_routing.json``.
@@ -41,9 +43,6 @@ from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 
-from repro.core.config import EDNParams
-from repro.core.network import EDNetwork
-from repro.core.tags import RetirementOrder
 from repro.sim.rng import SeedLike, make_rng
 from repro.sim.stats import Interval, RatioStats
 from repro.workloads.models import TrafficGenerator
@@ -57,7 +56,6 @@ __all__ = [
     "BatchRouter",
     "AcceptanceMeasurement",
     "measure_acceptance",
-    "ReferenceRouterAdapter",
     "DEFAULT_BATCH",
 ]
 
@@ -364,39 +362,3 @@ def measure_acceptance(
         target_rel_err=rel_err,
         converged=stopped if adaptive else None,
     )
-
-
-class ReferenceRouterAdapter:
-    """Expose :class:`~repro.core.network.EDNetwork` through the router protocol.
-
-    Used by equivalence tests; for performance work prefer
-    :class:`~repro.sim.batched.BatchedEDN` (or
-    :class:`~repro.sim.vectorized.VectorizedEDN`) directly.
-    """
-
-    def __init__(self, network: EDNetwork):
-        self.network = network
-
-    @classmethod
-    def build(
-        cls,
-        params: EDNParams,
-        *,
-        priority: str = "label",
-        retirement_order: Optional[RetirementOrder] = None,
-    ) -> "ReferenceRouterAdapter":
-        return cls(
-            EDNetwork(params, priority=priority, retirement_order=retirement_order)
-        )
-
-    @property
-    def n_inputs(self) -> int:
-        return self.network.params.num_inputs
-
-    @property
-    def n_outputs(self) -> int:
-        return self.network.params.num_outputs
-
-    def route(self, dests: np.ndarray, rng: Optional[np.random.Generator] = None):
-        demands = {int(s): int(d) for s, d in enumerate(dests) if d >= 0}
-        return self.network.route_destinations(demands, rng=rng)

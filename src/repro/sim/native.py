@@ -5,25 +5,31 @@ The batched NumPy kernels stream ~10 chunk-sized array passes per stage;
 at Monte-Carlo scale that is memory traffic, not arithmetic.  A compiled
 loop fuses dense rank + acceptance + fault refinement + link permutation
 into **one pass over the frontier per stage**, keeps each cycle's frontier
-L1/L2-resident, and parallelizes over the batch axis — each cycle is an
-independent routing problem, so the parallel loop is deterministic by
-construction.  Routing decisions are bit-identical to
+L1/L2-resident, and walks the batch axis one cycle at a time.
+
+Every tier runs **serially**.  Parallelism comes from one layer only: the
+process layer (:class:`~repro.experiments.parallel.ParallelSweep` and the
+serve worker pool), whose workers are forked on purpose so they inherit
+warm plan caches.  A threaded kernel (OpenMP, numba ``parallel=True``)
+leaves a thread pool behind that does not survive ``fork``: a forked
+worker's first kernel call would deadlock, and on a loaded host threads
+only oversubscribe the cores the workers already use.  Routing decisions
+are bit-identical to
 :meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
 (pinned by the cross-backend equivalence suite).
 
 The same loop body exists in three execution **tiers**, best available
 first:
 
-* ``numba`` — :func:`_counts_loop` compiled by ``numba.njit(parallel=True,
-  cache=True)`` (``prange`` over cycles).  Preferred when numba is
-  importable; ``pip install repro[native]`` pulls it in.
+* ``numba`` — :func:`_counts_loop` compiled by ``numba.njit(cache=True)``.
+  Preferred when numba is importable; ``pip install repro[native]`` pulls
+  it in.
 * ``cc`` — a C translation of the identical loop, *specialized to the
   plan's stage shapes* (constants baked in, stages unrolled, branchless
   per-wire path), compiled at first use with the host toolchain
   (``cc``/``gcc``/``clang``), cached on disk by generated-source hash,
   and called through :mod:`ctypes` (the GIL is released for the duration
-  of the call; ``-fopenmp`` parallelizes over cycles when the toolchain
-  supports it).  This keeps the native backend fast on numba-free hosts
+  of the call).  This keeps the native backend fast on numba-free hosts
   that have a compiler.
 * ``python`` — the very same :func:`_counts_loop`, interpreted.  Never
   selected automatically (it is slow); tests use it to pin the loop
@@ -40,11 +46,6 @@ stages), rank-space fault liveness, and the input permutation — packed
 once per plan into flat arrays (:func:`_lower`) and cached on the plan
 itself, so the warm path allocates nothing chunk-sized and forked sweep
 workers inherit both the lowered tables and the on-disk JIT caches.
-
-The GPU story is sketched (not yet tuned) by :func:`device_counts`: the
-same counts-only routing written against the NumPy/CuPy shared array API
-(`xp`), selected by ``backend="native:gpu"`` — CuPy when importable,
-NumPy otherwise, so the path is always testable.
 """
 
 from __future__ import annotations
@@ -77,15 +78,7 @@ __all__ = [
     "available_tiers",
     "default_tier",
     "unavailable_reason",
-    "device_counts",
-    "gpu_namespace",
 ]
-
-try:  # numba.prange degrades to range when interpreted, so one loop body
-    from numba import prange  # serves both the JIT and the python tier
-except ImportError:  # pragma: no cover - exercised on numba-free hosts
-    prange = range
-
 
 # ----------------------------------------------------------------------
 # The loop body (python + numba tiers)
@@ -111,7 +104,7 @@ def _counts_loop(
     batch, n = dests.shape
     nstages = meta.shape[0]
     has_perm = input_perm.shape[0] != 0
-    for c in prange(batch):
+    for c in range(batch):
         cur = frontier[c, 0]
         nxt = frontier[c, 1]
         cnt = counts[c]
@@ -190,7 +183,7 @@ def _numba_loop():
     if _numba_fn is None:
         import numba
 
-        _numba_fn = numba.njit(parallel=True, cache=True)(_counts_loop)
+        _numba_fn = numba.njit(cache=True)(_counts_loop)
     return _numba_fn
 
 
@@ -372,7 +365,6 @@ void repro_counts_spec(
 {{
     (void)meta; (void)nstages; (void)has_perm; (void)maxw; (void)radix_max;
     (void)input_perm; (void)links; (void)falive;
-#pragma omp parallel for schedule(static)
     for (int64_t c = 0; c < batch; c++) {{
         {ctype} *cur = frontier + c * 2 * {stride};
         {ctype} *nxt = cur + {stride};
@@ -422,16 +414,24 @@ def _compiler() -> Optional[str]:
     return None
 
 
+#: Extra compiler flags, best first; degrading flag by flag lets any
+#: working toolchain produce a kernel.  No ``-fopenmp``: kernels are serial.
+_FLAG_LADDER = (("-march=native",), ())
+
+
 def _build_shared_object(source: str, stem: str) -> Path:
     """Compile ``source`` (or find it cached on disk); raises on failure.
 
-    The cache is keyed by source hash, so forked sweep workers and later
-    processes load the same build instead of recompiling.
+    The cache is keyed by source and flag ladder, so forked sweep workers
+    and later processes load the same build instead of recompiling, and a
+    build made with other flags is never picked up.
     """
     compiler = _compiler()
     if compiler is None:
         raise ConfigurationError("no C compiler (cc/gcc/clang) on PATH")
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(
+        (repr(_FLAG_LADDER) + source).encode()
+    ).hexdigest()[:16]
     cache = _cache_dir()
     so_path = cache / f"{stem}_{digest}.so"
     if so_path.exists():
@@ -441,9 +441,7 @@ def _build_shared_object(source: str, stem: str) -> Path:
     c_path.write_text(source)
     tmp = cache / f".{so_path.name}.{os.getpid()}.tmp"
     errors = []
-    # Prefer OpenMP + host tuning; degrade flag by flag so any working
-    # toolchain produces a (possibly serial) kernel.
-    for extra in (["-march=native", "-fopenmp"], ["-fopenmp"], []):
+    for extra in _FLAG_LADDER:
         cmd = [compiler, "-O3", "-fPIC", "-shared", *extra,
                str(c_path), "-o", str(tmp)]
         proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -746,9 +744,7 @@ class NativeStageRouter(CompiledStageRouter):
 
     ``tier="auto"`` (default) picks the best accelerated tier and
     degrades to the inherited NumPy kernels when none is available (the
-    import-safe shim).  ``device="gpu"`` routes counts through the
-    Array-API path (:func:`device_counts`) instead — CuPy when
-    importable, NumPy otherwise.
+    import-safe shim).
     """
 
     def __init__(
@@ -760,7 +756,6 @@ class NativeStageRouter(CompiledStageRouter):
         faults=(),
         buffer_depth: Optional[int] = None,
         tier: str = "auto",
-        device: str = "cpu",
     ):
         super().__init__(
             graph,
@@ -769,30 +764,17 @@ class NativeStageRouter(CompiledStageRouter):
             faults=faults,
             buffer_depth=buffer_depth,
         )
-        if device not in ("cpu", "gpu"):
-            raise ConfigurationError(f"unknown native device {device!r}")
-        if device == "gpu" and self.faults:
-            raise ConfigurationError(
-                "the native:gpu counts path does not lower fault masks yet; "
-                "use the cpu native backend for faulted runs"
-            )
-        self.device = device
         self.tier = default_tier() if tier == "auto" else tier
 
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
     ) -> BatchAcceptanceCounts:
-        if self.priority != "label":
-            # Random priority is resolved by sort either way; the
-            # inherited path is already the right engine for it.
+        if self.priority != "label" or self.tier is None:
+            # Random priority is resolved by sort either way, and without
+            # an accelerated tier the NumPy kernels are the shim: the
+            # inherited path is the right engine for both.
             return super().route_batch_counts(dests, rng, workspace=workspace)
         g = self.graph
-        if self.device == "gpu":
-            dests = _check_demand_shape(dests, g.n_inputs)
-            _check_destination_bounds(dests.reshape(-1), g.n_outputs)
-            return device_counts(self._plan, dests, gpu_namespace())
-        if self.tier is None:  # the pure-NumPy shim
-            return super().route_batch_counts(dests, rng, workspace=workspace)
         dests = _check_demand_shape(dests, g.n_inputs)
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
         ws = workspace if workspace is not None else self._plan.workspace()
@@ -800,99 +782,7 @@ class NativeStageRouter(CompiledStageRouter):
 
     def __repr__(self) -> str:
         faulted = f", faults={len(self.faults)}" if self.faults else ""
-        where = self.device if self.device != "cpu" else (self.tier or "numpy")
         return (
             f"NativeStageRouter({self.graph.label}, "
-            f"priority={self.priority!r}, tier={where!r}{faulted})"
+            f"priority={self.priority!r}, tier={self.tier or 'numpy'!r}{faulted})"
         )
-
-
-# ----------------------------------------------------------------------
-# Array-API (GPU) counts path
-# ----------------------------------------------------------------------
-
-
-def gpu_namespace():
-    """The array namespace for ``native:gpu``: CuPy if importable, else NumPy."""
-    try:
-        import cupy
-
-        return cupy
-    except ImportError:
-        return np
-
-
-def device_counts(plan, dests: np.ndarray, xp) -> BatchAcceptanceCounts:
-    """Counts-only routing written against the NumPy/CuPy array API.
-
-    The device formulation of the batched counts kernel: per stage a
-    one-hot cumulative sum ranks every request within its ``(switch,
-    bucket)`` group, winners scatter through the link table with losers
-    parked on a trash slot.  Decisions are identical to the CPU kernels
-    (pinned with ``xp = numpy``); on CuPy the only nondeterminism is
-    which loser's value lands in the never-read trash slot.  Fault masks
-    are not lowered here yet (the registry keeps faulted specs off this
-    path).
-    """
-    g = plan.graph
-    batch, n = dests.shape
-    dev = xp.asarray(dests)
-    perm = plan.input_perm_table(np.int64)
-    if perm is not None:
-        shuffled = xp.full((batch, n), -1, dtype=xp.int64)
-        shuffled[:, xp.asarray(perm)] = dev
-        dest = shuffled
-    else:
-        dest = xp.array(dev)  # copy: the frontier is overwritten per stage
-    offered = (dest >= 0).sum(axis=1)
-    delivered = xp.zeros(batch, dtype=xp.int64)
-    blocked: dict[int, int] = {}
-    alive = int(offered.sum())
-    last = g.num_stages - 1
-
-    for i, stage in enumerate(g.stages):
-        if alive == 0:
-            break
-        width = plan.stage_widths[i]
-        nswitch = width // stage.fan_in
-        live = dest >= 0
-        digit = (dest >> stage.shift) & (stage.radix - 1)
-        channel = xp.where(live, digit, stage.radix)
-        ch3 = channel.reshape(batch, nswitch, stage.fan_in)
-        onehot = ch3[..., None] == xp.arange(stage.radix, dtype=xp.int64)
-        cum = xp.cumsum(onehot, axis=2)
-        lookup = xp.minimum(ch3, stage.radix - 1)[..., None]
-        rank_incl = xp.take_along_axis(cum, lookup, axis=3)[..., 0]
-        rank_incl = rank_incl.reshape(batch, width)
-        accepted = live & (rank_incl <= stage.capacity)
-        surviving = int(accepted.sum())
-        if surviving != alive:
-            blocked[i + 1] = alive - surviving
-        alive = surviving
-        if i == last:
-            delivered = accepted.sum(axis=1)
-            break
-        if alive == 0:
-            break
-        swbase = xp.asarray(plan.stage_base(i, np.int64))
-        y = swbase[None, :] + digit * stage.capacity + rank_incl
-        table = plan.perm_table(i, np.int64)
-        if table is not None:
-            next_w = xp.take(
-                xp.asarray(table), xp.clip(y, 0, table.size - 1)
-            )
-        else:
-            next_w = y
-        next_width = plan.stage_widths[i + 1]
-        rows = (xp.arange(batch, dtype=xp.int64) * next_width + 1)[:, None]
-        target = xp.where(accepted, next_w + rows, 0)
-        next_dest = xp.full(batch * next_width + 1, -1, dtype=xp.int64)
-        next_dest[target.reshape(-1)] = dest.reshape(-1)
-        dest = next_dest[1:].reshape(batch, next_width)
-
-    to_host = getattr(xp, "asnumpy", np.asarray)
-    return BatchAcceptanceCounts(
-        offered_per_cycle=to_host(offered).astype(np.int64),
-        delivered_per_cycle=to_host(delivered).astype(np.int64),
-        blocked_by_stage=dict(sorted(blocked.items())),
-    )

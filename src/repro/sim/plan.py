@@ -19,19 +19,14 @@ This module compiles all of it **once per topology**:
   in 15 bits).  Plans are immutable after compilation and safely shared
   by any number of engines; every unidirectional multistage topology in
   the repository (EDN, delta, omega, dilated delta) compiles to one.
-* :class:`RoutingPlan` — the ``EDN(a, b, c, l)`` specialization of
-  :class:`StagePlan`, keeping the EDN-specific views (``params``, digit
-  shifts, gamma tables by stage number) the dedicated EDN engines
-  consume.
 * :class:`ChunkWorkspace` — named scratch buffers grown monotonically and
   recycled across calls, so steady-state chunk routing performs no
   chunk-sized heap allocations.  Workspaces are mutable and therefore
   **per-thread**: :meth:`StagePlan.workspace` hands each thread its own.
-* :func:`plan_for` / :func:`stage_plan_for` — the keyed LRU plan cache.
-  Engines built from equal ``(params, priority, retirement order)`` keys
-  (EDN) or equal ``(graph, priority, faults)`` keys (stage graphs) share
-  one compiled plan, so repeated ``build_router``/``measure`` calls skip
-  all topology setup.  :func:`plan_cache_info` / :func:`clear_plan_cache`
+* :func:`stage_plan_for` — the keyed LRU plan cache.  Routers built
+  from equal ``(graph, priority, faults[, buffer depth])`` keys share one
+  compiled plan, so repeated ``build_router``/``measure`` calls skip all
+  topology setup.  :func:`plan_cache_info` / :func:`clear_plan_cache`
   expose the cache to tests and benchmarks.
 
 Plan keys deliberately cover *exactly* the inputs that determine array-
@@ -54,11 +49,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.core.faults import FaultSet, WireFault
 from repro.core.labels import ilog2
-from repro.core.tags import RetirementOrder
 
 if TYPE_CHECKING:  # repro.sim.stagegraph imports gamma_permutation lazily
     from repro.sim.stagegraph import StageGraph
@@ -67,10 +60,7 @@ __all__ = [
     "ChunkWorkspace",
     "StagePlan",
     "BufferedState",
-    "RoutingPlan",
     "gamma_permutation",
-    "plan_for",
-    "compile_plan",
     "stage_plan_for",
     "compile_stage_plan",
     "clear_plan_cache",
@@ -84,9 +74,9 @@ def gamma_permutation(
 ) -> np.ndarray:
     """``gamma_{log2(c), log2(a/c)}`` applied to ``n_bits``-bit labels.
 
-    The single closed form of the interstage wiring permutation, shared
-    by the per-cycle engine (:meth:`VectorizedEDN._gamma_vec`) and the
-    compiled lookup tables below, so the two can never drift apart.
+    The single closed form of the interstage wiring permutation behind
+    every ``("gamma", ...)`` permutation spec, so the compiled lookup
+    tables and the reference interpreter can never drift apart.
     """
     j, k = capacity_bits, fan_in_bits
     upper_width = n_bits - j
@@ -103,7 +93,7 @@ def gamma_permutation(
 #: plus per-thread workspaces, so the cache is bounded).
 PLAN_CACHE_MAXSIZE = 32
 
-#: Bits per packed bucket counter (mirrors the batched engine's lanes).
+#: Bits per packed bucket counter (mirrors the compiled router's lanes).
 _LANE_BITS = 8
 _LANE_MASK = (1 << _LANE_BITS) - 1
 
@@ -120,7 +110,7 @@ class ChunkWorkspace:
 
     A workspace is cheap to create and holds no topology state, but it is
     **not** safe to share across threads routing concurrently; use
-    :meth:`RoutingPlan.workspace` for a per-thread instance.
+    :meth:`StagePlan.workspace` for a per-thread instance.
     """
 
     __slots__ = ("_buffers",)
@@ -158,11 +148,8 @@ class StagePlan:
     the lazily-added dtype variants of the lookup tables are idempotent,
     so concurrent readers are safe.  Mutable scratch lives in per-thread
     :class:`ChunkWorkspace` instances obtained via :meth:`workspace`.
-
-    :class:`RoutingPlan` specializes this class for the dedicated EDN
-    engines; every other compiled topology (delta, omega, dilated delta)
-    consumes a plain ``StagePlan`` through
-    :class:`~repro.sim.batched.CompiledStageRouter`.
+    Every compiled topology (EDN, delta, omega, dilated delta) consumes
+    one through :class:`~repro.sim.batched.CompiledStageRouter`.
     """
 
     __slots__ = (
@@ -416,10 +403,10 @@ class StagePlan:
     def preferred_batch(self) -> int:
         """Cycles per chunk keeping a stage's working set cache-resident.
 
-        Matches the historical ``BatchedEDN.preferred_batch`` sizing —
-        about ``2**17`` frontier entries per chunk, at least 16 cycles —
-        so default-batch measurements reproduce the pre-plan chunking
-        (and therefore its traffic streams) exactly.
+        About ``2**17`` frontier entries per chunk, at least 16 cycles:
+        the dense kernels stream ~10 arrays of ``batch * wires`` entries
+        per stage, and beyond the L2 cache the scatters dominate, so large
+        networks want *smaller* chunks.
         """
         return max(16, min(64, (1 << 17) // self.graph.n_inputs))
 
@@ -499,83 +486,6 @@ class BufferedState:
         return int(sum(int(occ.sum()) for occ in self.occupancy))
 
 
-class RoutingPlan(StagePlan):
-    """The ``EDN(a, b, c, l)`` specialization of :class:`StagePlan`.
-
-    Compiles the EDN's stage graph (``l`` hyperbar columns + the crossbar
-    column under a retirement order) and keeps the EDN-specific views the
-    dedicated engines consume: ``params``, per-stage digit ``shifts``,
-    and the historical ``gamma_table``/``switch_base`` accessors keyed
-    the way :class:`~repro.sim.batched.BatchedEDN` requests them.  Cache
-    keys remain ``(params, priority, retirement)``, so EDN plans and
-    generic stage plans coexist in one LRU without aliasing.
-    """
-
-    __slots__ = ("params", "retirement", "stage_shifts")
-
-    def __init__(
-        self,
-        params: EDNParams,
-        priority: str = "label",
-        retirement_order: Optional[RetirementOrder] = None,
-    ):
-        from repro.sim.stagegraph import edn_graph
-
-        if retirement_order is None:
-            retirement_order = RetirementOrder.canonical(params.l)
-        elif retirement_order.l != params.l:
-            raise ConfigurationError(
-                f"retirement order covers {retirement_order.l} digits, "
-                f"network has l={params.l}"
-            )
-        super().__init__(edn_graph(params, retirement_order), priority)
-        self.params = params
-        self.retirement = tuple(
-            retirement_order.position_for_stage(i) for i in range(1, params.l + 1)
-        )
-        # Stage i consumes digit index retirement[i-1] (0 = most
-        # significant), at bit offset c_bits + (l - 1 - index) * b_bits —
-        # exactly the compiled graph's hyperbar-column shifts.
-        self.stage_shifts = tuple(
-            stage.shift for stage in self.graph.stages[: params.l]
-        )
-
-    def gamma_table(self, stage: int, dtype) -> np.ndarray:
-        """Lookup table of the interstage gamma permutation after ``stage``.
-
-        One gather through this table replaces the ~8 elementwise ops of
-        the closed-form gamma per stage per chunk.  (Unlike
-        :meth:`perm_table`, this accessor compiles a table for *any*
-        hyperbar stage, including the identity boundary into the
-        crossbars — the historical EDN-engine contract.)
-        """
-        p = self.params
-        n_bits = ilog2(p.wires_after_stage(stage))
-        return self._perm(("gamma", n_bits, p.capacity_bits, p.fan_in_bits), dtype)
-
-    def switch_base(self, width: int, dtype) -> np.ndarray:
-        """Per-wire ``switch * b * c - 1`` row for one hyperbar-stage width."""
-        p = self.params
-        key = ("swbase", width, np.dtype(dtype).char)
-        row = self._tables.get(key)
-        if row is None:
-            switch = np.arange(width, dtype=dtype) >> ilog2(p.a)
-            row = (switch << ilog2(p.b * p.c)) - 1
-            self._tables[key] = row
-        return row
-
-    @property
-    def key(self) -> tuple:
-        """The cache key this plan is stored under."""
-        return (self.params, self.priority, self.retirement)
-
-    def __repr__(self) -> str:
-        return (
-            f"RoutingPlan({self.params}, priority={self.priority!r}, "
-            f"wire_dtype={self.wire_dtype.name}, packed={self.all_packed})"
-        )
-
-
 # ----------------------------------------------------------------------
 # The keyed LRU plan cache
 # ----------------------------------------------------------------------
@@ -584,15 +494,6 @@ _cache: "OrderedDict[tuple, StagePlan]" = OrderedDict()
 _cache_lock = threading.Lock()
 _hits = 0
 _misses = 0
-
-
-def compile_plan(
-    params: EDNParams,
-    priority: str = "label",
-    retirement_order: Optional[RetirementOrder] = None,
-) -> RoutingPlan:
-    """Compile a fresh plan, bypassing the cache (tests, benchmarks)."""
-    return RoutingPlan(params, priority, retirement_order)
 
 
 def compile_stage_plan(
@@ -606,7 +507,7 @@ def compile_stage_plan(
 
 
 def _cached(key: tuple, compile_fn) -> StagePlan:
-    """Shared LRU lookup for EDN and stage-graph plan keys."""
+    """The LRU lookup behind :func:`stage_plan_for`."""
     global _hits, _misses
     with _cache_lock:
         plan = _cache.get(key)
@@ -643,8 +544,7 @@ def stage_plan_for(
     routing semantics — including which wires are dead — changes the key
     and therefore misses.  A buffered plan (``buffer_depth`` set) folds
     the depth into its key, so buffered and unbuffered plans over the
-    same graph coexist without aliasing.  Thread-safe; shares the cache
-    (and :func:`plan_cache_info` counters) with the EDN :func:`plan_for`.
+    same graph coexist without aliasing.  Thread-safe.
     """
     canonical = tuple(sorted(set(faults)))
     if buffer_depth is not None:
@@ -655,30 +555,6 @@ def stage_plan_for(
         key,
         lambda: StagePlan(graph, priority, canonical, buffer_depth),
     )
-
-
-def plan_for(
-    params: EDNParams,
-    priority: str = "label",
-    retirement_order: Optional[RetirementOrder] = None,
-) -> RoutingPlan:
-    """The shared compiled plan for one routing key, LRU-cached.
-
-    Two engines whose ``(params, priority, retirement order)`` agree get
-    the *same* plan object; anything that changes routing semantics
-    changes the key and therefore misses.  Thread-safe.
-    """
-    order = (
-        RetirementOrder.canonical(params.l)
-        if retirement_order is None
-        else retirement_order
-    )
-    key = (
-        params,
-        priority,
-        tuple(order.position_for_stage(i) for i in range(1, params.l + 1)),
-    )
-    return _cached(key, lambda: RoutingPlan(params, priority, order))
 
 
 def clear_plan_cache() -> None:

@@ -76,11 +76,45 @@ __all__ = [
     "omega_graph",
     "dilated_graph",
     "StageGraphReference",
+    "VectorCycleResult",
     "BufferedCycleOutcome",
     "BufferedStageReference",
 ]
 
 IDLE = -1
+
+
+@dataclass
+class VectorCycleResult:
+    """Per-input outcome arrays for one routed cycle.
+
+    ``output[s]`` is the output terminal reached by source ``s`` (or ``-1``
+    if idle/blocked); ``blocked_stage[s]`` is ``0`` for delivered messages,
+    the 1-indexed blocking stage otherwise, and ``-1`` for idle inputs.
+    """
+
+    output: np.ndarray
+    blocked_stage: np.ndarray
+
+    @property
+    def num_offered(self) -> int:
+        return int((self.blocked_stage != IDLE).sum())
+
+    @property
+    def num_delivered(self) -> int:
+        return int((self.blocked_stage == 0).sum())
+
+    @property
+    def acceptance_ratio(self) -> float:
+        offered = self.num_offered
+        return 1.0 if offered == 0 else self.num_delivered / offered
+
+    def blocked_stage_histogram(self) -> dict[int, int]:
+        """Stage index -> number of requests discarded there."""
+        stages = self.blocked_stage[self.blocked_stage > 0]
+        values, counts = np.unique(stages, return_counts=True)
+        return {int(v): int(n) for v, n in zip(values, counts)}
+
 
 #: A hashable description of a fixed wire permutation:
 #:
@@ -298,8 +332,7 @@ def delta_graph(a: int, b: int, l: int) -> StageGraph:
 
     Identical stage-for-stage to ``edn_graph(EDNParams(a, b, 1, l))``
     (including the degenerate 1x1 crossbar column, which never blocks),
-    so compiled routing is bit-identical to the legacy
-    ``VectorizedEDN``-backed :class:`~repro.baselines.delta.DeltaNetwork`.
+    so a delta routes bit-identically to the ``c = 1`` EDN.
     """
     graph = edn_graph(EDNParams(a, b, 1, l))
     return StageGraph(
@@ -452,9 +485,8 @@ class StageGraphReference:
         return self.graph.n_outputs
 
     def route(self, dests: np.ndarray, rng: Optional[np.random.Generator] = None):
-        """Route one cycle; result matches the vectorized-EDN contract."""
+        """Route one cycle into a :class:`VectorCycleResult`."""
         from repro.core.exceptions import LabelError
-        from repro.sim.vectorized import VectorCycleResult
 
         g = self.graph
         dests = np.asarray(dests, dtype=np.int64)
@@ -799,9 +831,8 @@ def _resolve_grouped(
 
     Label priority breaks ties by wire label (the paper's switch-local
     input-line priority); random priority by a fresh random sub-key drawn
-    in frontier order — both exactly as
-    :meth:`repro.sim.vectorized.VectorizedEDN._resolve` resolves them, so
-    per-cycle equivalence tests can compare engines bit for bit.
+    in frontier order — the draw protocol the compiled router reproduces,
+    so per-cycle equivalence tests can compare engines bit for bit.
     """
     n = key.size
     if n == 0:

@@ -31,7 +31,6 @@ if TYPE_CHECKING:
 from repro.sim.batched import BatchedEDN
 from repro.sim.rng import SeedLike, make_rng, spawn_keys
 from repro.sim.stats import RunningStats
-from repro.sim.vectorized import VectorizedEDN
 from repro.simd.ra_edn import RAEDNSystem
 from repro.simd.schedule import RandomSchedule, Schedule
 
@@ -83,9 +82,9 @@ class RAEDNSimulator:
     ):
         self.system = system
         self.schedule = schedule if schedule is not None else RandomSchedule()
-        self.network = VectorizedEDN(system.network_params, priority=priority)
-        # Batched sibling for the side-by-side (multi-run) drain path.
-        self.batched_network = BatchedEDN(system.network_params, priority=priority)
+        # One compiled router serves both drain paths: single cycles
+        # (route) and side-by-side runs (route_batch).
+        self.network = BatchedEDN(system.network_params, priority=priority)
 
     def route_permutation(
         self,
@@ -197,7 +196,7 @@ class RAEDNSimulator:
         runs, and ``_check_schedule`` still applies.  Child ``runs``
         drives network contention under random priority.  Each cycle the
         active runs' selections stack into one ``(active, ports)`` demand
-        matrix for :meth:`~repro.sim.batched.BatchedEDN.route_batch` —
+        matrix for :meth:`~repro.sim.batched.CompiledStageRouter.route_batch` —
         the network, not the scheduling, is the hot loop this batches.
         """
         sys = self.system
@@ -238,7 +237,7 @@ class RAEDNSimulator:
                 demands[run_idx, port_idx] = dest_cluster[
                     active[run_idx], port_idx, selected
                 ]
-                result = self.batched_network.route_batch(demands, engine_rng)
+                result = self.network.route_batch(demands, engine_rng)
                 won = result.blocked_stage[run_idx, port_idx] == 0
                 pending[active[run_idx[won]], port_idx[won], selected[won]] = False
                 drained = ~pending[active].any(axis=(1, 2))

@@ -8,22 +8,22 @@ import pytest
 from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.ext.admissibility import admissible_fraction, is_admissible
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.batched import BatchedEDN
 
 
 class TestIsAdmissible:
     def test_l1_networks_admit_everything(self, rng):
         # Lemma 2: single-hyperbar-stage EDNs route any permutation.
-        net = VectorizedEDN(EDNParams(16, 4, 4, 1))
+        net = BatchedEDN(EDNParams(16, 4, 4, 1))
         for _ in range(10):
             assert is_admissible(net, rng.permutation(16))
 
     def test_figure5_identity_not_admissible(self):
-        net = VectorizedEDN(EDNParams(64, 16, 4, 2))
+        net = BatchedEDN(EDNParams(64, 16, 4, 2))
         assert not is_admissible(net, np.arange(1024))
 
     def test_rejects_non_permutation(self):
-        net = VectorizedEDN(EDNParams(16, 4, 4, 2))
+        net = BatchedEDN(EDNParams(16, 4, 4, 2))
         with pytest.raises(ConfigurationError):
             is_admissible(net, np.zeros(64, dtype=np.int64))
 
@@ -33,7 +33,7 @@ class TestCensus:
         # The 8x8 delta from 2x2 switches admits exactly the classical
         # count of network-realizable mappings: 2^(switches) settings but
         # fewer distinct permutations; sanity: strictly between 0 and 1.
-        net = VectorizedEDN(EDNParams(2, 2, 1, 3))
+        net = BatchedEDN(EDNParams(2, 2, 1, 3))
         fraction, population = admissible_fraction(net)
         assert population == 40_320
         assert 0.0 < fraction < 1.0
@@ -43,34 +43,34 @@ class TestCensus:
         # ones: every switch setting yields one permutation, and distinct
         # settings yield distinct permutations (unique path), so the count
         # is 2^(#switches) = 2^12 = 4096 of 8! = 40320.
-        net = VectorizedEDN(EDNParams(2, 2, 1, 3))
+        net = BatchedEDN(EDNParams(2, 2, 1, 3))
         fraction, population = admissible_fraction(net)
         assert round(fraction * population) == 2**12
 
     def test_capacity_enlarges_admissible_set(self):
         # Equal 8x8 scale: delta vs EDN with c = 2.
-        delta = VectorizedEDN(EDNParams(2, 2, 1, 3))
-        edn = VectorizedEDN(EDNParams(4, 2, 2, 2))
+        delta = BatchedEDN(EDNParams(2, 2, 1, 3))
+        edn = BatchedEDN(EDNParams(4, 2, 2, 2))
         delta_fraction, _ = admissible_fraction(delta)
         edn_fraction, _ = admissible_fraction(edn)
         assert edn_fraction > delta_fraction
 
     def test_montecarlo_estimate(self):
-        net = VectorizedEDN(EDNParams(16, 4, 4, 2))
+        net = BatchedEDN(EDNParams(16, 4, 4, 2))
         fraction, population = admissible_fraction(net, samples=300, seed=0)
         assert population == 300
         assert 0.0 <= fraction <= 1.0
 
     def test_montecarlo_reproducible(self):
-        net = VectorizedEDN(EDNParams(16, 4, 4, 2))
+        net = BatchedEDN(EDNParams(16, 4, 4, 2))
         a = admissible_fraction(net, samples=100, seed=5)
         b = admissible_fraction(net, samples=100, seed=5)
         assert a == b
 
     def test_requires_square_network(self):
-        net = VectorizedEDN(EDNParams(8, 4, 2, 2))   # 32 -> 32? (square, fine)
+        net = BatchedEDN(EDNParams(8, 4, 2, 2))   # 32 -> 32? (square, fine)
         # Build a genuinely rectangular one: EDN(8,2,4,1): 8 in, 8 out is
         # square too; use EDN(8,4,1,1): 8 -> 4.
-        rect = VectorizedEDN(EDNParams(8, 4, 1, 1))
+        rect = BatchedEDN(EDNParams(8, 4, 1, 1))
         with pytest.raises(ConfigurationError):
             admissible_fraction(rect, samples=5)

@@ -20,9 +20,8 @@ DOCUMENTED_MODULES = [
     "repro.core.config",
     "repro.core.tags",
     "repro.core.network",
-    "repro.sim.engine",
     "repro.sim.stats",
-    "repro.sim.vectorized",
+    "repro.sim.batched",
     "repro.baselines.delta",
     "repro.baselines.omega",
     "repro.baselines.benes",
@@ -33,7 +32,7 @@ DOCUMENTED_MODULES = [
     "repro.mimd.system",
     "repro.simd.simulator",
     "repro.simd.maspar",
-    "repro.ext.buffered",
+    "repro.sim.stagegraph",
 ]
 
 

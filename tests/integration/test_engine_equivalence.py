@@ -1,10 +1,11 @@
-"""Integration: the vectorized engine reproduces the reference engine exactly.
+"""Integration: the stage-graph interpreter reproduces the reference engine exactly.
 
 The reference engine (:mod:`repro.core.network`) is the semantic ground
-truth — one switch object per hyperbar, explicit wires.  The vectorized
-engine must make *identical* per-message decisions (same winners, same
-blocking stages, same outputs) under label priority and first-free wires,
-for every retirement order.
+truth — one switch object per hyperbar, explicit wires.  The per-cycle
+:class:`~repro.sim.stagegraph.StageGraphReference` on an ``edn_graph``
+(the ``vectorized`` backend) must make *identical* per-message decisions
+(same winners, same blocking stages, same outputs) under label priority
+and first-free wires, for every retirement order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from repro.core.config import EDNParams
 from repro.core.network import EDNetwork
 from repro.core.tags import RetirementOrder
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 
 CONFIGS = [
     (16, 4, 4, 2),
@@ -29,7 +30,7 @@ CONFIGS = [
 
 
 def _compare_one_cycle(params: EDNParams, order, dests: np.ndarray) -> None:
-    vectorized = VectorizedEDN(params, retirement_order=order)
+    vectorized = StageGraphReference(edn_graph(params, order))
     reference = EDNetwork(params, retirement_order=order)
     vec = vectorized.route(dests)
     ref = reference.route_destinations(

@@ -11,7 +11,7 @@ from repro.baselines.clos import ClosNetwork
 from repro.core.config import EDNParams
 from repro.core.faults import FaultSet, WireFault, connectivity_under_faults
 from repro.core.multipass import route_permutation_multipass
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.batched import BatchedEDN
 
 
 @st.composite
@@ -117,6 +117,6 @@ class TestMultipassProperties:
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
         perm = rng.permutation(params.num_inputs)
-        result = route_permutation_multipass(VectorizedEDN(params), perm)
+        result = route_permutation_multipass(BatchedEDN(params), perm)
         assert result.total == params.num_inputs
         assert all(count > 0 for count in result.delivered_per_pass)

@@ -16,8 +16,8 @@ from repro.core.paths import count_paths, enumerate_paths
 from repro.core.tags import DestinationTag, RetirementOrder
 from repro.core.topology import EDNTopology
 from repro.sim.montecarlo import measure_acceptance
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 from repro.workloads import PermutationTraffic
-from repro.sim.vectorized import VectorizedEDN
 from repro.simd.analytic import expected_permutation_time
 from repro.simd.maspar import maspar_mp1
 
@@ -103,7 +103,7 @@ class TestTheorem3Uniformity:
         # Under uniform traffic, first-stage survivors should spread evenly
         # over second-stage switches: measure the per-switch arrival spread.
         params = EDNParams(16, 4, 4, 2)
-        net = VectorizedEDN(params)
+        net = StageGraphReference(edn_graph(params))
         arrivals = np.zeros(params.num_outputs, dtype=np.int64)
         for _ in range(300):
             dests = rng.integers(0, params.num_outputs, size=params.num_inputs)
@@ -120,7 +120,7 @@ class TestLemma2:
     @pytest.mark.parametrize("cfg", [(16, 4, 4, 2), (16, 4, 4, 3), (8, 2, 4, 3)])
     def test_no_final_stage_blocking(self, cfg, rng):
         params = EDNParams(*cfg)
-        net = VectorizedEDN(params)
+        net = StageGraphReference(edn_graph(params))
         for _ in range(25):
             dests = rng.permutation(params.num_outputs)[: params.num_inputs]
             result = net.route(dests.astype(np.int64))
@@ -131,7 +131,7 @@ class TestLemma2:
     def test_eq5_tracks_simulation(self):
         params = EDNParams(16, 4, 4, 3)
         measured = measure_acceptance(
-            VectorizedEDN(params),
+            StageGraphReference(edn_graph(params)),
             PermutationTraffic(params.num_inputs, params.num_outputs),
             cycles=150,
             seed=0,

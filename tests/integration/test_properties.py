@@ -18,7 +18,7 @@ from repro.core.labels import (
 from repro.core.permutations import Permutation, gamma, gamma_inverse
 from repro.core.tags import DestinationTag, RetirementOrder
 from repro.core.topology import EDNTopology
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -168,7 +168,7 @@ class TestNetworkProperties:
     def test_lone_message_always_delivered(self, params, data):
         source = data.draw(st.integers(min_value=0, max_value=params.num_inputs - 1))
         dest = data.draw(st.integers(min_value=0, max_value=params.num_outputs - 1))
-        net = VectorizedEDN(params)
+        net = StageGraphReference(edn_graph(params))
         dests = np.full(params.num_inputs, -1, dtype=np.int64)
         dests[source] = dest
         result = net.route(dests)
@@ -180,7 +180,7 @@ class TestNetworkProperties:
         seed = data.draw(st.integers(min_value=0, max_value=2**31))
         rng = np.random.default_rng(seed)
         dests = rng.integers(0, params.num_outputs, size=params.num_inputs)
-        result = VectorizedEDN(params).route(dests)
+        result = StageGraphReference(edn_graph(params)).route(dests)
         delivered_mask = result.blocked_stage == 0
         outputs = result.output[delivered_mask]
         assert len(np.unique(outputs)) == len(outputs)

@@ -248,7 +248,14 @@ class TestBufferedCells:
         assert fast.injected == slow.injected
         assert fast.delivered == slow.delivered
         assert fast.throughput == slow.throughput
-        with pytest.raises(ConfigurationError, match="buffered"):
+        with pytest.raises(ConfigurationError, match="runs no buffered cells"):
+            measure_cell(
+                SweepCell(
+                    SPEC,
+                    RunConfig(cycles=60, seed=4, buffer_depth=2, backend="matching"),
+                )
+            )
+        with pytest.raises(ConfigurationError, match="unknown backend"):
             measure_cell(
                 SweepCell(
                     SPEC,

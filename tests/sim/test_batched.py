@@ -10,7 +10,7 @@ from repro.core.exceptions import ConfigurationError, LabelError
 from repro.core.network import EDNetwork
 from repro.core.tags import RetirementOrder
 from repro.sim.batched import BatchedEDN
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 
 #: Shapes covering deltas (c=1), wide buckets, deep networks, the MP-1
 #: router, and the one-hot fallback (b = 16 packs 128 lane bits).
@@ -37,7 +37,7 @@ class TestLabelPriorityEquivalence:
     def test_matches_vectorized_per_cycle(self, cfg, rng):
         params = EDNParams(*cfg)
         batched = BatchedEDN(params)
-        vectorized = VectorizedEDN(params)
+        vectorized = StageGraphReference(edn_graph(params))
         dests = _random_batch(rng, params, batch=6)
         result = batched.route_batch(dests)
         for i in range(dests.shape[0]):
@@ -49,7 +49,7 @@ class TestLabelPriorityEquivalence:
         params = EDNParams(*cfg)
         order = RetirementOrder.reversed_order(params.l)
         batched = BatchedEDN(params, retirement_order=order)
-        vectorized = VectorizedEDN(params, retirement_order=order)
+        vectorized = StageGraphReference(edn_graph(params, order))
         dests = _random_batch(rng, params, batch=4, rate=1.0)
         result = batched.route_batch(dests)
         for i in range(dests.shape[0]):
@@ -99,7 +99,7 @@ class TestRandomPriorityEquivalence:
     def test_per_cycle_generators_match_vectorized(self, cfg, rng):
         params = EDNParams(*cfg)
         batched = BatchedEDN(params, priority="random")
-        vectorized = VectorizedEDN(params, priority="random")
+        vectorized = StageGraphReference(edn_graph(params), priority="random")
         batch = 5
         dests = _random_batch(rng, params, batch=batch, rate=1.0)
         children = np.random.SeedSequence(2024).spawn(batch)
@@ -115,7 +115,7 @@ class TestRandomPriorityEquivalence:
         params = EDNParams(*cfg)
         order = RetirementOrder.reversed_order(params.l)
         batched = BatchedEDN(params, priority="random", retirement_order=order)
-        vectorized = VectorizedEDN(params, priority="random", retirement_order=order)
+        vectorized = StageGraphReference(edn_graph(params, order), priority="random")
         batch = 3
         dests = _random_batch(rng, params, batch=batch)
         children = np.random.SeedSequence(7).spawn(batch)

@@ -1,16 +1,11 @@
 """Buffered stage graphs on the compiled core: identity, equivalence, guards.
 
-Three layers of pinning for the buffered packet-switched path:
+Two layers of pinning for the buffered packet-switched path:
 
 * **bit-identity** — :class:`CompiledStageRouter` with a ``buffer_depth``
   must agree cycle for cycle, array for array, with the independent
   per-packet :class:`BufferedStageReference` interpreter across every
   topology family, priority discipline, depth, and seed;
-* **legacy equivalence** — steady-state throughput/latency/occupancy on
-  the EDN must match the original deque engine
-  (:class:`repro.ext.buffered.DequeBufferedEDN`) within statistical
-  bounds — the two engines share no code and consume randomness in
-  different orders, so agreement is in distribution, not bit for bit;
 * **conservation & guards** — packets are never created or destroyed,
   and misuse (buffered faults, stepping an unbuffered router, random
   priority without an rng) fails loudly.
@@ -24,7 +19,6 @@ import pytest
 from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.core.faults import WireFault
-from repro.ext.buffered import DequeBufferedEDN
 from repro.sim.batched import CompiledStageRouter
 from repro.sim.buffered import measure_buffered
 from repro.sim.plan import StagePlan, stage_plan_for
@@ -100,48 +94,6 @@ class TestBitIdentity:
         assert fast.mean_latency == slow.mean_latency
         assert fast.total_occupancy == slow.total_occupancy
         assert fast.num_queues == slow.num_queues
-
-
-class TestLegacyEquivalence:
-    """The compiled core reproduces the deque engine's steady state."""
-
-    @pytest.mark.parametrize("depth", [1, 2, 4])
-    def test_edn_throughput_and_latency_match(self, depth):
-        params = EDNParams(16, 4, 4, 2)
-        cycles, warmup = 1200, 300
-        legacy = DequeBufferedEDN(params, depth=depth).run(
-            rate=1.0, cycles=cycles, warmup=warmup, seed=0
-        )
-        core = measure_buffered(
-            edn_graph(params),
-            traffic="uniform:1",
-            depth=depth,
-            cycles=cycles,
-            warmup=warmup,
-            seed=0,
-        )
-        # Independent engines, independent randomness: agreement within a
-        # few standard errors of a Bernoulli(throughput) per-cycle mean.
-        se = 3.0 * np.sqrt(0.25 / cycles)
-        assert core.throughput == pytest.approx(legacy.throughput, abs=4 * se)
-        assert core.mean_latency == pytest.approx(
-            legacy.mean_latency, rel=0.10, abs=0.5
-        )
-        assert core.mean_occupancy == pytest.approx(
-            legacy.mean_occupancy, rel=0.10, abs=0.05
-        )
-
-    def test_light_load_both_deliver_everything(self):
-        params = EDNParams(16, 4, 4, 2)
-        legacy = DequeBufferedEDN(params, depth=2).run(
-            rate=0.1, cycles=600, warmup=150, seed=1
-        )
-        core = measure_buffered(
-            edn_graph(params), traffic="uniform:0.1", depth=2,
-            cycles=600, warmup=150, seed=1,
-        )
-        assert core.throughput == pytest.approx(legacy.throughput, abs=0.02)
-        assert core.throughput == pytest.approx(0.1, abs=0.02)
 
 
 class TestConservation:

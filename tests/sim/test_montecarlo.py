@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.router import ReferenceEDNRouter
 from repro.baselines.crossbar_network import CrossbarNetwork
 from repro.core.analysis import acceptance_probability, crossbar_acceptance
 from repro.core.config import EDNParams
 from repro.core.network import EDNetwork
 from repro.sim.batched import BatchedEDN
-from repro.sim.montecarlo import ReferenceRouterAdapter, measure_acceptance
+from repro.sim.montecarlo import measure_acceptance
+from repro.sim.stagegraph import StageGraphReference, edn_graph
 from repro.workloads import PermutationTraffic, UniformTraffic
-from repro.sim.vectorized import VectorizedEDN
 
 
 class TestMeasureAcceptance:
     def test_tracks_analytic_within_tolerance(self):
         p = EDNParams(16, 4, 4, 2)
         measurement = measure_acceptance(
-            VectorizedEDN(p), UniformTraffic(64, 64, 1.0), cycles=300, seed=1
+            StageGraphReference(edn_graph(p)), UniformTraffic(64, 64, 1.0), cycles=300, seed=1
         )
         analytic = acceptance_probability(p, 1.0)
         # Eq. 4 runs a few percent optimistic (independence approximation).
@@ -36,15 +37,15 @@ class TestMeasureAcceptance:
 
     def test_reproducible_with_seed(self):
         p = EDNParams(16, 4, 4, 2)
-        a = measure_acceptance(VectorizedEDN(p), UniformTraffic(64, 64, 1.0), cycles=30, seed=9)
-        b = measure_acceptance(VectorizedEDN(p), UniformTraffic(64, 64, 1.0), cycles=30, seed=9)
+        a = measure_acceptance(StageGraphReference(edn_graph(p)), UniformTraffic(64, 64, 1.0), cycles=30, seed=9)
+        b = measure_acceptance(StageGraphReference(edn_graph(p)), UniformTraffic(64, 64, 1.0), cycles=30, seed=9)
         assert a.point == b.point
         assert a.blocked_by_stage == b.blocked_by_stage
 
     def test_counts_are_consistent(self):
         p = EDNParams(16, 4, 4, 2)
         measurement = measure_acceptance(
-            VectorizedEDN(p), UniformTraffic(64, 64, 0.5), cycles=50, seed=0
+            StageGraphReference(edn_graph(p)), UniformTraffic(64, 64, 0.5), cycles=50, seed=0
         )
         assert measurement.delivered <= measurement.offered
         blocked = sum(measurement.blocked_by_stage.values())
@@ -53,14 +54,14 @@ class TestMeasureAcceptance:
     def test_interval_brackets_point(self):
         p = EDNParams(16, 4, 4, 2)
         measurement = measure_acceptance(
-            VectorizedEDN(p), UniformTraffic(64, 64, 1.0), cycles=60, seed=0
+            StageGraphReference(edn_graph(p)), UniformTraffic(64, 64, 1.0), cycles=60, seed=0
         )
         assert measurement.acceptance.low <= measurement.point <= measurement.acceptance.high
 
     def test_size_mismatch_rejected(self):
         p = EDNParams(16, 4, 4, 2)
         with pytest.raises(ValueError):
-            measure_acceptance(VectorizedEDN(p), UniformTraffic(32, 64, 1.0), cycles=5)
+            measure_acceptance(StageGraphReference(edn_graph(p)), UniformTraffic(32, 64, 1.0), cycles=5)
 
 
 class TestReferenceAdapter:
@@ -68,14 +69,14 @@ class TestReferenceAdapter:
         p = EDNParams(8, 4, 2, 2)
         traffic = UniformTraffic(p.num_inputs, p.num_outputs, 1.0)
         ref = measure_acceptance(
-            ReferenceRouterAdapter(EDNetwork(p)), traffic, cycles=40, seed=3
+            ReferenceEDNRouter(EDNetwork(p)), traffic, cycles=40, seed=3, batch=1
         )
-        vec = measure_acceptance(VectorizedEDN(p), traffic, cycles=40, seed=3)
+        vec = measure_acceptance(StageGraphReference(edn_graph(p)), traffic, cycles=40, seed=3)
         assert ref.point == pytest.approx(vec.point, abs=1e-12)
 
     def test_adapter_exposes_sizes(self):
         p = EDNParams(8, 4, 2, 2)
-        adapter = ReferenceRouterAdapter.build(p)
+        adapter = ReferenceEDNRouter(EDNetwork(p))
         assert adapter.n_inputs == p.num_inputs
         assert adapter.n_outputs == p.num_outputs
 
@@ -86,7 +87,7 @@ class TestPermutationTrafficAcceptance:
         # crossbars never discard (Lemma 2).
         p = EDNParams(16, 4, 4, 3)
         measurement = measure_acceptance(
-            VectorizedEDN(p),
+            StageGraphReference(edn_graph(p)),
             PermutationTraffic(p.num_inputs, p.num_outputs),
             cycles=60,
             seed=4,
@@ -97,7 +98,7 @@ class TestPermutationTrafficAcceptance:
     def test_single_stage_permutation_never_blocks(self):
         p = EDNParams(16, 4, 4, 1)
         measurement = measure_acceptance(
-            VectorizedEDN(p),
+            StageGraphReference(edn_graph(p)),
             PermutationTraffic(p.num_inputs, p.num_outputs),
             cycles=40,
             seed=5,
@@ -138,7 +139,7 @@ class TestBatchedMeasurement:
         p = EDNParams(8, 4, 2, 2)
         traffic = UniformTraffic(p.num_inputs, p.num_outputs, 1.0)
         ref = measure_acceptance(
-            ReferenceRouterAdapter(EDNetwork(p)), traffic, cycles=24, seed=3, batch=8
+            ReferenceEDNRouter(EDNetwork(p)), traffic, cycles=24, seed=3, batch=8
         )
         batched = measure_acceptance(BatchedEDN(p), traffic, cycles=24, seed=3, batch=8)
         assert ref.point == pytest.approx(batched.point, abs=1e-12)
@@ -215,7 +216,7 @@ class TestChunkSizeInvariantRandomPriority:
             BatchedEDN(p, priority="random"), traffic, cycles=32, seed=5, batch=8
         )
         looped = measure_acceptance(
-            PerCycleRouter(VectorizedEDN(p, priority="random")),
+            PerCycleRouter(StageGraphReference(edn_graph(p), priority="random")),
             traffic,
             cycles=32,
             seed=5,
@@ -289,7 +290,7 @@ class TestAdaptiveEarlyStopping:
     def test_works_on_per_cycle_path(self):
         p = EDNParams(16, 4, 4, 2)
         measurement = measure_acceptance(
-            VectorizedEDN(p),
+            StageGraphReference(edn_graph(p)),
             UniformTraffic(p.num_inputs, p.num_outputs, 1.0),
             cycles=3000,
             seed=1,

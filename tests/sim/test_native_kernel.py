@@ -12,9 +12,17 @@ whenever they are available and skip gracefully otherwise.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api import NetworkSpec, RunConfig, build_router, resolve_backend
 from repro.api.jobs import SweepCell, measure_cell
 from repro.core.config import EDNParams
@@ -23,12 +31,7 @@ from repro.core.faults import WireFault
 from repro.experiments.parallel import ParallelSweep
 from repro.sim import native
 from repro.sim.batched import CompiledStageRouter
-from repro.sim.native import (
-    NativeStageRouter,
-    available_tiers,
-    device_counts,
-    kernel_for,
-)
+from repro.sim.native import NativeStageRouter, available_tiers, kernel_for
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
     delta_graph,
@@ -172,6 +175,49 @@ class TestParallelSweepAgreement:
             assert a.point == b.point
             assert a.blocked_by_stage == b.blocked_by_stage
 
+    def test_sweep_forked_after_parent_kernel_finishes(self):
+        # A threaded kernel leaves a thread pool behind that does not
+        # survive fork: every forked worker's first kernel call used to
+        # deadlock once the parent had run one.  Run that sequence in a
+        # fresh interpreter, in its own process group, under a deadline,
+        # so a regression fails here instead of hanging the suite.
+        script = textwrap.dedent(
+            """
+            from repro.api import NetworkSpec, RunConfig
+            from repro.api.jobs import SweepCell, measure_cell
+            from repro.experiments.parallel import ParallelSweep
+
+            config = RunConfig(cycles=64, seed=1, batch=8, backend="native")
+            cells = [SweepCell(NetworkSpec.delta(4, 4, n), config) for n in (2, 3, 4)]
+            inline = [measure_cell(cell) for cell in cells]
+            fanned = ParallelSweep(jobs=2).map_cells(cells)
+            assert [c.point for c in fanned] == [c.point for c in inline]
+            print("ok")
+            """
+        )
+        env = dict(os.environ)
+        env.pop("OMP_NUM_THREADS", None)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("jobs=2 sweep forked after a parent kernel call hung")
+        assert proc.returncode == 0, err
+        assert out.strip() == "ok"
+
     def test_buffered_cell_accepts_native(self):
         from dataclasses import replace
 
@@ -206,40 +252,6 @@ class TestRegistryGating:
         from repro.api import available_backends
 
         assert "native" not in available_backends(spec)
-
-    def test_gpu_backend_never_picked_by_auto(self):
-        spec = NetworkSpec.delta(4, 4, 2)
-        assert resolve_backend(spec).name != "native:gpu"
-
-    def test_gpu_backend_rejects_faults(self):
-        spec = NetworkSpec.delta(4, 4, 2, faults=(WireFault(1, 0, 0),))
-        with pytest.raises(ConfigurationError, match="does not support"):
-            build_router(spec, "native:gpu")
-
-
-class TestGpuPath:
-    def test_array_api_counts_match_batched_on_numpy(self):
-        # The Array-API kernel with xp=numpy is the always-testable half
-        # of the GPU story; CuPy engages automatically when importable.
-        graph = delta_graph(4, 4, 3)
-        dests = demands(graph, 17, 4)
-        router = CompiledStageRouter(graph)
-        want = router.route_batch_counts(dests)
-        got = device_counts(router._plan, dests, np)
-        assert_counts_equal(got, want)
-
-    def test_gpu_router_matches_batched(self):
-        graph = omega_graph(64)
-        dests = demands(graph, 19, 3)
-        want = CompiledStageRouter(graph).route_batch_counts(dests)
-        got = NativeStageRouter(graph, device="gpu").route_batch_counts(dests)
-        assert_counts_equal(got, want)
-
-    def test_cupy_namespace_when_importable(self):
-        cupy = pytest.importorskip("cupy")
-        from repro.sim.native import gpu_namespace
-
-        assert gpu_namespace() is cupy
 
 
 class TestWideRadixAllocationFree:

@@ -10,17 +10,17 @@ import pytest
 from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.core.tags import RetirementOrder
-from repro.sim.batched import BatchedEDN
+from repro.sim.batched import BatchedEDN, CompiledStageRouter
 from repro.sim.plan import (
     PLAN_CACHE_MAXSIZE,
     ChunkWorkspace,
-    RoutingPlan,
     clear_plan_cache,
-    compile_plan,
+    compile_stage_plan,
+    gamma_permutation,
     plan_cache_info,
-    plan_for,
+    stage_plan_for,
 )
-from repro.sim.vectorized import VectorizedEDN
+from repro.sim.stagegraph import edn_graph
 
 #: Shapes covering deltas (c=1), wide buckets, deep networks, the MP-1
 #: router, and the one-hot fallback (b = 16 packs 128 lane bits).
@@ -73,38 +73,44 @@ class TestChunkWorkspace:
         assert ws.nbytes == 0
 
 
-class TestRoutingPlan:
-    def test_stage_shifts_match_engine(self):
+class TestEdnStagePlan:
+    def test_stage_shifts_follow_the_retirement_order(self):
         params = EDNParams(16, 4, 4, 3)
-        plan = compile_plan(params)
-        engine = VectorizedEDN(params, plan=None)
-        assert list(plan.stage_shifts) == engine._stage_shifts
+        order = RetirementOrder.reversed_order(params.l)
+        plan = compile_stage_plan(edn_graph(params, order))
+        shifts = [stage.shift for stage in plan.graph.stages[: params.l]]
+        assert shifts == [
+            params.capacity_bits
+            + (params.l - 1 - order.position_for_stage(i)) * params.digit_bits
+            for i in range(1, params.l + 1)
+        ]
 
     def test_gamma_table_matches_closed_form(self):
         params = EDNParams(16, 4, 4, 3)
-        plan = compile_plan(params)
-        engine = VectorizedEDN(params, plan=None)
+        plan = compile_stage_plan(edn_graph(params))
         for stage in range(1, params.l):
             width = params.wires_after_stage(stage)
             labels = np.arange(width, dtype=np.int64)
-            expected = engine._gamma_vec(labels, width.bit_length() - 1)
-            assert np.array_equal(plan.gamma_table(stage, np.int64), expected)
+            expected = gamma_permutation(
+                labels, width.bit_length() - 1, params.capacity_bits, params.fan_in_bits
+            )
+            assert np.array_equal(plan.perm_table(stage - 1, np.int64), expected)
 
     def test_narrow_dtype_selection(self):
-        assert compile_plan(EDNParams(16, 4, 4, 2)).wire_dtype == np.int16
+        assert compile_stage_plan(edn_graph(EDNParams(16, 4, 4, 2))).wire_dtype == np.int16
         # 4^8 * 4 = 262144 outputs overflow int16 labels
-        assert compile_plan(EDNParams(16, 4, 4, 8)).wire_dtype == np.int32
+        assert compile_stage_plan(edn_graph(EDNParams(16, 4, 4, 8))).wire_dtype == np.int32
 
     def test_retirement_order_validated(self):
         with pytest.raises(ConfigurationError):
-            compile_plan(EDNParams(16, 4, 4, 2), retirement_order=RetirementOrder.canonical(3))
+            edn_graph(EDNParams(16, 4, 4, 2), RetirementOrder.canonical(3))
 
     def test_bad_priority_rejected(self):
         with pytest.raises(ConfigurationError):
-            compile_plan(EDNParams(16, 4, 4, 2), priority="fifo")
+            compile_stage_plan(edn_graph(EDNParams(16, 4, 4, 2)), priority="fifo")
 
     def test_workspace_is_per_thread(self):
-        plan = compile_plan(EDNParams(16, 4, 4, 2))
+        plan = compile_stage_plan(edn_graph(EDNParams(16, 4, 4, 2)))
         main_ws = plan.workspace()
         assert plan.workspace() is main_ws  # stable within a thread
         seen = {}
@@ -123,9 +129,8 @@ class TestPlanCache:
         clear_plan_cache()
 
     def test_equal_keys_share_one_plan(self):
-        params = EDNParams(16, 4, 4, 2)
-        first = plan_for(params)
-        second = plan_for(EDNParams(16, 4, 4, 2))
+        first = stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
+        second = stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
         assert first is second
         info = plan_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
@@ -134,15 +139,15 @@ class TestPlanCache:
         params = EDNParams(16, 4, 4, 2)
         one, two = BatchedEDN(params), BatchedEDN(params)
         assert one._plan is two._plan
-        assert one._gamma_table(1, np.int32) is two._gamma_table(1, np.int32)
+        assert one._plan.perm_table(0, np.int32) is two._plan.perm_table(0, np.int32)
 
     def test_semantic_fields_change_the_key(self):
         params = EDNParams(16, 4, 4, 2)
-        base = plan_for(params)
-        assert plan_for(params, priority="random") is not base
-        assert plan_for(EDNParams(16, 4, 4, 3)) is not base
+        base = stage_plan_for(edn_graph(params))
+        assert stage_plan_for(edn_graph(params), "random") is not base
+        assert stage_plan_for(edn_graph(EDNParams(16, 4, 4, 3))) is not base
         reversed_order = RetirementOrder.reversed_order(params.l)
-        assert plan_for(params, retirement_order=reversed_order) is not base
+        assert stage_plan_for(edn_graph(params, reversed_order)) is not base
 
     def test_lru_eviction_bounds_the_cache(self):
         # Distinct small keys: vary (a, b, c) shapes and priorities rather
@@ -157,7 +162,7 @@ class TestPlanCache:
         count = 0
         for a, b, c in shapes:
             for priority in ("label", "random"):
-                plan_for(EDNParams(a, b, c, 1), priority)
+                stage_plan_for(edn_graph(EDNParams(a, b, c, 1)), priority)
                 count += 1
                 if count >= PLAN_CACHE_MAXSIZE + 4:
                     break
@@ -167,7 +172,7 @@ class TestPlanCache:
         assert plan_cache_info()["size"] == PLAN_CACHE_MAXSIZE
 
     def test_clear_resets(self):
-        plan_for(EDNParams(16, 4, 4, 2))
+        stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
         clear_plan_cache()
         info = plan_cache_info()
         assert info == {
@@ -178,13 +183,18 @@ class TestPlanCache:
         }
 
 
+def _uncached(params: EDNParams) -> CompiledStageRouter:
+    """The same EDN on a freshly compiled plan, bypassing the cache."""
+    return CompiledStageRouter(edn_graph(params), plan=None)
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"EDN{c}")
 class TestPlannedUnplannedEquivalence:
-    """The plan is an optimization, never a semantic: bit-identical routing."""
+    """A cached plan is an optimization, never a semantic: bit-identical routing."""
 
     def test_route_batch_identical(self, cfg, rng):
         params = EDNParams(*cfg)
-        planned, unplanned = BatchedEDN(params), BatchedEDN(params, plan=None)
+        planned, unplanned = BatchedEDN(params), _uncached(params)
         dests = _random_batch(rng, params, batch=5)
         a, b = planned.route_batch(dests), unplanned.route_batch(dests)
         assert np.array_equal(a.output, b.output)
@@ -192,7 +202,7 @@ class TestPlannedUnplannedEquivalence:
 
     def test_counts_identical(self, cfg, rng):
         params = EDNParams(*cfg)
-        planned, unplanned = BatchedEDN(params), BatchedEDN(params, plan=None)
+        planned, unplanned = BatchedEDN(params), _uncached(params)
         for rate in (1.0, 0.5, 0.0):
             dests = _random_batch(rng, params, batch=4, rate=rate)
             a = planned.route_batch_counts(dests)

@@ -9,11 +9,9 @@ from repro.core.config import EDNParams
 from repro.core.exceptions import ConfigurationError
 from repro.sim.batched import BatchedEDN, CompiledStageRouter
 from repro.sim.plan import (
-    RoutingPlan,
     StagePlan,
     clear_plan_cache,
     compile_stage_plan,
-    plan_for,
     stage_plan_for,
 )
 from repro.sim.rng import make_rng, spawn
@@ -120,21 +118,12 @@ class TestBuilders:
 
 
 class TestStagePlan:
-    def test_routing_plan_is_a_stage_plan(self):
-        plan = plan_for(EDNParams(16, 4, 4, 2))
-        assert isinstance(plan, RoutingPlan) and isinstance(plan, StagePlan)
+    def test_edn_plan_is_a_stage_plan(self):
+        plan = stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
+        assert isinstance(plan, StagePlan)
         assert plan.graph == edn_graph(EDNParams(16, 4, 4, 2))
-        # The legacy EDN views survive the generalization.
-        assert plan.stage_shifts == (4, 2)
-        assert plan.gamma_table(1, np.int16).dtype == np.int16
-
-    def test_gamma_tables_match_the_generic_perm_tables(self):
-        plan = plan_for(EDNParams(8, 2, 4, 3))
-        for stage in range(1, 3):  # interior boundaries only
-            np.testing.assert_array_equal(
-                plan.gamma_table(stage, np.int32),
-                plan.perm_table(stage - 1, np.int32),
-            )
+        assert tuple(stage.shift for stage in plan.graph.stages[:2]) == (4, 2)
+        assert plan.perm_table(0, np.int16).dtype == np.int16
 
     @pytest.mark.parametrize("graph", ALL_GRAPHS)
     def test_plan_cache_round_trip(self, graph):
@@ -156,9 +145,10 @@ class TestStagePlan:
         # Wire w of switch s maps to base s * b * d - 1.
         assert row[0] == -1 and row[4] == 7 and row.size == 16
 
-    def test_edn_and_graph_plans_never_alias(self):
+    def test_edn_and_delta_plans_never_alias(self):
+        # The c=1 EDN and the delta share stages but not labels: two keys.
         clear_plan_cache()
-        edn_plan = plan_for(EDNParams(4, 4, 1, 3))
+        edn_plan = stage_plan_for(edn_graph(EDNParams(4, 4, 1, 3)))
         graph_plan = stage_plan_for(delta_graph(4, 4, 3))
         assert edn_plan is not graph_plan
 
@@ -183,16 +173,23 @@ class TestReferenceInterpreter:
                 result.blocked_stage[i], expected.blocked_stage
             )
 
-    def test_edn_graph_routes_like_the_dedicated_engine(self):
+    def test_edn_graph_routes_like_the_paper_engine(self):
+        from repro.core.network import EDNetwork
+
         params = EDNParams(16, 4, 4, 2)
-        compiled = CompiledStageRouter(edn_graph(params))
-        dedicated = BatchedEDN(params)
+        compiled = BatchedEDN(params)
+        reference = EDNetwork(params)
         rng = make_rng(1)
         demands = rng.integers(-1, params.num_outputs, size=(6, params.num_inputs))
-        a = compiled.route_batch(demands)
-        b = dedicated.route_batch(demands)
-        np.testing.assert_array_equal(a.output, b.output)
-        np.testing.assert_array_equal(a.blocked_stage, b.blocked_stage)
+        result = compiled.route_batch(demands)
+        for i, row in enumerate(demands):
+            cycle = reference.route_destinations(
+                {int(s): int(d) for s, d in enumerate(row) if d >= 0}
+            )
+            delivered = {o.message.source: o.output for o in cycle.outcomes if o.delivered}
+            for source in range(params.num_inputs):
+                expected = delivered.get(source, -1)
+                assert result.output[i, source] == expected
 
     def test_interpreter_validates_inputs(self):
         from repro.core.exceptions import LabelError
