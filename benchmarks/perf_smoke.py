@@ -164,26 +164,13 @@ PLAN_CALL_CYCLES = 8
 #: Best-of repetitions for the plan-cache benchmark (short calls need
 #: more samples for a stable best).
 PLAN_REPEATS = 9
-#: Warm-call speedup floor asserted by --plan-cache (merge criterion).
-PLAN_SPEEDUP_FLOOR = 1.5
 #: Relative half-width target of the matched-precision adaptive sweep.
 PLAN_SWEEP_REL_ERR = 0.005
 #: Cycle-savings floor of adaptive vs fixed budgeting at equal CI width.
 PLAN_SAVINGS_FLOOR = 0.30
-#: End-to-end sweep speedup floor (plan cache + adaptive, warm vs seed).
+#: End-to-end sweep speedup floor (warm plans + adaptive stopping vs
+#: uncached plans + a fixed budget).
 PLAN_SWEEP_SPEEDUP_FLOOR = 2.0
-
-NATIVE_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_native_kernel.json"
-#: delta(N,4) at N = 4^l terminals: the counts-only Monte-Carlo hot path.
-NATIVE_SIZES = (1_024, 4_096, 16_384)
-#: Batched cycles per route_batch_counts call in the per-cycle phase.
-NATIVE_BATCH = 16
-#: Cycle budget of the end-to-end matched-precision sweep.
-NATIVE_CYCLES = 64
-#: native-vs-batched speedup floor at N = 16384, asserted when an
-#: accelerated tier is running and the host has >= 4 cores (the merge
-#: criterion; single-core hosts record the measured speedup unasserted).
-NATIVE_SPEEDUP_FLOOR = 3.0
 
 
 def _best_of(repeats: int, fn) -> tuple[float, object]:
@@ -736,25 +723,24 @@ def run_fault_buffered(output: Path = FAULT_BUFFERED_OUTPUT) -> tuple[dict, list
 def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
     """Measure what plan compilation + adaptive stopping buy; write JSON.
 
-    Three honestly-separated comparisons at ``N = 16384``
-    (``EDN(16,4,4,6)``, uniform traffic at full load):
+    Two honestly-separated comparisons:
 
-    * **repeated fixed-budget calls** — ``measure_acceptance`` called
-      repeatedly at :data:`PLAN_CALL_CYCLES` cycles per call.  ``seed_path``
-      builds a router on a fresh uncached plan per call (per-call table
-      compile, per-call scratch allocation); ``cold`` compiles a plan per
-      call through the cache (cleared each time); ``warm`` hits the plan
-      cache.  Acceptance must be
-      bit-identical across all three.
+    * **repeated fixed-budget calls** at ``N = 16384`` (``EDN(16,4,4,6)``,
+      uniform traffic at full load) — ``measure_acceptance`` called
+      repeatedly at :data:`PLAN_CALL_CYCLES` cycles per call.  ``cold``
+      compiles a plan per call through the cache (cleared each time);
+      ``warm`` hits the plan cache.  Acceptance must be bit-identical
+      across both; the warm-vs-cold ratio is recorded, not asserted.
     * **matched-precision sweep** — the family sweep ``EDN(16,4,4,l)``,
       ``l`` in {4, 5, 6}, at rates {1.0, 0.75}, measured to equal
       confidence-interval width two ways: fixed budgeting (every cell gets
       the cycle budget the *worst* cell needs to reach
-      :data:`PLAN_SWEEP_REL_ERR`, on the seed path — a priori budgeting
-      cannot size per cell) versus warm adaptive stopping (each cell stops
-      at its own convergence).  Both designs guarantee half-width <=
-      rel_err * PA in every cell; the recorded savings are the cycles and
-      wall-clock the adaptive design does not spend.
+      :data:`PLAN_SWEEP_REL_ERR`, on a fresh uncached plan per call — a
+      priori budgeting cannot size per cell) versus warm adaptive
+      stopping (each cell stops at its own convergence).  Both designs
+      guarantee half-width <= rel_err * PA in every cell; the recorded
+      savings are the cycles and wall-clock the adaptive design does not
+      spend.
 
     Returns ``(report, failures)``.
     """
@@ -766,17 +752,13 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
     traffic = UniformTraffic(spec.n_inputs, spec.n_inputs, 1.0)
 
     # Warm numpy's dispatch on an unrelated small network so first-call
-    # interpreter costs do not pollute the seed-path column.
+    # interpreter costs do not pollute the cold column.
     measure_acceptance(
         BatchedEDN(EDNParams(16, 4, 4, 2)),
         UniformTraffic(64, 64, 1.0),
         cycles=32,
         seed=0,
     )
-
-    def _seed_call():
-        engine = CompiledStageRouter(edn_graph(params), plan=None)
-        return measure_acceptance(engine, traffic, cycles=PLAN_CALL_CYCLES, seed=SEED)
 
     def _cold_call():
         clear_plan_cache()
@@ -787,20 +769,18 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
         router = build_router(spec, "batched")
         return measure_acceptance(router, traffic, cycles=PLAN_CALL_CYCLES, seed=SEED)
 
-    seed_s, seed_m = _best_of(PLAN_REPEATS, _seed_call)
     cold_s, cold_m = _best_of(PLAN_REPEATS, _cold_call)
     clear_plan_cache()
     _warm_call()  # prime the cache
     warm_s, warm_m = _best_of(PLAN_REPEATS, _warm_call)
     cache = plan_cache_info()
-    assert seed_m.point == cold_m.point == warm_m.point, "plan changed routing"
+    assert cold_m.point == warm_m.point, "plan cache changed routing"
 
-    warm_vs_seed = seed_s / warm_s
     warm_vs_cold = cold_s / warm_s
     print(
         f"repeated {PLAN_CALL_CYCLES}-cycle calls @ N=16384: "
-        f"seed-path {seed_s * 1000:.1f}ms  cold-compile {cold_s * 1000:.1f}ms  "
-        f"warm {warm_s * 1000:.1f}ms  ({warm_vs_seed:.2f}x vs seed path)"
+        f"cold-compile {cold_s * 1000:.1f}ms  warm {warm_s * 1000:.1f}ms  "
+        f"({warm_vs_cold:.2f}x vs cold)"
     )
 
     # ------------------------------------------------------------------
@@ -863,7 +843,7 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
         )
 
         def _fixed_call():
-            engine = CompiledStageRouter(edn_graph(cell_params), plan=None)  # the seed path
+            engine = CompiledStageRouter(edn_graph(cell_params), plan=None)
             return measure_acceptance(
                 engine, cell_traffic, cycles=fixed_budget, seed=SEED
             )
@@ -902,7 +882,6 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
             "N=16384 plus the EDN(16,4,4,l) x rate matched-precision sweep"
         ),
         "modes": {
-            "seed_path": "fresh uncached plan per call (no plan cache)",
             "cold": "plan compiled per call (cache cleared each call)",
             "warm": "plan-cache hit (shared tables + thread-local workspace)",
         },
@@ -914,10 +893,8 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
             "network": str(params),
             "n_inputs": spec.n_inputs,
             "cycles_per_call": PLAN_CALL_CYCLES,
-            "seed_path_seconds": round(seed_s, 4),
             "cold_seconds": round(cold_s, 4),
             "warm_seconds": round(warm_s, 4),
-            "speedup_warm_vs_seed_path": round(warm_vs_seed, 2),
             "speedup_warm_vs_cold": round(warm_vs_cold, 2),
             "pa_bit_identical": True,
             "pa": round(warm_m.point, 6),
@@ -941,11 +918,6 @@ def run_plan_cache(output: Path = PLAN_OUTPUT) -> tuple[dict, list[str]]:
     print(f"wrote {output}")
 
     failures = []
-    if warm_vs_seed < PLAN_SPEEDUP_FLOOR:
-        failures.append(
-            f"warm-call speedup {warm_vs_seed:.2f}x below the "
-            f"{PLAN_SPEEDUP_FLOOR:.1f}x floor"
-        )
     if cycle_savings < PLAN_SAVINGS_FLOOR:
         failures.append(
             f"adaptive cycle savings {cycle_savings:.0%} below the "
@@ -1311,161 +1283,6 @@ def run_serve_matrix(output: Path = SERVE_OUTPUT) -> tuple[dict, list[str]]:
     return report, failures
 
 
-def run_native_kernel(output: Path = NATIVE_OUTPUT) -> tuple[dict, list[str]]:
-    """Native (JIT/compiled) kernel vs the batched NumPy kernels; write JSON.
-
-    Two phases per size in :data:`NATIVE_SIZES` on ``delta(N, 4)``:
-
-    * *per-cycle* — time ``route_batch_counts`` on a fixed full-load
-      demand matrix (``NATIVE_BATCH`` cycles per call) through
-      :class:`~repro.sim.batched.CompiledStageRouter` and
-      :class:`~repro.sim.native.NativeStageRouter`, asserting the counts
-      are bit-identical;
-    * *end-to-end* — ``measure_acceptance`` through ``backend=batched``
-      and ``backend=native`` under identical ``(seed, cycles)`` (matched
-      precision by construction), asserting identical measurements.
-
-    The :data:`NATIVE_SPEEDUP_FLOOR` x floor at ``N = 16384`` is enforced
-    when an accelerated tier is running and the host has >= 4 cores; the
-    measured speedup is recorded either way.  With no accelerated tier
-    the native backend is the NumPy shim, which is recorded (tier null)
-    and exempt from the floor.
-
-    Returns ``(report, failures)``.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.sim.native import NativeStageRouter, available_tiers
-    from repro.sim.rng import make_rng
-    from repro.sim.stagegraph import delta_graph
-
-    tiers = available_tiers()
-    tier = tiers[0] if tiers else None
-    cpu_count = os.cpu_count() or 1
-    floor_enforced = bool(tiers) and cpu_count >= 4
-    results = []
-    failures: list[str] = []
-    for n_inputs in NATIVE_SIZES:
-        l = round(np.log(n_inputs) / np.log(4))
-        graph = delta_graph(4, 4, l)
-        assert graph.n_inputs == n_inputs
-        batched = CompiledStageRouter(graph)
-        native = NativeStageRouter(graph)
-        dests = make_rng(SEED).integers(
-            0, graph.n_outputs, size=(NATIVE_BATCH, graph.n_inputs)
-        )
-        batched_s, batched_c = _best_of(
-            REPEATS * 2, lambda: batched.route_batch_counts(dests)
-        )
-        native_s, native_c = _best_of(
-            REPEATS * 2, lambda: native.route_batch_counts(dests)
-        )
-        identical = (
-            np.array_equal(
-                batched_c.offered_per_cycle, native_c.offered_per_cycle
-            )
-            and np.array_equal(
-                batched_c.delivered_per_cycle, native_c.delivered_per_cycle
-            )
-            and batched_c.blocked_by_stage == native_c.blocked_by_stage
-        )
-        if not identical:
-            failures.append(f"delta:{n_inputs},4: per-cycle counts diverge")
-        spec = NetworkSpec.delta(4, 4, l)
-        traffic = UniformTraffic(spec.n_inputs, spec.n_outputs, 1.0)
-        e2e_batched_s, m_batched = _best_of(
-            REPEATS,
-            lambda: measure_acceptance(
-                build_router(spec, "batched"), traffic,
-                cycles=NATIVE_CYCLES, seed=SEED,
-            ),
-        )
-        e2e_native_s, m_native = _best_of(
-            REPEATS,
-            lambda: measure_acceptance(
-                build_router(spec, "native"), traffic,
-                cycles=NATIVE_CYCLES, seed=SEED,
-            ),
-        )
-        e2e_identical = (
-            m_batched.offered == m_native.offered
-            and m_batched.delivered == m_native.delivered
-            and m_batched.blocked_by_stage == m_native.blocked_by_stage
-        )
-        if not e2e_identical:
-            failures.append(f"delta:{n_inputs},4: end-to-end counts diverge")
-        speedup = batched_s / native_s
-        e2e_speedup = e2e_batched_s / e2e_native_s
-        entry = {
-            "topology": spec.label,
-            "n_inputs": n_inputs,
-            "per_cycle": {
-                "batch": NATIVE_BATCH,
-                "batched_us_per_cycle": round(batched_s / NATIVE_BATCH * 1e6, 1),
-                "native_us_per_cycle": round(native_s / NATIVE_BATCH * 1e6, 1),
-                "speedup": round(speedup, 2),
-                "counts_bit_identical": identical,
-            },
-            "end_to_end": {
-                "cycles": NATIVE_CYCLES,
-                "batched_seconds": round(e2e_batched_s, 4),
-                "native_seconds": round(e2e_native_s, 4),
-                "speedup": round(e2e_speedup, 2),
-                "pa": round(m_native.point, 6),
-                "counts_bit_identical": e2e_identical,
-            },
-        }
-        results.append(entry)
-        print(
-            f"N={n_inputs:>6} delta: batched {batched_s / NATIVE_BATCH * 1e6:7.1f} us/cyc  "
-            f"native {native_s / NATIVE_BATCH * 1e6:7.1f} us/cyc  "
-            f"speedup {speedup:.2f}x (e2e {e2e_speedup:.2f}x)  "
-            f"identical={identical and e2e_identical}"
-        )
-        if (
-            n_inputs == 16_384
-            and floor_enforced
-            and speedup < NATIVE_SPEEDUP_FLOOR
-        ):
-            failures.append(
-                f"delta:{n_inputs},4: native speedup {speedup:.2f}x below "
-                f"the {NATIVE_SPEEDUP_FLOOR:.0f}x floor"
-            )
-    report = {
-        "benchmark": "native_kernel",
-        "workload": (
-            f"counts-only Monte-Carlo, full-load uniform demands, "
-            f"batch {NATIVE_BATCH}, end-to-end {NATIVE_CYCLES} cycles, "
-            f"seed {SEED}"
-        ),
-        "engines": {
-            "batched": "CompiledStageRouter (NumPy stage kernels)",
-            "native": (
-                "NativeStageRouter (StagePlan lowered to fused per-stage "
-                "loops; numba JIT or plan-specialized runtime-compiled C)"
-            ),
-        },
-        "native_tier": tier,
-        "available_tiers": list(tiers),
-        "floor": {
-            "speedup_at_16384": NATIVE_SPEEDUP_FLOOR,
-            "enforced": floor_enforced,
-            "cpu_count": cpu_count,
-            "counts": "bit-identical per cell, per-cycle and end-to-end",
-        },
-        "host": {
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-        },
-        "results": results,
-    }
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output}")
-    return report, failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -1510,14 +1327,6 @@ def main(argv: list[str] | None = None) -> int:
              "per-packet interpreter (>=5x floor), recording saturation knees",
     )
     parser.add_argument(
-        "--native-kernel",
-        action="store_true",
-        help="time the native (JIT/compiled) kernel backend against the "
-             "batched NumPy kernels on counts-only Monte-Carlo "
-             "(>=3x floor at N=16384 on >=4-core accelerated hosts, "
-             "bit-identical counts asserted)",
-    )
-    parser.add_argument(
         "--serve-matrix",
         action="store_true",
         help="benchmark the simulation service: cells/sec vs worker count "
@@ -1526,11 +1335,6 @@ def main(argv: list[str] | None = None) -> int:
              "and service-vs-inline bit-identity",
     )
     args = parser.parse_args(argv)
-    if args.native_kernel:
-        _report, failures = run_native_kernel()
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1 if failures else 0
     if args.saturation:
         _report, failures = run_saturation()
         for failure in failures:

@@ -11,13 +11,12 @@ one compiled engine and one independent interpreter:
 =============  =======================================  =================
 name           engine                                   kinds
 =============  =======================================  =================
-``native``     :class:`StagePlan` lowered to            edn, delta,
-               JIT-compiled per-stage loops             omega, dilated
-               (:class:`NativeStageRouter`; numba or
-               a runtime-compiled C kernel); needs
-               ``pip install repro[native]`` or a C
-               toolchain, and drops out of the
-               registry when neither is present
+``native``     :class:`StagePlan` lowered to one        edn, delta,
+               plan-specialized C kernel                omega, dilated
+               (:class:`NativeStageRouter`), compiled
+               at first use with the host C
+               toolchain; drops out of the registry
+               when no working C compiler is present
 ``batched``    the compiled stage-graph router          edn, delta,
                (:class:`CompiledStageRouter`) every     omega, dilated,
                stage-graph kind compiles to, and the    crossbar
@@ -42,10 +41,11 @@ backend that can run it names its ``buffered_engine`` — ``"compiled"``
 :class:`BufferedStageReference`) for ``vectorized`` and ``reference`` —
 and ``resolve_backend(spec, backend, buffered=True)`` picks among them.
 
-``auto`` picks the first supporting backend in :data:`AUTO_PREFERENCE`
-order — the JIT backend when its dependencies are present, then batched
-engines, then the per-cycle loop — mirroring how the Monte-Carlo harness
-has always dispatched on ``route_batch`` availability.
+``auto`` picks the first supporting, runnable backend in
+:data:`AUTO_PREFERENCE` order — the native kernel when a C compiler is
+present, then batched engines, then the per-cycle loop — mirroring how
+the Monte-Carlo harness has always dispatched on ``route_batch``
+availability.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class Backend:
     refines kind membership with feature checks (faults, disciplines).
     ``batched`` records whether routing is natively batched (drives
     ``auto`` preference and lets tooling report engine class).
-    ``availability`` reports a host-environment problem (missing
-    optional dependency, no toolchain) as a message, or ``None`` when
-    the backend can run here; ``auto_ok`` additionally gates whether
-    ``auto`` may pick the backend.  ``buffered_engine`` names the
+    ``availability`` reports a host-environment problem (no working C
+    toolchain) as a message, or ``None`` when the backend can run here;
+    ``auto`` skips an unavailable backend and naming it explicitly
+    raises.  ``buffered_engine`` names the
     :func:`~repro.sim.buffered.measure_buffered` engine the backend runs
     buffered cells on (``None``: it runs none).
     """
@@ -96,7 +96,6 @@ class Backend:
     builder: Callable[[NetworkSpec], Router]
     accepts: Callable[[NetworkSpec], bool]
     availability: Callable[[], str | None]
-    auto_ok: Callable[[], bool]
     buffered_engine: Optional[str] = None
 
     def supports(self, spec: NetworkSpec, *, buffered: bool = False) -> bool:
@@ -112,7 +111,8 @@ class Backend:
 #: name -> Backend, in registration order.
 BACKENDS: dict[str, Backend] = {}
 
-#: ``auto`` tries these in order and takes the first that supports the spec.
+#: ``auto`` tries these in order and takes the first that supports the
+#: spec and can run on this host.
 AUTO_PREFERENCE = (
     "native", "batched", "matching", "looping", "vectorized", "reference"
 )
@@ -126,7 +126,6 @@ def register_backend(
     batched: bool,
     accepts: Callable[[NetworkSpec], bool] | None = None,
     availability: Callable[[], str | None] | None = None,
-    auto_ok: Callable[[], bool] | None = None,
     buffered_engine: Optional[str] = None,
 ):
     """Register ``fn`` as the builder of backend ``name`` (decorator)."""
@@ -142,7 +141,6 @@ def register_backend(
             builder=fn,
             accepts=accepts if accepts is not None else (lambda spec: True),
             availability=availability if availability is not None else (lambda: None),
-            auto_ok=auto_ok if auto_ok is not None else (lambda: True),
             buffered_engine=buffered_engine,
         )
         return fn
@@ -153,7 +151,7 @@ def register_backend(
 def available_backends(spec: NetworkSpec, *, buffered: bool = False) -> list[str]:
     """Backends able to build ``spec`` *on this host*, preference first.
 
-    Environment-gated backends (``native`` needs numba or a C toolchain)
+    Environment-gated backends (``native`` needs a working C compiler)
     drop out of the list when their dependency is missing, so the
     doctests below pin specs the gated backends never serve.
     ``buffered=True`` lists the backends that run buffered cells instead.
@@ -178,11 +176,11 @@ def resolve_backend(
 ) -> Backend:
     """The :class:`Backend` that ``backend`` selects for ``spec``.
 
-    ``auto`` walks :data:`AUTO_PREFERENCE`, skipping backends that opted
-    out of automatic selection; an explicit name must exist, be runnable
-    on this host, and support the spec, with the error naming the
-    alternatives.  ``buffered=True`` resolves among the backends with a
-    buffered engine (a cell with a ``buffer_depth``).
+    ``auto`` takes the first of :func:`available_backends`; an explicit
+    name must exist, be runnable on this host, and support the spec,
+    with the error naming the alternatives.  ``buffered=True`` resolves
+    among the backends with a buffered engine (a cell with a
+    ``buffer_depth``).
 
     >>> resolve_backend(NetworkSpec.crossbar(8)).name
     'batched'
@@ -193,9 +191,9 @@ def resolve_backend(
     'reference'
     """
     if backend == "auto":
-        for name in available_backends(spec, buffered=buffered):
-            if BACKENDS[name].auto_ok():
-                return BACKENDS[name]
+        names = available_backends(spec, buffered=buffered)
+        if names:
+            return BACKENDS[names[0]]
         raise ConfigurationError(
             f"no registered backend supports {spec} with "
             f"priority={spec.priority!r}, wire_policy={spec.wire_policy!r}, "
@@ -208,8 +206,8 @@ def resolve_backend(
         raise ConfigurationError(
             f"unknown backend {backend!r}; registered: {sorted(BACKENDS)}"
         ) from None
-    # Environment availability first: "you asked for native but numba is
-    # missing" beats "native does not support this spec".
+    # Environment availability first: "you asked for native but there is
+    # no C compiler" beats "native does not support this spec".
     reason = entry.availability()
     if reason is not None:
         raise ConfigurationError(f"backend {backend!r} is unavailable: {reason}")
@@ -373,26 +371,19 @@ def _build_benes(spec: NetworkSpec) -> Router:
 
 def _native_availability() -> str | None:
     # Late import + module-attribute call so tests can monkeypatch the
-    # probe, and so importing the registry never triggers a JIT probe.
+    # probe, and so importing the registry never triggers a compiler probe.
     from repro.sim import native
 
     return native.unavailable_reason()
 
 
-def _native_auto_ok() -> bool:
-    from repro.sim import native
-
-    return bool(native.available_tiers())
-
-
 @register_backend(
     "native",
-    description="StagePlan lowered to JIT-compiled per-stage loops",
+    description="StagePlan lowered to a plan-specialized C kernel",
     kinds={"edn", "delta", "omega", "dilated"},
     batched=True,
     accepts=_array_engine_ok,
     availability=_native_availability,
-    auto_ok=_native_auto_ok,
     buffered_engine="compiled",
 )
 def _build_native(spec: NetworkSpec) -> Router:

@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--backend", default="auto", metavar="NAME",
         help="router backend: auto, native, batched, vectorized, reference, "
-             "matching, looping (native needs numba or a C toolchain)",
+             "matching, looping (native is the plan-specialized C kernel and "
+             "needs a C compiler; auto uses batched without one)",
     )
     route.add_argument(
         "--traffic", action="append", metavar="SPEC", default=None,

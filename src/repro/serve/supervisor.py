@@ -67,8 +67,8 @@ def fork_context():
     ``fork`` shares the loaded numpy/scipy state *and* every routing plan
     the parent has already compiled (each worker starts with a warm
     per-process plan cache — including any native-backend kernels riding
-    the plans, so workers skip the JIT warm-up too; the C tier's on-disk
-    build cache covers spawn-started workers as well); platforms without
+    the plans, so workers skip the kernel build too; the native kernel's
+    on-disk build cache covers spawn-started workers as well); platforms without
     fork fall back to their default context (workers start cold and
     compile on first use).
     """

@@ -26,9 +26,9 @@ One engine per semantics:
   per call, bit-identical per message to the per-cycle interpreter
   (:class:`BatchedEDN` is its ``EDNParams`` constructor);
 * :mod:`repro.sim.native` — the native kernel: every :class:`StagePlan`
-  lowered to fused per-stage loops compiled with numba or as
-  plan-specialized C (``backend="native"``; counts-only Monte-Carlo,
-  bit-identical to the NumPy kernels);
+  lowered to one plan-specialized C kernel built with the host compiler
+  (``backend="native"``; counts-only Monte-Carlo, bit-identical to the
+  NumPy kernels; without a C compiler ``auto`` uses ``batched``);
 * :mod:`repro.sim.rng` — reproducible independent random streams;
 * :mod:`repro.sim.stats` — online statistics and confidence intervals
   (streaming ratio-of-sums estimator with a delta-method interval);

@@ -75,8 +75,6 @@ def _contention_priority(router: "CycleRouter") -> Optional[str]:
         router,
         getattr(router, "engine", None),
         getattr(router, "network", None),
-        getattr(router, "_engine", None),
-        getattr(router, "_omega", None),
     ):
         priority = getattr(obj, "priority", None)
         if isinstance(priority, str):

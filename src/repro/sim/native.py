@@ -1,51 +1,39 @@
-"""Native kernel backend: :class:`~repro.sim.plan.StagePlan` lowered to
-JIT-compiled per-stage loops.
+"""Native kernel backend: each :class:`~repro.sim.plan.StagePlan` lowered to
+one plan-specialized C kernel.
 
 The batched NumPy kernels stream ~10 chunk-sized array passes per stage;
-at Monte-Carlo scale that is memory traffic, not arithmetic.  A compiled
-loop fuses dense rank + acceptance + fault refinement + link permutation
-into **one pass over the frontier per stage**, keeps each cycle's frontier
-L1/L2-resident, and walks the batch axis one cycle at a time.
+at Monte-Carlo scale that is memory traffic, not arithmetic.  The native
+kernel fuses dense rank + acceptance + fault refinement + link
+permutation into **one pass over the frontier per stage**, keeps each
+cycle's frontier L1/L2-resident, and walks the batch axis one cycle at a
+time.  It is C source *specialized to the plan's stage shapes*
+(constants baked in, stages unrolled, branchless per-wire path),
+compiled at first use with the host toolchain (``cc``/``gcc``/``clang``),
+cached on disk by generated-source hash, and called through
+:mod:`ctypes` (the GIL is released for the duration of the call).
 
-Every tier runs **serially**.  Parallelism comes from one layer only: the
-process layer (:class:`~repro.experiments.parallel.ParallelSweep` and the
-serve worker pool), whose workers are forked on purpose so they inherit
-warm plan caches.  A threaded kernel (OpenMP, numba ``parallel=True``)
-leaves a thread pool behind that does not survive ``fork``: a forked
-worker's first kernel call would deadlock, and on a loaded host threads
-only oversubscribe the cores the workers already use.  Routing decisions
-are bit-identical to
+The kernel runs **serially**.  Parallelism comes from one layer only:
+the process layer (:class:`~repro.experiments.parallel.ParallelSweep`
+and the serve worker pool), whose workers are forked on purpose so they
+inherit warm plan caches.  A threaded kernel (OpenMP) leaves a thread
+pool behind that does not survive ``fork``: a forked worker's first
+kernel call would deadlock, and on a loaded host threads only
+oversubscribe the cores the workers already use.  Routing decisions are
+bit-identical to
 :meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
 (pinned by the cross-backend equivalence suite).
 
-The same loop body exists in three execution **tiers**, best available
-first:
-
-* ``numba`` — :func:`_counts_loop` compiled by ``numba.njit(cache=True)``.
-  Preferred when numba is importable; ``pip install repro[native]`` pulls
-  it in.
-* ``cc`` — a C translation of the identical loop, *specialized to the
-  plan's stage shapes* (constants baked in, stages unrolled, branchless
-  per-wire path), compiled at first use with the host toolchain
-  (``cc``/``gcc``/``clang``), cached on disk by generated-source hash,
-  and called through :mod:`ctypes` (the GIL is released for the duration
-  of the call).  This keeps the native backend fast on numba-free hosts
-  that have a compiler.
-* ``python`` — the very same :func:`_counts_loop`, interpreted.  Never
-  selected automatically (it is slow); tests use it to pin the loop
-  *logic* against the NumPy kernels on any host.
-
-Importing this module never hard-fails: with no accelerated tier the
-router degrades to the inherited NumPy kernels (the pure-NumPy shim), and
-the backend registry reports the backend unavailable with an error naming
-the ``[native]`` extra.
+Importing this module never hard-fails.  Without a working C compiler
+the backend registry reports ``native`` unavailable (``backend="auto"``
+then resolves to ``batched``, with identical counts) and constructing a
+:class:`NativeStageRouter` raises :class:`ConfigurationError`.
 
 The kernel consumes the existing plan data — per-stage shapes, link
 permutation tables (pre-composed with the fault remap for faulted
 stages), rank-space fault liveness, and the input permutation — packed
 once per plan into flat arrays (:func:`_lower`) and cached on the plan
 itself, so the warm path allocates nothing chunk-sized and forked sweep
-workers inherit both the lowered tables and the on-disk JIT caches.
+workers inherit both the lowered tables and the on-disk kernel cache.
 """
 
 from __future__ import annotations
@@ -73,130 +61,21 @@ __all__ = [
     "NativeStageRouter",
     "NativeKernel",
     "kernel_for",
-    "numba_available",
-    "cc_available",
     "available_tiers",
     "default_tier",
     "unavailable_reason",
 ]
 
 # ----------------------------------------------------------------------
-# The loop body (python + numba tiers)
+# Kernel source (plan-specialized, runtime-compiled, ctypes-loaded)
 # ----------------------------------------------------------------------
-# One function, two executions: interpreted as-is (the ``python`` tier)
-# or compiled by numba (the ``numba`` tier).  The C translation below
-# mirrors it statement for statement; all three must stay in lockstep —
-# the bit-identity tests compare every tier against the NumPy kernels.
-#
-# Layout (built by :func:`_lower`):
-#   meta[i]  = [width, fan_in_bits, shift, radix-1, capacity,
-#               bucket_wires, link_offset, falive_offset]
-#   links    = concatenated per-stage link tables (offset -1 = identity:
-#              the winner's bucket wire *is* the next-stage wire)
-#   falive   = concatenated rank-space liveness masks of faulted stages
-#   input_perm = source -> entry-wire table (size 0 = identity)
-
-
-def _counts_loop(
-    dests, meta, links, falive, input_perm, frontier, counts,
-    offered, delivered, blocked,
-):
-    batch, n = dests.shape
-    nstages = meta.shape[0]
-    has_perm = input_perm.shape[0] != 0
-    for c in range(batch):
-        cur = frontier[c, 0]
-        nxt = frontier[c, 1]
-        cnt = counts[c]
-        w0 = meta[0, 0]
-        for k in range(w0):
-            cur[k] = -1
-        off = 0
-        if has_perm:
-            for s in range(n):
-                d = dests[c, s]
-                if d >= 0:
-                    cur[input_perm[s]] = d
-                    off += 1
-        else:
-            for s in range(n):
-                d = dests[c, s]
-                if d >= 0:
-                    cur[s] = d
-                    off += 1
-        offered[c] = off
-        deliv = 0
-        for i in range(nstages):
-            width = meta[i, 0]
-            fib = meta[i, 1]
-            shift = meta[i, 2]
-            rmask = meta[i, 3]
-            cap = meta[i, 4]
-            bw = meta[i, 5]
-            loff = meta[i, 6]
-            foff = meta[i, 7]
-            last = i == nstages - 1
-            if not last:
-                nw = meta[i + 1, 0]
-                for k in range(nw):
-                    nxt[k] = -1
-            nswitch = width >> fib
-            fan_in = 1 << fib
-            blocked_here = 0
-            for sw in range(nswitch):
-                for r in range(rmask + 1):
-                    cnt[r] = 0
-                base = sw << fib
-                swbase = sw * bw
-                for k in range(fan_in):
-                    d = cur[base + k]
-                    if d < 0:
-                        continue
-                    digit = (d >> shift) & rmask
-                    r = cnt[digit]
-                    cnt[digit] = r + 1
-                    if r >= cap:
-                        blocked_here += 1
-                        continue
-                    y = swbase + digit * cap + r
-                    if foff >= 0 and falive[foff + y] == 0:
-                        blocked_here += 1
-                        continue
-                    if last:
-                        deliv += 1
-                    elif loff >= 0:
-                        nxt[links[loff + y]] = d
-                    else:
-                        nxt[y] = d
-            blocked[c, i] = blocked_here
-            if not last:
-                cur, nxt = nxt, cur
-        delivered[c] = deliv
-
-
-_numba_fn = None
-
-
-def _numba_loop():
-    """The numba-compiled loop (compiled once per process, disk-cached)."""
-    global _numba_fn
-    if _numba_fn is None:
-        import numba
-
-        _numba_fn = numba.njit(cache=True)(_counts_loop)
-    return _numba_fn
-
-
-# ----------------------------------------------------------------------
-# The C tier (plan-specialized, runtime-compiled, ctypes-loaded)
-# ----------------------------------------------------------------------
-# The same loop, but *specialized to the plan*: every per-stage scalar
-# (width, fan-in, digit shift, radix mask, capacity, table offsets) is a
-# compile-time constant, the stage loop is fully unrolled into one block
-# per stage, and each block picks the cheapest rank engine its shape
-# allows.  Only the table *data* stays runtime — two plans with the same
-# stage shapes share one shared object (the cache key is the generated
-# source), while their link tables and fault masks ride in as pointers.
+# Every per-stage scalar (width, fan-in, digit shift, radix mask,
+# capacity, table offsets) is a compile-time constant, the stage loop is
+# fully unrolled into one block per stage, and each block picks the
+# cheapest rank engine its shape allows.  Only the table *data* stays
+# runtime — two plans with the same stage shapes share one shared object
+# (the cache key is the generated source), while their link tables and
+# fault masks ride in as pointers.
 #
 # Why specialize?  The hot path is ~10 instructions per wire; a generic
 # loop spends a comparable budget re-loading stage metadata, testing
@@ -220,11 +99,9 @@ def _numba_loop():
 # collapse to a vectorizable liveness popcount.
 
 
-def _spec_stage_block(
-    i, row, nstages, widths, trash, ctype
-) -> str:
+def _spec_stage_block(i, stage, nstages, widths, trash, ctype) -> str:
     """One fully-unrolled stage of the specialized kernel."""
-    width, fib, shift, rmask, cap, bw, loff, foff = (int(v) for v in row)
+    width, fib, shift, rmask, cap, bw, loff, foff = stage
     fan_in = 1 << fib
     nswitch = width >> fib
     last = i == nstages - 1
@@ -306,26 +183,25 @@ def _spec_stage_block(
         }}"""
 
 
-def _stage_uses_cnt(row) -> bool:
-    rmask, cap = int(row[3]), int(row[4])
-    fan_in = 1 << int(row[1])
+def _stage_uses_cnt(stage) -> bool:
+    _width, fib, _shift, rmask, cap = stage[:5]
+    fan_in = 1 << fib
     return not (cap == 1 and rmask <= 63) and not (rmask <= 7 and fan_in <= 127)
 
 
 def _spec_source(tables, ctype) -> str:
     """The specialized C source for one plan shape x wire dtype."""
-    meta = tables.meta
-    nstages = meta.shape[0]
-    widths = [int(meta[i, 0]) for i in range(nstages)]
+    stages = tables.stages
+    nstages = len(stages)
+    widths = [stage[0] for stage in stages]
     stride = tables.maxw + 1
     trash = tables.maxw
-    has_perm = tables.input_perm.size != 0
-    uses_cnt = any(_stage_uses_cnt(meta[i]) for i in range(nstages))
-    stages = "\n".join(
-        _spec_stage_block(i, meta[i], nstages, widths, trash, ctype)
-        for i in range(nstages)
+    uses_cnt = any(_stage_uses_cnt(stage) for stage in stages)
+    blocks = "\n".join(
+        _spec_stage_block(i, stage, nstages, widths, trash, ctype)
+        for i, stage in enumerate(stages)
     )
-    if has_perm:
+    if tables.input_perm.size:
         fill = f"""memset(cur, 0xff, {widths[0]} * sizeof({ctype}));
         int64_t off = 0;
         for (int64_t s = 0; s < n; s++) {{
@@ -351,19 +227,16 @@ def _spec_source(tables, ctype) -> str:
 #include <string.h>
 
 /* Plan-specialized counts kernel: {nstages} stages, wire type {ctype}.
- * Generated by repro.sim.native; the argument list matches the generic
- * kernel ABI so the caller is shape-agnostic. */
+ * Generated by repro.sim.native; every stage shape is a constant, so the
+ * arguments carry only the demand matrix, the plan's tables and scratch. */
 void repro_counts_spec(
     const int64_t *restrict dests, int64_t batch, int64_t n,
-    const int64_t *restrict meta, int64_t nstages,
     const {ctype} *restrict links, const uint8_t *restrict falive,
-    const int64_t *restrict input_perm, int64_t has_perm,
-    {ctype} *restrict frontier, int64_t maxw,
-    int32_t *restrict counts, int64_t radix_max,
+    const int64_t *restrict input_perm,
+    {ctype} *restrict frontier, int32_t *restrict counts,
     int64_t *restrict offered, int64_t *restrict delivered,
     int64_t *restrict blocked)
 {{
-    (void)meta; (void)nstages; (void)has_perm; (void)maxw; (void)radix_max;
     (void)input_perm; (void)links; (void)falive;
     for (int64_t c = 0; c < batch; c++) {{
         {ctype} *cur = frontier + c * 2 * {stride};
@@ -374,7 +247,7 @@ void repro_counts_spec(
         {fill}
         offered[c] = off;
         int64_t deliv = 0;
-{stages}
+{blocks}
         delivered[c] = deliv;
     }}
 }}
@@ -383,11 +256,9 @@ void repro_counts_spec(
 
 _ARGTYPES = [
     ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,   # dests, batch, n
-    ctypes.c_void_p, ctypes.c_longlong,                      # meta, nstages
     ctypes.c_void_p, ctypes.c_void_p,                        # links, falive
-    ctypes.c_void_p, ctypes.c_longlong,                      # input_perm, has_perm
-    ctypes.c_void_p, ctypes.c_longlong,                      # frontier, maxw
-    ctypes.c_void_p, ctypes.c_longlong,                      # counts, radix_max
+    ctypes.c_void_p,                                         # input_perm
+    ctypes.c_void_p, ctypes.c_void_p,                        # frontier, counts
     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,       # offered, delivered, blocked
 ]
 
@@ -428,7 +299,7 @@ def _build_shared_object(source: str, stem: str) -> Path:
     """
     compiler = _compiler()
     if compiler is None:
-        raise ConfigurationError("no C compiler (cc/gcc/clang) on PATH")
+        raise ConfigurationError("no cc, gcc or clang on PATH")
     digest = hashlib.sha256(
         (repr(_FLAG_LADDER) + source).encode()
     ).hexdigest()[:16]
@@ -471,6 +342,10 @@ def _spec_kernel(tables, wire_dtype):
     return fn
 
 
+# ----------------------------------------------------------------------
+# Toolchain discovery
+# ----------------------------------------------------------------------
+
 _C_PROBE = "long repro_probe(void) { return 42; }\n"
 
 _cc_error: Optional[str] = None
@@ -487,91 +362,49 @@ def _probe_cc() -> Optional[str]:
             if int(lib.repro_probe()) != 42:
                 raise ConfigurationError("probe kernel returned garbage")
             _cc_error = None
-        except Exception as exc:  # noqa: BLE001 - any failure = tier unavailable
-            _cc_error = f"native cc tier unavailable: {exc}"
+        except Exception as exc:  # noqa: BLE001 - any failure = no kernel
+            _cc_error = str(exc)
     return _cc_error
 
 
-# ----------------------------------------------------------------------
-# Tier discovery
-# ----------------------------------------------------------------------
-
-_numba_ok: Optional[bool] = None
-
-
-def numba_available() -> bool:
-    """Whether the numba JIT tier can be used (numba importable)."""
-    global _numba_ok
-    if _numba_ok is None:
-        try:
-            import numba  # noqa: F401
-
-            _numba_ok = True
-        except ImportError:
-            _numba_ok = False
-    return _numba_ok
-
-
-def cc_available() -> bool:
-    """Whether the compiled-C tier is usable (probe-compiles on first call)."""
-    return _probe_cc() is None
-
-
 def available_tiers() -> tuple[str, ...]:
-    """Accelerated tiers usable on this host, best first."""
-    tiers = []
-    if numba_available():
-        tiers.append("numba")
-    if cc_available():
-        tiers.append("cc")
-    return tuple(tiers)
+    """``("cc",)`` when the C kernel can be built here, else ``()``."""
+    return ("cc",) if _probe_cc() is None else ()
 
 
 def default_tier() -> Optional[str]:
-    """The tier the native backend runs on here, or ``None`` (NumPy shim).
-
-    ``REPRO_NATIVE_TIER`` overrides the choice (``numba``, ``cc``,
-    ``python``, or ``numpy`` to force the shim); an unavailable forced
-    tier falls through to automatic selection.
-    """
-    forced = os.environ.get("REPRO_NATIVE_TIER", "").strip().lower()
-    if forced == "numpy":
-        return None
-    if forced == "python":
-        return "python"
-    if forced == "numba" and numba_available():
-        return "numba"
-    if forced == "cc" and cc_available():
-        return "cc"
-    for tier in available_tiers():
-        return tier
-    return None
+    """``"cc"`` when the C kernel can be built here, else ``None``."""
+    return "cc" if _probe_cc() is None else None
 
 
 def unavailable_reason() -> Optional[str]:
     """Why ``backend="native"`` cannot run here, or ``None`` if it can."""
-    if available_tiers():
+    error = _probe_cc()
+    if error is None:
         return None
-    return (
-        "the native backend needs numba (pip install 'repro[native]') or a "
-        "C compiler (cc/gcc/clang) on PATH; neither is available"
-    )
+    return f"the native backend needs a working C compiler: {error}"
 
 
 # ----------------------------------------------------------------------
 # Plan lowering
 # ----------------------------------------------------------------------
 
-_META_WIDTH = 8
-
 
 class _PlanTables:
-    """The flat-array view of one plan the fused loops consume."""
+    """The flat-array view of one plan the kernel consumes.
 
-    __slots__ = ("meta", "links", "falive", "input_perm", "maxw", "radix_max")
+    ``stages`` holds one tuple of compile-time constants per stage —
+    ``(width, fan_in_bits, shift, radix - 1, capacity, bucket_wires,
+    link_offset, falive_offset)``, offset ``-1`` = none — and the arrays
+    are the runtime data: concatenated link tables, concatenated
+    rank-space liveness masks of faulted stages, and the source ->
+    entry-wire table (size 0 = identity).
+    """
 
-    def __init__(self, meta, links, falive, input_perm, maxw, radix_max):
-        self.meta = meta
+    __slots__ = ("stages", "links", "falive", "input_perm", "maxw", "radix_max")
+
+    def __init__(self, stages, links, falive, input_perm, maxw, radix_max):
+        self.stages = stages
         self.links = links
         self.falive = falive
         self.input_perm = input_perm
@@ -580,43 +413,42 @@ class _PlanTables:
 
 
 def _lower(plan) -> _PlanTables:
-    """Pack a plan's tables into the loop layout (meta/links/falive)."""
+    """Pack a plan's tables into the kernel layout."""
     g = plan.graph
     nstages = g.num_stages
     wire = plan.wire_dtype
-    meta = np.zeros((nstages, _META_WIDTH), dtype=np.int64)
+    stages = []
     link_parts, fal_parts = [], []
     link_off = fal_off = 0
     for i, stage in enumerate(g.stages):
-        meta[i, 0] = plan.stage_widths[i]
-        meta[i, 1] = int(np.log2(stage.fan_in))
-        meta[i, 2] = stage.shift
-        meta[i, 3] = stage.radix - 1
-        meta[i, 4] = stage.capacity
-        meta[i, 5] = stage.bucket_wires
-        table = None
+        loff = foff = -1
         if i < nstages - 1:
             table = plan.fault_link_table(i, wire)
             if table is None:
                 table = plan.perm_table(i, wire)
             if table is None:
-                # Identity boundary: materialize it so the C loop's link
+                # Identity boundary: materialize it so the kernel's link
                 # gather is unconditional (bucket-wire space == the next
                 # column's wire space).
                 table = np.arange(plan.stage_widths[i + 1], dtype=wire)
-        if table is not None:
-            meta[i, 6] = link_off
+            loff = link_off
             link_parts.append(np.ascontiguousarray(table, dtype=wire))
             link_off += table.size
-        else:
-            meta[i, 6] = -1
         fal = plan.fault_alive(i)
         if fal is not None:
-            meta[i, 7] = fal_off
+            foff = fal_off
             fal_parts.append(np.ascontiguousarray(fal, dtype=np.uint8))
             fal_off += fal.size
-        else:
-            meta[i, 7] = -1
+        stages.append((
+            int(plan.stage_widths[i]),
+            int(np.log2(stage.fan_in)),
+            int(stage.shift),
+            int(stage.radix) - 1,
+            int(stage.capacity),
+            int(stage.bucket_wires),
+            loff,
+            foff,
+        ))
     links = (
         np.concatenate(link_parts)
         if link_parts
@@ -634,7 +466,7 @@ def _lower(plan) -> _PlanTables:
         else np.zeros(0, dtype=np.int64)
     )
     return _PlanTables(
-        meta=meta,
+        stages=tuple(stages),
         links=links,
         falive=falive,
         input_perm=input_perm,
@@ -644,62 +476,40 @@ def _lower(plan) -> _PlanTables:
 
 
 class NativeKernel:
-    """One plan's fused counts kernel on one execution tier."""
+    """One plan's fused counts kernel."""
 
-    __slots__ = ("tables", "tier", "wire", "_fn")
+    __slots__ = ("tables", "wire", "_fn")
 
-    def __init__(self, plan, tier: str):
-        if tier not in ("numba", "cc", "python"):
-            raise ConfigurationError(f"unknown native tier {tier!r}")
+    def __init__(self, plan):
         self.tables = _lower(plan)
-        self.tier = tier
         self.wire = plan.wire_dtype
-        if tier == "cc":
-            self._fn = _spec_kernel(self.tables, self.wire)
-        elif tier == "numba":
-            self._fn = _numba_loop()
-        else:
-            self._fn = _counts_loop
+        self._fn = _spec_kernel(self.tables, self.wire)
 
     def counts(self, dests: np.ndarray, ws) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
 
         ``dests`` must be contiguous ``int64`` (the routers validate).
-        The input permutation is applied inside the loop, so callers pass
-        the raw matrix.  Frontier and counter scratch comes from ``ws``;
-        only the O(batch) result arrays are allocated per call.
+        The input permutation is applied inside the kernel, so callers
+        pass the raw matrix.  Frontier and counter scratch comes from
+        ``ws``; only the O(batch) result arrays are allocated per call.
         """
         t = self.tables
-        batch, _n = dests.shape
-        nstages = t.meta.shape[0]
+        batch, n = dests.shape
         # One extra slot per frontier half: index ``maxw`` is the trash
-        # slot the branchless C loop parks losers on (the python/numba
-        # loop never touches it).
-        frontier = ws.array(
-            "native_frontier", batch * 2 * (t.maxw + 1), self.wire
-        ).reshape(batch, 2, t.maxw + 1)
-        cnt = ws.array(
-            "native_counts", batch * t.radix_max, np.int32
-        ).reshape(batch, t.radix_max)
+        # slot the branchless kernel parks losers on.
+        frontier = ws.array("native_frontier", batch * 2 * (t.maxw + 1), self.wire)
+        cnt = ws.array("native_counts", batch * t.radix_max, np.int32)
         offered = np.empty(batch, dtype=np.int64)
         delivered = np.empty(batch, dtype=np.int64)
-        blocked = np.empty((batch, nstages), dtype=np.int64)
-        if self.tier == "cc":
-            self._fn(
-                dests.ctypes.data, batch, dests.shape[1],
-                t.meta.ctypes.data, nstages,
-                t.links.ctypes.data, t.falive.ctypes.data,
-                t.input_perm.ctypes.data, t.input_perm.size,
-                frontier.ctypes.data, t.maxw,
-                cnt.ctypes.data, t.radix_max,
-                offered.ctypes.data, delivered.ctypes.data,
-                blocked.ctypes.data,
-            )
-        else:
-            self._fn(
-                dests, t.meta, t.links, t.falive, t.input_perm,
-                frontier, cnt, offered, delivered, blocked,
-            )
+        blocked = np.empty((batch, len(t.stages)), dtype=np.int64)
+        self._fn(
+            dests.ctypes.data, batch, n,
+            t.links.ctypes.data, t.falive.ctypes.data,
+            t.input_perm.ctypes.data,
+            frontier.ctypes.data, cnt.ctypes.data,
+            offered.ctypes.data, delivered.ctypes.data,
+            blocked.ctypes.data,
+        )
         per_stage = blocked.sum(axis=0)
         blocked_by_stage = {
             i + 1: int(v) for i, v in enumerate(per_stage.tolist()) if v
@@ -711,8 +521,8 @@ class NativeKernel:
         )
 
 
-def kernel_for(plan, tier: str) -> NativeKernel:
-    """The plan's native kernel on ``tier``, lowered once and cached.
+def kernel_for(plan) -> NativeKernel:
+    """The plan's native kernel, lowered once and cached.
 
     The kernel rides the plan's lazily-built table dict, so it shares the
     plan's LRU lifetime: a warm plan-cache hit also hits the lowered
@@ -720,10 +530,10 @@ def kernel_for(plan, tier: str) -> NativeKernel:
     workers inherit it.  Concurrent first builds are a benign idempotent
     race, exactly like the plan's other lazy tables.
     """
-    key = ("native_kernel", tier)
+    key = ("native_kernel",)
     kernel = plan._tables.get(key)
     if kernel is None:
-        kernel = NativeKernel(plan, tier)
+        kernel = NativeKernel(plan)
         plan._tables[key] = kernel
     return kernel
 
@@ -734,7 +544,7 @@ def kernel_for(plan, tier: str) -> NativeKernel:
 
 
 class NativeStageRouter(CompiledStageRouter):
-    """:class:`CompiledStageRouter` with the counts hot path JIT-compiled.
+    """:class:`CompiledStageRouter` with the counts hot path in native code.
 
     Only the label-priority counts-only kernel — the Monte-Carlo hot
     path — is lowered; everything else (per-message outcomes, random
@@ -742,47 +552,37 @@ class NativeStageRouter(CompiledStageRouter):
     hot-swapping) is inherited unchanged, so the native backend has the
     full capability surface of ``batched`` with identical semantics.
 
-    ``tier="auto"`` (default) picks the best accelerated tier and
-    degrades to the inherited NumPy kernels when none is available (the
-    import-safe shim).
+    Construction raises :class:`ConfigurationError` when no working C
+    compiler is present (the message says why); keyword options are
+    those of :class:`CompiledStageRouter`.
     """
 
-    def __init__(
-        self,
-        graph,
-        *,
-        priority: str = "label",
-        plan="auto",
-        faults=(),
-        buffer_depth: Optional[int] = None,
-        tier: str = "auto",
-    ):
-        super().__init__(
-            graph,
-            priority=priority,
-            plan=plan,
-            faults=faults,
-            buffer_depth=buffer_depth,
-        )
-        self.tier = default_tier() if tier == "auto" else tier
+    #: The execution tier, recorded by provenance tooling: the
+    #: plan-specialized C kernel is the only one.
+    tier = "cc"
+
+    def __init__(self, graph, **options):
+        reason = unavailable_reason()
+        if reason is not None:
+            raise ConfigurationError(reason)
+        super().__init__(graph, **options)
 
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
     ) -> BatchAcceptanceCounts:
-        if self.priority != "label" or self.tier is None:
-            # Random priority is resolved by sort either way, and without
-            # an accelerated tier the NumPy kernels are the shim: the
-            # inherited path is the right engine for both.
+        if self.priority != "label":
+            # Random priority is resolved by sort: the inherited engine
+            # is the one implementation of it.
             return super().route_batch_counts(dests, rng, workspace=workspace)
         g = self.graph
         dests = _check_demand_shape(dests, g.n_inputs)
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
         ws = workspace if workspace is not None else self._plan.workspace()
-        return kernel_for(self._plan, self.tier).counts(dests, ws)
+        return kernel_for(self._plan).counts(dests, ws)
 
     def __repr__(self) -> str:
         faulted = f", faults={len(self.faults)}" if self.faults else ""
         return (
             f"NativeStageRouter({self.graph.label}, "
-            f"priority={self.priority!r}, tier={self.tier or 'numpy'!r}{faulted})"
+            f"priority={self.priority!r}{faulted})"
         )

@@ -7,9 +7,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.sim.native import available_tiers
 
-#: The compiled backend ``auto`` resolves to on this host: the JIT
-#: backend when a native tier (numba or a C toolchain) is runnable,
-#: the batched NumPy kernels otherwise.
+#: The compiled backend ``auto`` resolves to on this host: the native
+#: C kernel when a working C compiler is present, the batched NumPy
+#: kernels otherwise.
 AUTO_COMPILED = "native" if available_tiers() else "batched"
 
 

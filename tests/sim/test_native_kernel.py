@@ -4,10 +4,12 @@ The native backend's contract is *exact* agreement with
 :class:`~repro.sim.batched.CompiledStageRouter` — same offered/delivered
 counts and the same per-stage blocking — on every plan the compiled
 kernels route: all four stage-graph families, both priorities, faulted
-and buffered plans.  The ``python`` tier (the interpreted loop body)
-always runs, pinning the loop logic on any host; the accelerated tiers
-(``numba``, the runtime-compiled C kernel) join the same parametrization
-whenever they are available and skip gracefully otherwise.
+and buffered plans.  The label-priority cases also run against
+:class:`~repro.sim.stagegraph.StageGraphReference`, the independent
+interpreter, so a plan error both compiled routers share still fails.
+The native backend is one plan-specialized C kernel, so these cases run
+wherever a working C compiler is present and skip otherwise; the
+registry-gating cases fake a failed compiler probe and run everywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +33,11 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.faults import WireFault
 from repro.experiments.parallel import ParallelSweep
 from repro.sim import native
-from repro.sim.batched import CompiledStageRouter
+from repro.sim.batched import BatchAcceptanceCounts, CompiledStageRouter
 from repro.sim.native import NativeStageRouter, available_tiers, kernel_for
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
+    StageGraphReference,
     delta_graph,
     dilated_graph,
     edn_graph,
@@ -54,8 +58,7 @@ FAULTS = {
     "dilated": (WireFault(1, 0, 1), WireFault(2, 0, 0)),
 }
 
-#: The interpreted tier always runs; accelerated tiers when present.
-TIERS = ("python",) + available_tiers()
+needs_cc = pytest.mark.skipif(not available_tiers(), reason="no working C compiler")
 
 
 def demands(graph, seed: int, batch: int) -> np.ndarray:
@@ -71,33 +74,43 @@ def assert_counts_equal(got, want):
     assert got.blocked_by_stage == want.blocked_by_stage
 
 
+def reference_counts(graph, dests, faults=()) -> BatchAcceptanceCounts:
+    """Counts of ``dests`` routed cycle by cycle on the reference interpreter."""
+    reference = StageGraphReference(graph, faults=faults)
+    rows = [reference.route(row) for row in dests]
+    blocked = Counter()
+    for row in rows:
+        blocked.update(row.blocked_stage_histogram())
+    return BatchAcceptanceCounts(
+        offered_per_cycle=np.array([row.num_offered for row in rows]),
+        delivered_per_cycle=np.array([row.num_delivered for row in rows]),
+        blocked_by_stage=dict(blocked),
+    )
+
+
+@needs_cc
 class TestCountsBitIdentity:
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("family", sorted(GRAPHS))
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("batch", [1, 6])
-    def test_matches_batched(self, family, tier, seed, batch):
+    def test_matches_batched(self, family, seed, batch):
         graph = GRAPHS[family]()
         dests = demands(graph, seed, batch)
         want = CompiledStageRouter(graph).route_batch_counts(dests)
-        got = NativeStageRouter(graph, tier=tier).route_batch_counts(dests)
+        got = NativeStageRouter(graph).route_batch_counts(dests)
         assert_counts_equal(got, want)
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("family", sorted(GRAPHS))
-    def test_matches_batched_with_faults(self, family, tier):
+    def test_matches_batched_with_faults(self, family):
         graph = GRAPHS[family]()
         faults = FAULTS[family]
         dests = demands(graph, 3, 5)
         want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
-        got = NativeStageRouter(
-            graph, faults=faults, tier=tier
-        ).route_batch_counts(dests)
+        got = NativeStageRouter(graph, faults=faults).route_batch_counts(dests)
         assert_counts_equal(got, want)
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("depth", [1, 2])
-    def test_matches_batched_on_buffered_plans(self, tier, depth):
+    def test_matches_batched_on_buffered_plans(self, depth):
         # Buffered plans lower buffers into extra stages of the same plan
         # format; the native kernel must route them identically too.
         graph = delta_graph(4, 4, 3)
@@ -105,9 +118,7 @@ class TestCountsBitIdentity:
         want = CompiledStageRouter(graph, buffer_depth=depth).route_batch_counts(
             dests
         )
-        got = NativeStageRouter(
-            graph, buffer_depth=depth, tier=tier
-        ).route_batch_counts(dests)
+        got = NativeStageRouter(graph, buffer_depth=depth).route_batch_counts(dests)
         assert_counts_equal(got, want)
 
     def test_random_priority_defers_to_inherited_engine(self):
@@ -123,43 +134,66 @@ class TestCountsBitIdentity:
         )
         assert_counts_equal(got, want)
 
-    def test_shim_matches_batched_without_any_tier(self, monkeypatch):
-        # Forcing the NumPy shim (tier None) must route through the
-        # inherited kernels — the import-never-fails degradation path.
-        monkeypatch.setenv("REPRO_NATIVE_TIER", "numpy")
+
+@needs_cc
+class TestReferenceAgreement:
+    # The label-priority cases again, against StageGraphReference: it
+    # shares no plan, lowering or kernel code with either compiled router,
+    # so an error common to the plan and both kernels cannot pass here.
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_matches_reference(self, family, seed, batch):
+        graph = GRAPHS[family]()
+        dests = demands(graph, seed, batch)
+        got = NativeStageRouter(graph).route_batch_counts(dests)
+        assert_counts_equal(got, reference_counts(graph, dests))
+
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_matches_reference_with_faults(self, family):
+        graph = GRAPHS[family]()
+        faults = FAULTS[family]
+        dests = demands(graph, 3, 5)
+        got = NativeStageRouter(graph, faults=faults).route_batch_counts(dests)
+        assert_counts_equal(got, reference_counts(graph, dests, faults))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matches_reference_on_buffered_plans(self, depth):
+        # A buffered plan's count path is the single-cycle discipline (its
+        # FIFOs serve buffered stepping only), so the unbuffered
+        # interpreter is its oracle.
         graph = delta_graph(4, 4, 3)
-        router = NativeStageRouter(graph)
-        assert router.tier is None
-        dests = demands(graph, 2, 3)
-        want = CompiledStageRouter(graph).route_batch_counts(dests)
-        assert_counts_equal(router.route_batch_counts(dests), want)
+        dests = demands(graph, 11, 4)
+        got = NativeStageRouter(graph, buffer_depth=depth).route_batch_counts(dests)
+        assert_counts_equal(got, reference_counts(graph, dests))
 
 
-class TestNumbaTier:
-    def test_numba_tier_matches_batched(self):
-        pytest.importorskip("numba")
-        graph = delta_graph(4, 4, 3)
-        dests = demands(graph, 13, 4)
-        want = CompiledStageRouter(graph).route_batch_counts(dests)
-        got = NativeStageRouter(graph, tier="numba").route_batch_counts(dests)
-        assert_counts_equal(got, want)
+@needs_cc
+class TestTierReport:
+    def test_router_reports_the_cc_tier(self):
+        # Traced runs count native routers by their ``tier``; with one
+        # kernel left it names the C tier, as both host probes do.
+        assert available_tiers() == ("cc",)
+        assert native.default_tier() == "cc"
+        assert NativeStageRouter(delta_graph(4, 4, 3)).tier == "cc"
 
 
+@needs_cc
 class TestKernelCache:
     def test_warm_equals_cold(self):
         # Two routers over equivalent graphs share one cached plan, and
         # the lowered kernel rides it: the second construction reuses the
         # kernel object and produces bit-identical counts.
         graph = delta_graph(4, 4, 3)
-        cold = NativeStageRouter(graph, tier="python")
+        cold = NativeStageRouter(graph)
         dests = demands(graph, 9, 4)
         first = cold.route_batch_counts(dests)
-        warm = NativeStageRouter(delta_graph(4, 4, 3), tier="python")
-        assert kernel_for(warm._plan, "python") is kernel_for(cold._plan, "python")
+        warm = NativeStageRouter(delta_graph(4, 4, 3))
+        assert kernel_for(warm._plan) is kernel_for(cold._plan)
         assert_counts_equal(warm.route_batch_counts(dests), first)
 
 
-@pytest.mark.skipif(not available_tiers(), reason="no accelerated native tier")
+@needs_cc
 class TestParallelSweepAgreement:
     def test_jobs2_matches_jobs1_under_native(self):
         specs = [
@@ -232,26 +266,28 @@ class TestParallelSweepAgreement:
 
 
 class TestRegistryGating:
-    def test_explicit_native_names_the_extra_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(
-            native,
-            "unavailable_reason",
-            lambda: (
-                "the native backend needs numba (pip install 'repro[native]') "
-                "or a C compiler (cc/gcc/clang) on PATH; neither is available"
-            ),
-        )
-        with pytest.raises(ConfigurationError, match=r"repro\[native\]"):
+    def test_explicit_native_names_the_compiler_when_unavailable(self, monkeypatch):
+        monkeypatch.setattr(native, "_probe_cc", lambda: "cc: not found")
+        with pytest.raises(ConfigurationError, match="C compiler") as err:
             build_router(NetworkSpec.delta(4, 4, 2), "native")
+        assert "cc: not found" in str(err.value)
+        assert "[native]" not in str(err.value)
 
     def test_auto_skips_native_when_no_tier(self, monkeypatch):
-        monkeypatch.setattr(native, "available_tiers", lambda: ())
         monkeypatch.setattr(native, "unavailable_reason", lambda: "gone")
         spec = NetworkSpec.delta(4, 4, 2)
         assert resolve_backend(spec).name == "batched"
         from repro.api import available_backends
 
         assert "native" not in available_backends(spec)
+
+    def test_router_names_the_compiler_when_the_probe_fails(self, monkeypatch):
+        monkeypatch.setattr(native, "_probe_cc", lambda: "cc: not found")
+        assert native.available_tiers() == ()
+        assert native.default_tier() is None
+        assert resolve_backend(NetworkSpec.delta(4, 4, 3)).name == "batched"
+        with pytest.raises(ConfigurationError, match="C compiler"):
+            NativeStageRouter(delta_graph(4, 4, 3))
 
 
 class TestWideRadixAllocationFree:
@@ -279,6 +315,5 @@ class TestWideRadixAllocationFree:
     def test_onehot_fallback_matches_interpreted_loop(self):
         graph = delta_graph(16, 16, 2)
         dests = demands(graph, 29, 4)
-        want = NativeStageRouter(graph, tier="python").route_batch_counts(dests)
         got = CompiledStageRouter(graph).route_batch_counts(dests)
-        assert_counts_equal(got, want)
+        assert_counts_equal(got, reference_counts(graph, dests))
