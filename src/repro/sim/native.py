@@ -1,16 +1,18 @@
 """Native kernel backend: each :class:`~repro.sim.plan.StagePlan` lowered to
-one plan-specialized C kernel.
+one plan-specialized C kernel that routes a block of cycles per SIMD vector.
 
 The batched NumPy kernels stream ~10 chunk-sized array passes per stage;
 at Monte-Carlo scale that is memory traffic, not arithmetic.  The native
-kernel fuses dense rank + acceptance + fault refinement + link
-permutation into **one pass over the frontier per stage**, keeps each
-cycle's frontier L1/L2-resident, and walks the batch axis one cycle at a
-time.  It is C source *specialized to the plan's stage shapes*
-(constants baked in, stages unrolled, branchless per-wire path),
-compiled at first use with the host toolchain (``cc``/``gcc``/``clang``),
-cached on disk by generated-source hash, and called through
-:mod:`ctypes` (the GIL is released for the duration of the call).
+kernel routes ``_LANES`` cycles at once, one cycle per SIMD lane: the
+frontier is wire-major (``frontier[wire][lane]``), so every switch
+operation is one vector operation over the whole block, and one pass per
+stage resolves contention, acceptance, fault refinement and the link
+permutation.  It is C source *specialized to the plan's stage shapes*
+(constants baked in, one block per stage), written with the GCC/Clang
+``vector_size`` extension, compiled at first use with the host toolchain
+(``cc``/``gcc``/``clang``), cached on disk by generated source, compile
+command and host ISA, and called through :mod:`ctypes` (the GIL is
+released for the duration of the call).
 
 The kernel runs **serially**.  Parallelism comes from one layer only:
 the process layer (:class:`~repro.experiments.parallel.ParallelSweep`
@@ -23,10 +25,11 @@ bit-identical to
 :meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
 (pinned by the cross-backend equivalence suite).
 
-Importing this module never hard-fails.  Without a working C compiler
-the backend registry reports ``native`` unavailable (``backend="auto"``
-then resolves to ``batched``, with identical counts) and constructing a
-:class:`NativeStageRouter` raises :class:`ConfigurationError`.
+Importing this module never hard-fails.  Without a C compiler that
+builds the vector extension the backend registry reports ``native``
+unavailable (``backend="auto"`` then resolves to ``batched``, with
+identical counts) and constructing a :class:`NativeStageRouter` raises
+:class:`ConfigurationError`.
 
 The kernel consumes the existing plan data — per-stage shapes, link
 permutation tables (pre-composed with the fault remap for faulted
@@ -69,196 +72,203 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Kernel source (plan-specialized, runtime-compiled, ctypes-loaded)
 # ----------------------------------------------------------------------
-# Every per-stage scalar (width, fan-in, digit shift, radix mask,
-# capacity, table offsets) is a compile-time constant, the stage loop is
-# fully unrolled into one block per stage, and each block picks the
-# cheapest rank engine its shape allows.  Only the table *data* stays
-# runtime — two plans with the same stage shapes share one shared object
-# (the cache key is the generated source), while their link tables and
-# fault masks ride in as pointers.
+# Every per-stage scalar (width, fan-in, digit shift, radix, capacity,
+# table offsets) is a compile-time constant and each stage is one block
+# of the generated function.  Only the table *data* stays runtime — two
+# plans with the same stage shapes share one shared object, while their
+# link tables and fault masks ride in as pointers.
 #
-# Why specialize?  The hot path is ~10 instructions per wire; a generic
-# loop spends a comparable budget re-loading stage metadata, testing
-# loop-invariant flags, and doing variable shifts/multiplies.  Baked
-# constants let the compiler unroll the fan-in loop, strength-reduce the
-# bucket math, and drop every dead feature test.
+# Lanes.  A call routes its batch in blocks of ``_LANES`` cycles.  A
+# frontier row holds one wire's destination in every cycle of the block
+# (``-1`` = idle).  The demand rows are transposed into lanes on entry,
+# through the input permutation; a partial last block is padded with idle
+# lanes, so no lane ever reads stale scratch.  The kernel computes on
+# ``vec_t``, the widest vector the target handles natively (a row is
+# ``NV`` of them; GCC lowers wider generic vectors through memory), and
+# resolves each stage once per ``vec_t`` of the row.
 #
-# The loop body is branchless in the per-wire path: on a loaded network a
-# quarter of the requests lose their bucket, so data-dependent branches
-# mispredict constantly.  Losers (and dead wires) are steered to a trash
-# slot with mask arithmetic -- ``-ok`` is 0 or all-ones -- spelled as
-# AND/ADD rather than ternaries (gcc lowers the equivalent ternaries back
-# into branches).  In-bucket occupancy uses, per stage shape:
+# Pull resolution.  Label priority grants bucket ``j`` of a switch to
+# its live inputs in wire order, so output slot ``(j, r)`` holds the
+# ``r``-th input whose digit is ``j``, or idle.  Each bucket scans the
+# switch's inputs last to first through a ``capacity``-deep shift
+# register: a matching input enters at rank 0 and pushes the others up
+# one rank, by compare-and-select in every lane.  Idle inputs never
+# match (their digit keeps the sign bit).  Buckets are scanned in groups
+# of up to ``_GROUP_SLOTS`` registers, so one scan carries several
+# independent select chains.  Each slot is then stored whole to its fixed
+# next-stage row ``ltab[slot]`` — the link permutation, pre-composed with
+# the fault remap on faulted stages — so every row of the next frontier
+# is written exactly once and nothing is cleared or parked.  A dead slot
+# of a faulted stage (``falive``) emits idle.  A switch costs
+# ``fan_in x radix x capacity`` selects, so very wide buckets route
+# slower than a scalar counting kernel would (see docs/PERFORMANCE.md).
 #
-# * a claim *bitmask* when ``capacity == 1`` (one bit per bucket),
-# * packed 8-bit lanes of one register when ``radix <= 8`` (the scalar
-#   twin of the NumPy engines' packed-lane rank),
-# * an indexed counter array otherwise.
-#
-# Exit columns that are pure delivery (fan-in 1, radix 1, no faults)
-# collapse to a vectorizable liveness popcount.
+# Counts.  Per lane, a stage blocks the live rows it reads minus the live
+# slots it writes; ``offered`` counts the live entry rows and
+# ``delivered`` the live slots of the last column.  They stay in
+# ``wire_t`` lanes: no count exceeds the widest column, which the plan's
+# wire dtype already holds.  An exit column that is pure delivery (fan-in
+# 1, radix 1, no faults) delivers every live row and emits no code.
+
+#: Cycles per kernel block, one per SIMD lane.  32 int16 lanes fill one
+#: 512-bit vector (a row must fill at least one ``vec_t``), and the
+#: preferred batch of a plan up to N = 4096 (32 or 64 cycles) is a whole
+#: number of blocks.
+_LANES = 32
+
+#: Entry rows transposed per pass over the block's lanes, so the rows
+#: being filled stay in L1 (8 KiB of int16 lanes).
+_TILE = 128
+
+#: Slot registers one bucket scan fills: ``_GROUP_SLOTS // capacity``
+#: buckets share each pass over a switch's inputs.  Their select chains
+#: are independent, so a wide switch is not bound by one chain's latency.
+_GROUP_SLOTS = 8
 
 
-def _spec_stage_block(i, stage, nstages, widths, trash, ctype) -> str:
-    """One fully-unrolled stage of the specialized kernel."""
+def _stage_block(i, stage, nstages) -> str:
+    """One stage of the lane kernel: pull every slot, store it, count it."""
     width, fib, shift, rmask, cap, bw, loff, foff = stage
     fan_in = 1 << fib
-    nswitch = width >> fib
     last = i == nstages - 1
     faulted = foff >= 0
     if last and fan_in == 1 and rmask == 0 and not faulted:
         return f"""
-        /* stage {i}: pure exit column -- every live wire delivers */
-        for (int64_t s = 0; s < {width}; s++) deliv += (cur[s] >= 0);
-        blocked[c * {nstages} + {i}] = 0;"""
-    if cap == 1 and rmask <= 63:
-        counter_init = "uint64_t taken = 0;"
-        rank_ok = (
-            "int64_t ok = live & (int64_t)(~(taken >> digit) & 1u);\n"
-            "                    taken |= (uint64_t)live << digit;\n"
-            "                    int64_t y = swbase + digit;"
-        )
-    elif rmask <= 7 and fan_in <= 127:
-        counter_init = "uint64_t pack = 0;"
-        rank_ok = (
-            "int64_t lane = digit << 3;\n"
-            "                    int64_t r = (int64_t)((pack >> lane) & 0xff);\n"
-            "                    pack += ((uint64_t)live << lane);\n"
-            f"                    int64_t ok = live & (int64_t)(r < {cap});\n"
-            f"                    int64_t y = swbase + digit * {cap} + (r & -ok);"
-        )
-    else:
-        counter_init = f"for (int64_t r0 = 0; r0 <= {rmask}; r0++) cnt[r0] = 0;"
-        rank_ok = (
-            "int64_t r = (int64_t)cnt[digit];\n"
-            "                    cnt[digit] = (int32_t)(r + live);\n"
-            f"                    int64_t ok = live & (int64_t)(r < {cap});\n"
-            f"                    int64_t y = swbase + digit * {cap} + (r & -ok);"
-        )
-    if faulted:
-        fault = (
-            "ok &= (int64_t)fal[y];\n"
-            "                    int64_t msk = -ok;"
-        )
-    else:
-        fault = "int64_t msk = -ok;"
-    if last:
-        consume = "deliv += ok;"
-    else:
-        consume = (
-            "int64_t nw_ = (int64_t)ltab[y];\n"
-            f"                    nxt[{trash} + ((nw_ - {trash}) & msk)] = d;"
-        )
+        /* stage {i}: pure exit column -- every live row delivers */
+        for (int h = 0; h < NV; h++) blk[{i}][h] = zero;"""
+    group = min(rmask + 1, max(1, _GROUP_SLOTS // cap))
+    slots = ", ".join(f"s{g}_{r} = idle" for g in range(group) for r in range(cap))
+    push = [f"vec_t m{g} = dig[k] == (wire_t)(j + {g});" for g in range(group)]
+    for g in range(group):
+        # A matching input pushes the register up one rank and enters at 0.
+        push += [
+            f"s{g}_{r} = (m{g} & s{g}_{r - 1}) | (~m{g} & s{g}_{r});"
+            for r in range(cap - 1, 0, -1)
+        ]
+        push.append(f"s{g}_0 = (m{g} & in[k * NV]) | (~m{g} & s{g}_0);")
+    emit = [] if last and not faulted else [f"int64_t y = sw * {bw} + j * {cap};"]
+    for g in range(group):
+        for r in range(cap):
+            slot, q = f"s{g}_{r}", g * cap + r
+            if faulted:
+                emit.append(f"{slot} |= (wire_t)(fal[y + {q}] - 1);")
+            emit.append(f"out -= {slot} >= 0;")
+            if not last:
+                emit.append(f"nxt[ltab[y + {q}] * NV + h] = {slot};")
     decls = []
     if not last:
-        decls.append(
-            f"memset(nxt, 0xff, {widths[i + 1]} * sizeof({ctype}));"
-        )
-        decls.append(f"const {ctype} *ltab = links + {loff};")
+        decls.append(f"const wire_t *ltab = links + {loff};")
     if faulted:
         decls.append(f"const uint8_t *fal = falive + {foff};")
-    decl_text = "\n            ".join(decls)
-    swap = "" if last else f"{ctype} *tmp_ = cur; cur = nxt; nxt = tmp_;"
+    swap = "" if last else "vec_t *tmp_ = cur; cur = nxt; nxt = tmp_;"
     return f"""
-        /* stage {i}: {nswitch} x {fan_in}-wide switches, radix {rmask + 1}, capacity {cap} */
+        /* stage {i}: {width >> fib} x {fan_in}-wide switches, radix {rmask + 1}, capacity {cap} */
         {{
-            {decl_text}
-            int64_t blocked_here = 0;
-            for (int64_t sw = 0; sw < {nswitch}; sw++) {{
-                {counter_init}
-                const {ctype} *in = cur + (sw << {fib});
-                int64_t swbase = sw * {bw};
-                for (int k = 0; k < {fan_in}; k++) {{
-                    {ctype} d = in[k];
-                    int64_t live = (d >= 0);
-                    int64_t digit = ((int64_t)d >> {shift}) & {rmask};
-                    {rank_ok}
-                    {fault}
-                    blocked_here += live ^ ok;
-                    {consume}
+            {" ".join(decls)}
+            for (int h = 0; h < NV; h++) {{
+                vec_t out = zero;
+                for (int64_t sw = 0; sw < {width >> fib}; sw++) {{
+                    const vec_t *in = cur + sw * {fan_in} * NV + h;
+                    vec_t dig[{fan_in}];
+                    for (int k = 0; k < {fan_in}; k++)
+                        dig[k] = (in[k * NV] >> {shift}) & (wire_t)(WIRE_MIN | {rmask});
+                    for (int j = 0; j <= {rmask}; j += {group}) {{
+                        vec_t {slots};
+                        for (int k = {fan_in - 1}; k >= 0; k--) {{
+                            {_indent(push, 28)}
+                        }}
+                        {_indent(emit, 24)}
+                    }}
                 }}
+                blk[{i}][h] = live[h] - out;
+                live[h] = out;
             }}
-            blocked[c * {nstages} + {i}] = blocked_here;
             {swap}
         }}"""
 
 
-def _stage_uses_cnt(stage) -> bool:
-    _width, fib, _shift, rmask, cap = stage[:5]
-    fan_in = 1 << fib
-    return not (cap == 1 and rmask <= 63) and not (rmask <= 7 and fan_in <= 127)
+def _indent(lines, width) -> str:
+    return ("\n" + " " * width).join(lines)
 
 
 def _spec_source(tables, ctype) -> str:
-    """The specialized C source for one plan shape x wire dtype."""
+    """The lane kernel's C source for one plan shape x wire dtype."""
     stages = tables.stages
     nstages = len(stages)
-    widths = [stage[0] for stage in stages]
-    stride = tables.maxw + 1
-    trash = tables.maxw
-    uses_cnt = any(_stage_uses_cnt(stage) for stage in stages)
+    n = stages[0][0]
+    row = "input_perm[s]" if tables.input_perm.size else "s"
+    tile = min(n, _TILE)
     blocks = "\n".join(
-        _spec_stage_block(i, stage, nstages, widths, trash, ctype)
-        for i, stage in enumerate(stages)
-    )
-    if tables.input_perm.size:
-        fill = f"""memset(cur, 0xff, {widths[0]} * sizeof({ctype}));
-        int64_t off = 0;
-        for (int64_t s = 0; s < n; s++) {{
-            int64_t d = drow[s];
-            int64_t idx = d >= 0 ? input_perm[s] : {trash};
-            cur[idx] = ({ctype})d;
-            off += d >= 0;
-        }}"""
-    else:
-        fill = f"""memset(cur, 0xff, {widths[0]} * sizeof({ctype}));
-        int64_t off = 0;
-        for (int64_t s = 0; s < n; s++) {{
-            int64_t d = drow[s];
-            cur[s] = ({ctype})d;
-            off += d >= 0;
-        }}"""
-    cnt_decl = (
-        f"int32_t *cnt = counts + c * {tables.radix_max};"
-        if uses_cnt
-        else "(void)counts;"
+        _stage_block(i, stage, nstages) for i, stage in enumerate(stages)
     )
     return f"""#include <stdint.h>
-#include <string.h>
 
-/* Plan-specialized counts kernel: {nstages} stages, wire type {ctype}.
- * Generated by repro.sim.native; every stage shape is a constant, so the
- * arguments carry only the demand matrix, the plan's tables and scratch. */
+/* Plan-specialized lane kernel: {nstages} stages, wire type {ctype},
+ * {_LANES} cycles per block.  Generated by repro.sim.native; every stage
+ * shape is a constant, so the arguments carry only the demand matrix,
+ * the plan's tables, the frontier scratch and the per-cycle results. */
+typedef {ctype} wire_t;
+#define WIRE_MIN {ctype[:-2].upper()}_MIN
+
+/* A frontier row (one wire, {_LANES} lanes) is NV vectors of the widest
+ * width the target computes on natively: wider generic vectors are
+ * lowered through memory. */
+#if defined(__AVX512BW__)
+#define VBYTES 64
+#elif defined(__AVX2__)
+#define VBYTES 32
+#else
+#define VBYTES 16
+#endif
+#define NV ({_LANES} * (int)sizeof(wire_t) / VBYTES)
+typedef wire_t vec_t __attribute__((vector_size(VBYTES), aligned(sizeof(wire_t))));
+
 void repro_counts_spec(
-    const int64_t *restrict dests, int64_t batch, int64_t n,
-    const {ctype} *restrict links, const uint8_t *restrict falive,
-    const int64_t *restrict input_perm,
-    {ctype} *restrict frontier, int32_t *restrict counts,
+    const int64_t *restrict dests, int64_t batch,
+    const wire_t *restrict links, const uint8_t *restrict falive,
+    const int64_t *restrict input_perm, wire_t *restrict frontier,
     int64_t *restrict offered, int64_t *restrict delivered,
     int64_t *restrict blocked)
 {{
-    (void)input_perm; (void)links; (void)falive;
-    for (int64_t c = 0; c < batch; c++) {{
-        {ctype} *cur = frontier + c * 2 * {stride};
-        {ctype} *nxt = cur + {stride};
+    (void)links; (void)falive; (void)input_perm;
+    const vec_t zero = {{0}};
+    const vec_t idle = ~zero;
+    vec_t off[NV], live[NV], blk[{nstages}][NV];
+    for (int64_t c0 = 0; c0 < batch; c0 += {_LANES}) {{
+        int64_t nb = batch - c0 < {_LANES} ? batch - c0 : {_LANES};
+        vec_t *cur = (vec_t *)frontier;
+        vec_t *nxt = cur + {tables.maxw} * NV;
         (void)nxt;
-        {cnt_decl}
-        const int64_t *drow = dests + c * n;
-        {fill}
-        offered[c] = off;
-        int64_t deliv = 0;
+        for (int h = 0; h < NV; h++) live[h] = zero;
+        for (int64_t t = 0; t < {n}; t += {tile}) {{
+            for (int64_t l = 0; l < nb; l++) {{
+                const int64_t *drow = dests + (c0 + l) * {n};
+                for (int64_t s = t; s < t + {tile}; s++)
+                    frontier[{row} * {_LANES} + l] = (wire_t)drow[s];
+            }}
+            for (int64_t l = nb; l < {_LANES}; l++)
+                for (int64_t s = t; s < t + {tile}; s++)
+                    frontier[{row} * {_LANES} + l] = -1;
+            for (int64_t s = t; s < t + {tile}; s++)
+                for (int h = 0; h < NV; h++) live[h] -= cur[{row} * NV + h] >= 0;
+        }}
+        for (int h = 0; h < NV; h++) off[h] = live[h];
 {blocks}
-        delivered[c] = deliv;
+        for (int64_t l = 0; l < nb; l++) {{
+            offered[c0 + l] = ((const wire_t *)off)[l];
+            delivered[c0 + l] = ((const wire_t *)live)[l];
+            for (int i = 0; i < {nstages}; i++)
+                blocked[(c0 + l) * {nstages} + i] = ((const wire_t *)blk[i])[l];
+        }}
     }}
 }}
 """
 
 
 _ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,   # dests, batch, n
+    ctypes.c_void_p, ctypes.c_longlong,                      # dests, batch
     ctypes.c_void_p, ctypes.c_void_p,                        # links, falive
-    ctypes.c_void_p,                                         # input_perm
-    ctypes.c_void_p, ctypes.c_void_p,                        # frontier, counts
+    ctypes.c_void_p, ctypes.c_void_p,                        # input_perm, frontier
     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,       # offered, delivered, blocked
 ]
 
@@ -289,19 +299,50 @@ def _compiler() -> Optional[str]:
 #: working toolchain produce a kernel.  No ``-fopenmp``: kernels are serial.
 _FLAG_LADDER = (("-march=native",), ())
 
+#: Optimization level of every build.  ``-O3`` builds the lane kernel
+#: about 1.5x slower and runs it no faster.
+_OPT_LEVEL = "-O2"
+
+_isa_fingerprints: dict = {}
+
+
+def _isa_fingerprint(compiler: str) -> str:
+    """A hash of the macros ``compiler -march=native`` predefines here.
+
+    They name the target ISA extensions, so two hosts sharing a cache
+    directory (an AVX-512 one and an AVX2 one) never load each other's
+    ``-march=native`` kernels.  Computed once per process and compiler.
+    """
+    fingerprint = _isa_fingerprints.get(compiler)
+    if fingerprint is None:
+        proc = subprocess.run(
+            [compiler, "-march=native", "-dM", "-E", "-"],
+            input="", capture_output=True, text=True,
+        )
+        fingerprint = hashlib.sha256(
+            f"{proc.returncode}\n{proc.stdout}".encode()
+        ).hexdigest()[:16]
+        _isa_fingerprints[compiler] = fingerprint
+    return fingerprint
+
 
 def _build_shared_object(source: str, stem: str) -> Path:
     """Compile ``source`` (or find it cached on disk); raises on failure.
 
-    The cache is keyed by source and flag ladder, so forked sweep workers
-    and later processes load the same build instead of recompiling, and a
-    build made with other flags is never picked up.
+    The cache is keyed by source, every compile command of the flag
+    ladder (compiler path, optimization level, flags) and the host's ISA
+    fingerprint, so forked sweep workers and later processes load the
+    same build instead of recompiling, and a build made with other flags
+    or for another ISA is never picked up.
     """
     compiler = _compiler()
     if compiler is None:
         raise ConfigurationError("no cc, gcc or clang on PATH")
+    commands = [
+        [compiler, _OPT_LEVEL, "-fPIC", "-shared", *extra] for extra in _FLAG_LADDER
+    ]
     digest = hashlib.sha256(
-        (repr(_FLAG_LADDER) + source).encode()
+        repr((commands, _isa_fingerprint(compiler), source)).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     so_path = cache / f"{stem}_{digest}.so"
@@ -312,10 +353,10 @@ def _build_shared_object(source: str, stem: str) -> Path:
     c_path.write_text(source)
     tmp = cache / f".{so_path.name}.{os.getpid()}.tmp"
     errors = []
-    for extra in _FLAG_LADDER:
-        cmd = [compiler, "-O3", "-fPIC", "-shared", *extra,
-               str(c_path), "-o", str(tmp)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+    for cmd in commands:
+        proc = subprocess.run(
+            [*cmd, str(c_path), "-o", str(tmp)], capture_output=True, text=True
+        )
         if proc.returncode == 0:
             os.replace(tmp, so_path)
             return so_path
@@ -346,14 +387,29 @@ def _spec_kernel(tables, wire_dtype):
 # Toolchain discovery
 # ----------------------------------------------------------------------
 
-_C_PROBE = "long repro_probe(void) { return 42; }\n"
+#: Compiled and called once per process.  It uses the vector extension
+#: the way the lane kernel does, so a compiler that builds plain C but not
+#: the kernel reports ``native`` unavailable instead of failing a cell.
+_C_PROBE = """#include <stdint.h>
+typedef int16_t probe_t
+    __attribute__((vector_size(32 * sizeof(int16_t)), aligned(sizeof(int16_t))));
+
+long repro_probe(void)
+{
+    probe_t v = {0};
+    v -= v >= 0;                        /* every lane 1 */
+    probe_t m = (v >> 0) == (int16_t)1;
+    v = (m & (v + 20)) | (~m & v);      /* every lane 21 */
+    return (long)v[0] + (long)v[31];
+}
+"""
 
 _cc_error: Optional[str] = None
 _cc_probed = False
 
 
 def _probe_cc() -> Optional[str]:
-    """Compile-and-call a trivial kernel once; ``None`` = toolchain works."""
+    """Compile-and-call the vector probe once; ``None`` = toolchain works."""
     global _cc_error, _cc_probed
     if not _cc_probed:
         _cc_probed = True
@@ -401,15 +457,14 @@ class _PlanTables:
     entry-wire table (size 0 = identity).
     """
 
-    __slots__ = ("stages", "links", "falive", "input_perm", "maxw", "radix_max")
+    __slots__ = ("stages", "links", "falive", "input_perm", "maxw")
 
-    def __init__(self, stages, links, falive, input_perm, maxw, radix_max):
+    def __init__(self, stages, links, falive, input_perm, maxw):
         self.stages = stages
         self.links = links
         self.falive = falive
         self.input_perm = input_perm
         self.maxw = maxw
-        self.radix_max = radix_max
 
 
 def _lower(plan) -> _PlanTables:
@@ -427,8 +482,8 @@ def _lower(plan) -> _PlanTables:
             if table is None:
                 table = plan.perm_table(i, wire)
             if table is None:
-                # Identity boundary: materialize it so the kernel's link
-                # gather is unconditional (bucket-wire space == the next
+                # Identity boundary: materialize it so the kernel's slot
+                # store is unconditional (bucket-wire space == the next
                 # column's wire space).
                 table = np.arange(plan.stage_widths[i + 1], dtype=wire)
             loff = link_off
@@ -471,7 +526,6 @@ def _lower(plan) -> _PlanTables:
         falive=falive,
         input_perm=input_perm,
         maxw=int(max(plan.stage_widths)),
-        radix_max=int(max(stage.radix for stage in g.stages)),
     )
 
 
@@ -490,23 +544,20 @@ class NativeKernel:
 
         ``dests`` must be contiguous ``int64`` (the routers validate).
         The input permutation is applied inside the kernel, so callers
-        pass the raw matrix.  Frontier and counter scratch comes from
-        ``ws``; only the O(batch) result arrays are allocated per call.
+        pass the raw matrix.  The two frontier halves (``maxw`` rows of
+        ``_LANES`` wires each) come from ``ws``; only the O(batch) result
+        arrays are allocated per call.
         """
         t = self.tables
-        batch, n = dests.shape
-        # One extra slot per frontier half: index ``maxw`` is the trash
-        # slot the branchless kernel parks losers on.
-        frontier = ws.array("native_frontier", batch * 2 * (t.maxw + 1), self.wire)
-        cnt = ws.array("native_counts", batch * t.radix_max, np.int32)
+        batch = dests.shape[0]
+        frontier = ws.array("native_frontier", 2 * t.maxw * _LANES, self.wire)
         offered = np.empty(batch, dtype=np.int64)
         delivered = np.empty(batch, dtype=np.int64)
         blocked = np.empty((batch, len(t.stages)), dtype=np.int64)
         self._fn(
-            dests.ctypes.data, batch, n,
+            dests.ctypes.data, batch,
             t.links.ctypes.data, t.falive.ctypes.data,
-            t.input_perm.ctypes.data,
-            frontier.ctypes.data, cnt.ctypes.data,
+            t.input_perm.ctypes.data, frontier.ctypes.data,
             offered.ctypes.data, delivered.ctypes.data,
             blocked.ctypes.data,
         )

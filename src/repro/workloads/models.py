@@ -29,13 +29,14 @@ reports its canonical spec string through :meth:`TrafficGenerator.describe`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 from typing import Optional
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.labels import ilog2, is_power_of_two, reverse_bits
+from repro.core.labels import ilog2, is_power_of_two
 
 __all__ = [
     "IDLE",
@@ -190,8 +191,9 @@ class FixedPattern(TrafficGenerator):
     ):
         dests = np.asarray(dests, dtype=np.int64)
         super().__init__(len(dests), n_outputs)
-        live = dests[dests != IDLE]
-        if live.size and (live.min() < 0 or live.max() >= n_outputs):
+        # Idle entries are exactly IDLE, the smallest valid value, so two
+        # reductions bound every live entry.
+        if dests.size and (dests.min() < IDLE or dests.max() >= n_outputs):
             raise ConfigurationError("fixed pattern contains out-of-range destinations")
         self.dests = dests
         self.rate = _check_rate(rate)
@@ -440,9 +442,25 @@ class TraceTraffic(TrafficGenerator):
         return f"trace:{self.path}" + _rate_suffix(self.rate)
 
 
+@functools.lru_cache(maxsize=32)
+def _reversed_labels(bits: int) -> np.ndarray:
+    """The read-only bit-reversal table of ``bits``-bit labels.
+
+    Adding a top label bit doubles the table: the labels without it
+    reverse to the old table shifted up, those with it to the same plus
+    one (the new bit lands at the bottom).  Cached because every bitrev
+    cell of a sweep asks for the same few sizes.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(bits):
+        out = np.add.outer((0, 1), out << 1).ravel()
+    out.flags.writeable = False
+    return out
+
+
 def _bit_reversal(n: int) -> np.ndarray:
-    bits = ilog2(n)
-    return np.array([reverse_bits(i, bits) for i in range(n)], dtype=np.int64)
+    """Equal to ``[reverse_bits(i, bits) for i in range(n)]``, the reference loop."""
+    return _reversed_labels(ilog2(n)).copy()
 
 
 def _perfect_shuffle(n: int) -> np.ndarray:

@@ -7,9 +7,12 @@ kernels route: all four stage-graph families, both priorities, faulted
 and buffered plans.  The label-priority cases also run against
 :class:`~repro.sim.stagegraph.StageGraphReference`, the independent
 interpreter, so a plan error both compiled routers share still fails.
-The native backend is one plan-specialized C kernel, so these cases run
-wherever a working C compiler is present and skip otherwise; the
-registry-gating cases fake a failed compiler probe and run everywhere.
+The native backend is one plan-specialized C kernel that routes
+``native._LANES`` cycles per SIMD vector, so the boundary cases sit at the
+edges of a lane block, of the wire dtype and of the generated stage
+shapes.  These cases run wherever a working C compiler is present and
+skip otherwise; the registry-gating cases fake a failed compiler probe
+and run everywhere.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.experiments.parallel import ParallelSweep
 from repro.sim import native
 from repro.sim.batched import BatchAcceptanceCounts, CompiledStageRouter
 from repro.sim.native import NativeStageRouter, available_tiers, kernel_for
+from repro.sim.plan import compile_stage_plan
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
     StageGraphReference,
@@ -59,6 +63,9 @@ FAULTS = {
 }
 
 needs_cc = pytest.mark.skipif(not available_tiers(), reason="no working C compiler")
+
+#: Cycles per kernel block.
+L = native._LANES
 
 
 def demands(graph, seed: int, batch: int) -> np.ndarray:
@@ -86,6 +93,15 @@ def reference_counts(graph, dests, faults=()) -> BatchAcceptanceCounts:
         delivered_per_cycle=np.array([row.num_delivered for row in rows]),
         blocked_by_stage=dict(blocked),
     )
+
+
+def check_native(graph, dests, faults=()) -> BatchAcceptanceCounts:
+    """Native counts, asserted equal to both compiled and reference counts."""
+    got = NativeStageRouter(graph, faults=faults).route_batch_counts(dests)
+    want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
+    assert_counts_equal(got, want)
+    assert_counts_equal(got, reference_counts(graph, dests, faults))
+    return got
 
 
 @needs_cc
@@ -166,6 +182,107 @@ class TestReferenceAgreement:
         dests = demands(graph, 11, 4)
         got = NativeStageRouter(graph, buffer_depth=depth).route_batch_counts(dests)
         assert_counts_equal(got, reference_counts(graph, dests))
+
+
+@needs_cc
+class TestLaneKernelBoundaries:
+    # Explicit examples at the lane kernel's edges: partial and multiple
+    # lane blocks, rows that never or always collide, the int16 -> int32
+    # wire switch, faulted and pure exit columns, shift registers of
+    # depth 1 and deeper (also deeper than the fan-in), 64-wide buckets,
+    # and the portable build without -march=native.
+    @pytest.mark.parametrize("batch", [1, L - 1, L, L + 1, 2 * L + 3])
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_lane_block_edges(self, family, batch):
+        graph = GRAPHS[family]()
+        check_native(graph, demands(graph, batch, batch))
+
+    @pytest.mark.parametrize("batch", [L - 1, L + 1])
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_lane_block_edges_with_faults(self, family, batch):
+        graph = GRAPHS[family]()
+        check_native(graph, demands(graph, batch, batch), FAULTS[family])
+
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_all_idle_rows(self, family):
+        graph = GRAPHS[family]()
+        dests = np.full((L + 1, graph.n_inputs), -1, dtype=np.int64)
+        got = check_native(graph, dests)
+        assert not got.offered_per_cycle.any()
+        assert not got.delivered_per_cycle.any()
+
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_all_to_one_rows(self, family):
+        # Every input wants one output (row-dependent), in a block that
+        # also holds idle and uniform rows.
+        graph = GRAPHS[family]()
+        dests = demands(graph, 19, 2 * L + 3)
+        dests[::2] = (np.arange(dests.shape[0])[::2, None] * 7) % graph.n_outputs
+        dests[1::4] = -1
+        got = check_native(graph, dests)
+        assert (got.offered_per_cycle[::2] == graph.n_inputs).all()
+        delivered = got.delivered_per_cycle[::2]
+        assert ((delivered >= 1) & (delivered <= 1 << graph.out_shift)).all()
+
+    def test_int32_wire_plan(self):
+        graph = delta_graph(8, 8, 5)  # N = 2**15: past the int16 range
+        assert compile_stage_plan(graph).wire_dtype == np.int32
+        check_native(graph, demands(graph, 17, 2))
+
+    def test_faulted_last_stage(self):
+        # The EDN's crossbar column and a delta's 1x1 exit column, each
+        # with dead wires: the exit column then needs the general path.
+        edn = edn_graph(EDNParams(16, 4, 4, 2))
+        check_native(edn, demands(edn, 5, L + 1), (WireFault(3, 0, 1), WireFault(3, 5, 0)))
+        delta = delta_graph(4, 4, 3)
+        check_native(delta, demands(delta, 6, L + 1), (WireFault(4, 7, 0),))
+
+    def test_pure_exit_column(self):
+        graph = delta_graph(4, 4, 3)
+        last = graph.stages[-1]
+        assert (last.fan_in, last.radix, last.capacity) == (1, 1, 1)
+        tables = kernel_for(compile_stage_plan(graph)).tables
+        assert "pure exit column" in native._spec_source(tables, "int16_t")
+        check_native(graph, demands(graph, 8, L + 1))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            delta_graph(4, 4, 3),           # capacity 1
+            dilated_graph(4, 4, 2, 2),      # capacity 2
+            edn_graph(EDNParams(16, 4, 4, 2)),  # capacity 4
+            edn_graph(EDNParams(8, 2, 8, 2)),   # capacity 8 == fan-in
+            dilated_graph(2, 2, 3, 4),      # capacity 4 > fan-in 2
+        ],
+        ids=lambda g: g.label,
+    )
+    def test_capacity(self, graph):
+        dests = demands(graph, 9, L + 1)
+        dests[: L // 2, : graph.n_inputs // 2] = 0  # a hot output
+        check_native(graph, dests)
+
+    def test_64_wide_bucket(self):
+        graph = delta_graph(64, 64, 2)
+        assert graph.stages[0].radix == 64
+        dests = demands(graph, 4, L + 1)
+        dests[::3, ::2] = 63
+        check_native(graph, dests)
+
+    def test_portable_build_without_march_native(self, monkeypatch, tmp_path):
+        # Without -march=native an x86-64 build computes on 16-byte
+        # vectors, so each 32-lane row is four of them.
+        monkeypatch.setattr(native, "_FLAG_LADDER", ((),))
+        monkeypatch.setattr(native, "_spec_fns", {})
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        graph, faults = edn_graph(EDNParams(16, 4, 4, 2)), FAULTS["edn"]
+        plan = compile_stage_plan(graph, faults=faults)
+        kernel = native.NativeKernel(plan)
+        assert len(list(tmp_path.glob("repro_spec_*.so"))) == 1
+        dests = demands(graph, 13, 2 * L + 3)
+        got = kernel.counts(dests, plan.workspace())
+        want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
+        assert_counts_equal(got, want)
+        assert_counts_equal(got, reference_counts(graph, dests, faults))
 
 
 @needs_cc
@@ -263,6 +380,67 @@ class TestParallelSweepAgreement:
         nat = measure_cell(SweepCell(spec, config))
         assert nat.delivered == auto.delivered
         assert nat.throughput == auto.throughput
+
+
+@needs_cc
+class TestToolchainProbe:
+    def test_compiler_without_vector_types_reports_native_unavailable(
+        self, monkeypatch, tmp_path
+    ):
+        # A compiler that builds plain C but rejects the vector extension
+        # (the lane kernel's) must fail the probe, so ``auto`` picks
+        # ``batched`` instead of raising on the first cell.
+        fake = tmp_path / "cc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            'for arg; do case "$arg" in *.c)\n'
+            '  if grep -q vector_size "$arg"; then\n'
+            '    echo "vector_size unsupported" >&2; exit 1\n'
+            "  fi;;\n"
+            "esac; done\n"
+            f'exec {native._compiler()} "$@"\n'
+        )
+        fake.chmod(0o755)
+        monkeypatch.setattr(native, "_compiler", lambda: str(fake))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "_cc_probed", False)
+        monkeypatch.setattr(native, "_cc_error", None)
+        plain = native._build_shared_object("long plain(void) { return 1; }\n", "plain")
+        assert plain.exists()
+        assert native.available_tiers() == ()
+        assert "vector_size unsupported" in native.unavailable_reason()
+        assert resolve_backend(NetworkSpec.delta(4, 4, 2)).name == "batched"
+
+    def test_kernel_cache_is_keyed_by_isa_fingerprint(self, monkeypatch, tmp_path):
+        # A cache directory shared by an AVX-512 host and an AVX2 host
+        # must never hand one host the other's -march=native build.
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        source = "long keyed(void) { return 7; }\n"
+        monkeypatch.setattr(native, "_isa_fingerprint", lambda compiler: "avx512")
+        first = native._build_shared_object(source, "keyed")
+        again = native._build_shared_object(source, "keyed")
+        monkeypatch.setattr(native, "_isa_fingerprint", lambda compiler: "avx2")
+        other = native._build_shared_object(source, "keyed")
+        assert first == again
+        assert other != first
+        assert first.exists() and other.exists()
+
+    def test_kernel_cache_is_keyed_by_compile_command(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        source = "long keyed(void) { return 7; }\n"
+        first = native._build_shared_object(source, "keyed")
+        monkeypatch.setattr(native, "_OPT_LEVEL", "-O1")
+        assert native._build_shared_object(source, "keyed") != first
+
+    def test_isa_fingerprint_is_computed_once_per_compiler(self, monkeypatch):
+        compiler = native._compiler()
+        fingerprint = native._isa_fingerprint(compiler)
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("fingerprint recomputed")
+
+        monkeypatch.setattr(native.subprocess, "run", no_subprocess)
+        assert native._isa_fingerprint(compiler) == fingerprint
 
 
 class TestRegistryGating:

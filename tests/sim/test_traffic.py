@@ -88,6 +88,15 @@ class TestFixedPattern:
         with pytest.raises(ConfigurationError):
             FixedPattern([5], 4)
 
+    @pytest.mark.parametrize("dests", [[4, -1], [-2, 0]])
+    def test_rejects_out_of_range_beside_idle(self, dests):
+        # Only -1 marks an idle input; anything below it is out of range.
+        with pytest.raises(ConfigurationError):
+            FixedPattern(dests, 4)
+
+    def test_accepts_all_idle(self):
+        assert FixedPattern([-1, -1], 4).dests.tolist() == [-1, -1]
+
 
 class TestHotspot:
     def test_hot_output_overrepresented(self, rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.labels import reverse_bits
 from repro.workloads import (
     BurstyTraffic,
     FixedPattern,
@@ -142,6 +143,18 @@ class TestNewPatterns:
     def test_tornado_is_a_rotation(self, rng):
         dests = structured_permutation("tornado", 8).generate(rng)
         assert all(dests[i] == (i + 3) % 8 for i in range(8))
+
+    @pytest.mark.parametrize("bits", range(15))
+    def test_bit_reversal_table_matches_the_reference_loop(self, bits):
+        from repro.workloads.models import _bit_reversal
+
+        n = 1 << bits
+        want = [reverse_bits(i, bits) for i in range(n)]
+        got = _bit_reversal(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        got[0] = -1  # each call returns its own writable table
+        assert _bit_reversal(n)[0] == 0
 
     def test_pattern_rate_thins(self, rng):
         gen = structured_permutation("shuffle", 1024, rate=0.25)
