@@ -61,11 +61,14 @@ BatchRng = Union[np.random.Generator, Sequence[np.random.Generator], None]
 
 
 def _check_demand_shape(dests: np.ndarray, n_inputs: int) -> np.ndarray:
-    """Coerce to contiguous int64 and check dtype + ``(batch, n_inputs)`` shape.
+    """Check an integer dtype and the ``(batch, n_inputs)`` shape.
 
     Dtype and shape are rejected *here*, before any routing starts, so a
     malformed matrix fails with one clear message instead of a numpy cast
-    error (or a silent float truncation) deep inside a stage loop.
+    error (or a silent float truncation) deep inside a stage loop.  The
+    array comes back in its own dtype: bounds are checked on it before
+    any cast, so a label too wide for the engine's dtype is rejected
+    rather than wrapped.
     """
     arr = np.asanyarray(dests)
     if arr.dtype.kind not in "iu":
@@ -78,7 +81,7 @@ def _check_demand_shape(dests: np.ndarray, n_inputs: int) -> np.ndarray:
             f"expected demand matrix of shape (batch, {n_inputs}), "
             f"got {arr.shape}"
         )
-    return np.ascontiguousarray(arr, dtype=np.int64)
+    return arr
 
 
 def _check_destination_bounds(flat: np.ndarray, n_outputs: int) -> None:
@@ -104,8 +107,9 @@ def validate_demand_matrix(
     ``int64``, its flat view, and the flat liveness mask.
     """
     dests = _check_demand_shape(dests, n_inputs)
+    _check_destination_bounds(dests.reshape(-1), n_outputs)
+    dests = np.ascontiguousarray(dests, dtype=np.int64)
     flat = dests.reshape(-1)
-    _check_destination_bounds(flat, n_outputs)
     live0 = flat != IDLE
     return dests, flat, live0
 
@@ -586,9 +590,8 @@ class CompiledStageRouter:
             )
         g = self.graph
         dests = _check_demand_shape(dests, g.n_inputs)
-        flat = dests.reshape(-1)
-        _check_destination_bounds(flat, g.n_outputs)
-        inner, _perm = self._shuffled(dests)
+        _check_destination_bounds(dests.reshape(-1), g.n_outputs)
+        inner, _perm = self._shuffled(np.ascontiguousarray(dests, dtype=np.int64))
         ws = workspace if workspace is not None else self._plan.workspace()
         return self._route_counts(inner, ws)
 

@@ -313,11 +313,14 @@ def measure_acceptance(
         # streams are untouched.
         per_cycle_streams = _contention_priority(router) == "random"
         spawner = _spawn_source(seed, rng) if per_cycle_streams else None
+        # A router that reads narrow labels (the native label kernel) gets
+        # its chunks generated in that dtype; the values are the same.
+        dtype = getattr(router, "demand_dtype", np.int64)
         remaining = cycles
         while remaining > 0 and not stopped:
             chunk = min(batch, remaining)
             remaining -= chunk
-            dests = traffic.generate_batch(rng, chunk)
+            dests = traffic.generate_batch(rng, chunk, dtype)
             chunk_rng = (
                 [make_rng(key) for key in spawner.spawn(chunk)]
                 if per_cycle_streams

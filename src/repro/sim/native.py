@@ -224,7 +224,7 @@ typedef {ctype} wire_t;
 typedef wire_t vec_t __attribute__((vector_size(VBYTES), aligned(sizeof(wire_t))));
 
 void repro_counts_spec(
-    const int64_t *restrict dests, int64_t batch,
+    const wire_t *restrict dests, int64_t batch,
     const wire_t *restrict links, const uint8_t *restrict falive,
     const int64_t *restrict input_perm, wire_t *restrict frontier,
     int64_t *restrict offered, int64_t *restrict delivered,
@@ -242,9 +242,9 @@ void repro_counts_spec(
         for (int h = 0; h < NV; h++) live[h] = zero;
         for (int64_t t = 0; t < {n}; t += {tile}) {{
             for (int64_t l = 0; l < nb; l++) {{
-                const int64_t *drow = dests + (c0 + l) * {n};
+                const wire_t *drow = dests + (c0 + l) * {n};
                 for (int64_t s = t; s < t + {tile}; s++)
-                    frontier[{row} * {_LANES} + l] = (wire_t)drow[s];
+                    frontier[{row} * {_LANES} + l] = drow[s];
             }}
             for (int64_t l = nb; l < {_LANES}; l++)
                 for (int64_t s = t; s < t + {tile}; s++)
@@ -542,13 +542,16 @@ class NativeKernel:
     def counts(self, dests: np.ndarray, ws) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
 
-        ``dests`` must be contiguous ``int64`` (the routers validate).
-        The input permutation is applied inside the kernel, so callers
-        pass the raw matrix.  The two frontier halves (``maxw`` rows of
-        ``_LANES`` wires each) come from ``ws``; only the O(batch) result
-        arrays are allocated per call.
+        ``dests`` must already be bounds-checked (the routers validate);
+        the kernel reads it in the plan's wire dtype, so it is cast here,
+        a no-op for a contiguous matrix generated in that dtype.  The input
+        permutation is applied inside the kernel, so callers pass the raw
+        matrix.  The two frontier halves (``maxw`` rows of ``_LANES`` wires
+        each) come from ``ws``; only the O(batch) result arrays are
+        allocated per call.
         """
         t = self.tables
+        dests = np.ascontiguousarray(dests, dtype=self.wire)
         batch = dests.shape[0]
         frontier = ws.array("native_frontier", 2 * t.maxw * _LANES, self.wire)
         offered = np.empty(batch, dtype=np.int64)
@@ -618,6 +621,18 @@ class NativeStageRouter(CompiledStageRouter):
             raise ConfigurationError(reason)
         super().__init__(graph, **options)
 
+    @property
+    def demand_dtype(self) -> np.dtype:
+        """The dtype :meth:`route_batch_counts` reads demands in.
+
+        Under label priority that is the plan's wire dtype (int16 up to
+        N = 4096), so a traffic model can generate the chunk in it and no
+        int64 matrix is ever built; random priority takes ``int64``.
+        """
+        if self.priority != "label":
+            return np.dtype(np.int64)
+        return self._plan.wire_dtype
+
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
     ) -> BatchAcceptanceCounts:
@@ -626,6 +641,8 @@ class NativeStageRouter(CompiledStageRouter):
             # is the one implementation of it.
             return super().route_batch_counts(dests, rng, workspace=workspace)
         g = self.graph
+        # Bounds are checked in the dtype given, before the kernel's cast
+        # to the wire dtype, so a too-wide label raises instead of wrapping.
         dests = _check_demand_shape(dests, g.n_inputs)
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
         ws = workspace if workspace is not None else self._plan.workspace()

@@ -23,6 +23,7 @@ independent of worker scheduling, chunking, and job count.
 
 from __future__ import annotations
 
+import zlib
 from typing import Union
 
 import numpy as np
@@ -92,8 +93,10 @@ def stream_for(seed: int | None, *names: str) -> np.random.Generator:
     ``stream_for(42, "mimd", "traffic")`` always returns the same stream,
     and it is independent of ``stream_for(42, "mimd", "switch")``.  Names
     are hashed into spawn keys, so adding a new named stream never perturbs
-    existing ones.
+    existing ones.  The hash is CRC-32 of the UTF-8 name, not the built-in
+    ``hash()``, which is salted per interpreter: the stream is the same in
+    every process.
     """
-    entropy = [np.uint32(abs(hash(name)) & 0xFFFFFFFF) for name in names]
+    entropy = [np.uint32(zlib.crc32(name.encode("utf-8"))) for name in names]
     root = np.random.SeedSequence(entropy=[seed if seed is not None else 0, *entropy])
     return np.random.default_rng(root)

@@ -12,7 +12,28 @@ workloads that the wider interconnection-network literature evaluates on.
 Every model implements both the single-cycle :meth:`TrafficGenerator.generate`
 and a *vectorized* :meth:`TrafficGenerator.generate_batch`, so the batched
 routing engines (:mod:`repro.sim.batched`) stay on their fast path: a
-Monte-Carlo chunk is one numpy call, never a per-cycle Python loop.
+Monte-Carlo chunk is a few numpy calls, never a per-cycle Python loop.
+``generate_batch`` also takes the ``dtype`` to build the chunk in, so a
+router that reads narrow labels (the native kernel's int16 wires) gets
+them without an int64 round trip.
+
+Destination and Bernoulli draws go through two helpers, :func:`_integers`
+and :func:`_random_below`, that reproduce ``rng.integers(0, n, size,
+dtype=np.int64)`` and ``rng.random(size) < p`` bit for bit from the raw
+64-bit words of a ``PCG64`` stream, with the same words consumed:
+
+* for a power-of-two ``n`` NumPy's Lemire draw never rejects, so each
+  value is the top ``log2(n)`` bits of a 32-bit half of one word, low
+  half first;
+* ``random()`` is ``(word >> 11) * 2**-53``, so ``random() < p`` holds
+  exactly when ``word < ceil(p * 2**53) * 2**11``.
+
+Words are drawn in pieces of :data:`_PIECE_WORDS`, so no chunk allocates a
+float64 or int64 temporary of its own size.  The NumPy call itself is the
+only other path, taken wherever an identity is not guaranteed: another bit
+generator, a range of 1 or one that is not a power of two, a pending
+buffered 32-bit half (integer draws), or a big-endian host.  Streams, and
+with them every measurement and content key, are the same either way.
 
 Models are rarely constructed by hand; the string-spec registry in
 :mod:`repro.workloads.registry` is the canonical front door
@@ -30,6 +51,8 @@ reports its canonical spec string through :meth:`TrafficGenerator.describe`.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from collections.abc import Callable, Sequence
 from typing import Optional
 
@@ -54,6 +77,69 @@ __all__ = [
 
 IDLE = -1
 
+#: Raw words drawn per piece (64 KiB of ``uint64``).  A chunk's draws never
+#: hold more than one piece of words, so they allocate nothing of the
+#: chunk's own size beyond the demand matrix itself.
+_PIECE_WORDS = 1 << 13
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _raw_words_exact(rng: np.random.Generator) -> bool:
+    """Whether the raw-word identities hold for ``rng``'s stream layout."""
+    return _LITTLE_ENDIAN and type(rng.bit_generator) is np.random.PCG64
+
+
+def _integers(rng: np.random.Generator, n: int, size, dtype=np.int64) -> np.ndarray:
+    """``rng.integers(0, n, size, dtype=np.int64)`` built in ``dtype``.
+
+    Same values and same stream consumption as the NumPy call.  For a
+    power-of-two ``n`` each pair of values comes from one raw word (its low
+    32-bit half first, each value the half's top ``log2(n)`` bits); an odd
+    last value is a one-value NumPy draw, which leaves the word's high half
+    buffered exactly as the full call does.
+    """
+    n = int(n)
+    if (
+        not _raw_words_exact(rng)
+        or n < 2
+        or n & (n - 1)
+        or n > 1 << 32
+        or rng.bit_generator.state["has_uint32"]
+    ):
+        return rng.integers(0, n, size=size, dtype=np.int64).astype(dtype, copy=False)
+    out = np.empty(size, dtype=dtype)
+    flat = out.reshape(-1)
+    shift = 33 - n.bit_length()
+    pairs = flat.size // 2
+    for start in range(0, pairs, _PIECE_WORDS):
+        stop = min(start + _PIECE_WORDS, pairs)
+        halves = rng.bit_generator.random_raw(stop - start).view(np.uint32)
+        np.right_shift(halves, shift, out=flat[2 * start : 2 * stop], casting="unsafe")
+    if flat.size % 2:
+        flat[-1] = rng.integers(0, n, size=1, dtype=np.int64)[0]
+    return out
+
+
+def _random_below(rng: np.random.Generator, count: int, p: float):
+    """``rng.random(count) < p`` as consecutive ``(start, mask)`` pieces.
+
+    Same result and same stream consumption as the NumPy call, once the
+    pieces are consumed in order: each entry is one raw word, which passes
+    when it is below ``ceil(p * 2**53) * 2**11``.  ``p`` outside ``(0, 1)``
+    gives a constant mask and still consumes the words.  A pending 32-bit
+    half does not matter: neither ``random`` nor ``random_raw`` reads or
+    clears it.  Callers apply each piece as it comes, so no mask of the
+    full count exists; the NumPy path yields one piece.
+    """
+    if not _raw_words_exact(rng):
+        yield 0, rng.random(count) < p
+        return
+    bound = np.uint64(math.ceil(p * 2**53) << 11) if 0.0 < p < 1.0 else None
+    for start in range(0, count, _PIECE_WORDS):
+        words = rng.bit_generator.random_raw(min(_PIECE_WORDS, count - start))
+        yield start, words < bound if bound is not None else np.full(words.size, p >= 1.0)
+
 
 class TrafficGenerator:
     """Base class: a callable source of per-cycle destination vectors."""
@@ -68,20 +154,27 @@ class TrafficGenerator:
         """Return this cycle's demands (``int64[n_inputs]``, ``-1`` = idle)."""
         raise NotImplementedError
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
-        """Return ``batch`` cycles of demands at once (``int64[batch, n_inputs]``).
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
+        """Return ``batch`` cycles of demands at once (``dtype[batch, n_inputs]``).
 
-        The base implementation stacks ``batch`` sequential :meth:`generate`
-        calls, so any subclass batches correctly; the built-in generators
-        override it with fully vectorized draws (which consume the stream in
-        a different order than sequential calls — equally distributed, but a
-        chunked measurement is only reproducible for a fixed chunk size).
+        ``dtype`` is a signed integer dtype that holds every output label;
+        the result equals the ``int64`` chunk cast to it, and the stream
+        consumed does not depend on it.  The base implementation stacks
+        ``batch`` sequential :meth:`generate` calls, so any subclass batches
+        correctly; the built-in generators override it with fully
+        vectorized draws (which consume the stream in a different order
+        than sequential calls — equally distributed, but a chunked
+        measurement is only reproducible for a fixed chunk size).
         """
         if batch < 0:
             raise ConfigurationError(f"batch size must be non-negative, got {batch}")
         if batch == 0:
-            return np.empty((0, self.n_inputs), dtype=np.int64)
-        return np.stack([self.generate(rng) for _ in range(batch)])
+            return np.empty((0, self.n_inputs), dtype=dtype)
+        return np.stack([self.generate(rng) for _ in range(batch)]).astype(
+            dtype, copy=False
+        )
 
     def describe(self) -> str:
         """The canonical workload spec string this model round-trips through.
@@ -100,11 +193,21 @@ class TrafficGenerator:
         """Idle each entry independently with probability ``1 - rate``.
 
         Works on a single cycle vector or a ``(batch, n_inputs)`` matrix.
+        ``dests`` is thinned in place and returned, so it must be a fresh
+        array the caller owns, never a model's stored pattern.  At full
+        rate nothing is drawn.
         """
         if rate >= 1.0:
             return dests
-        mask = rng.random(dests.shape) < rate
-        return np.where(mask, dests, IDLE)
+        flat = dests.reshape(-1)  # a view of a fresh chunk (else a copy, returned)
+        for start, keep in _random_below(rng, flat.size, rate):
+            # Branch-free select (a masked copy is ~20x slower on a random
+            # mask): a kept entry's byte becomes 0, a dropped one's -1, and
+            # OR-ing -1 (all bits set) into a label makes it IDLE.
+            drop = keep.view(np.int8)
+            drop -= 1
+            flat[start : start + drop.size] |= drop
+        return flat.reshape(dests.shape)
 
 
 def _check_rate(rate: float) -> float:
@@ -130,13 +233,13 @@ class UniformTraffic(TrafficGenerator):
         self.rate = _check_rate(rate)
 
     def generate(self, rng: np.random.Generator) -> np.ndarray:
-        dests = rng.integers(0, self.n_outputs, size=self.n_inputs, dtype=np.int64)
+        dests = _integers(rng, self.n_outputs, self.n_inputs)
         return self._apply_rate(dests, self.rate, rng)
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
-        dests = rng.integers(
-            0, self.n_outputs, size=(batch, self.n_inputs), dtype=np.int64
-        )
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
+        dests = _integers(rng, self.n_outputs, (batch, self.n_inputs), dtype)
         return self._apply_rate(dests, self.rate, rng)
 
     def describe(self) -> str:
@@ -163,9 +266,11 @@ class PermutationTraffic(TrafficGenerator):
         dests = rng.permutation(self.n_outputs)[: self.n_inputs].astype(np.int64)
         return self._apply_rate(dests, self.rate, rng)
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
         outputs = np.broadcast_to(
-            np.arange(self.n_outputs, dtype=np.int64), (batch, self.n_outputs)
+            np.arange(self.n_outputs, dtype=dtype), (batch, self.n_outputs)
         )
         dests = rng.permuted(outputs, axis=1)[:, : self.n_inputs]
         return self._apply_rate(np.ascontiguousarray(dests), self.rate, rng)
@@ -202,8 +307,12 @@ class FixedPattern(TrafficGenerator):
     def generate(self, rng: np.random.Generator) -> np.ndarray:
         return self._apply_rate(self.dests.copy(), self.rate, rng)
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
-        return self._apply_rate(np.tile(self.dests, (batch, 1)), self.rate, rng)
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
+        # ``np.tile`` always copies, so thinning never touches ``self.dests``.
+        rows = np.tile(self.dests.astype(dtype, copy=False), (batch, 1))
+        return self._apply_rate(rows, self.rate, rng)
 
     def describe(self) -> str:
         if self.label is None:
@@ -239,17 +348,23 @@ class HotspotTraffic(TrafficGenerator):
         self.hot_output = hot_output
 
     def generate(self, rng: np.random.Generator) -> np.ndarray:
-        dests = rng.integers(0, self.n_outputs, size=self.n_inputs, dtype=np.int64)
-        hot = rng.random(self.n_inputs) < self.hot_fraction
-        dests[hot] = self.hot_output
-        return self._apply_rate(dests, self.rate, rng)
+        return self._draw(rng, self.n_inputs, np.int64)
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
-        dests = rng.integers(
-            0, self.n_outputs, size=(batch, self.n_inputs), dtype=np.int64
-        )
-        hot = rng.random((batch, self.n_inputs)) < self.hot_fraction
-        dests[hot] = self.hot_output
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
+        return self._draw(rng, (batch, self.n_inputs), dtype)
+
+    def _draw(self, rng: np.random.Generator, shape, dtype) -> np.ndarray:
+        dests = _integers(rng, self.n_outputs, shape, dtype)
+        flat = dests.reshape(-1)
+        for start, hot in _random_below(rng, flat.size, self.hot_fraction):
+            # Branch-free select: a hot entry becomes 0 relative to
+            # ``hot_output``, so it ends up equal to it.
+            piece = flat[start : start + hot.size]
+            piece -= self.hot_output
+            piece *= ~hot
+            piece += self.hot_output
         return self._apply_rate(dests, self.rate, rng)
 
     def describe(self) -> str:
@@ -298,16 +413,16 @@ class BurstyTraffic(TrafficGenerator):
     def generate(self, rng: np.random.Generator) -> np.ndarray:
         return self.generate_batch(rng, 1)[0]
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
         if batch < 0:
             raise ConfigurationError(f"batch size must be non-negative, got {batch}")
         period = self.on + self.off
-        phase = rng.integers(0, period, size=self.n_inputs)
+        phase = _integers(rng, period, self.n_inputs)
         ticks = (phase[None, :] + np.arange(batch)[:, None]) % period
-        dests = rng.integers(
-            0, self.n_outputs, size=(batch, self.n_inputs), dtype=np.int64
-        )
-        dests = np.where(ticks < self.on, dests, IDLE)
+        dests = _integers(rng, self.n_outputs, (batch, self.n_inputs), dtype)
+        np.copyto(dests, IDLE, where=ticks >= self.on)
         return self._apply_rate(dests, self.rate, rng)
 
     def describe(self) -> str:
@@ -352,13 +467,15 @@ class MixtureTraffic(TrafficGenerator):
     def generate(self, rng: np.random.Generator) -> np.ndarray:
         return self._select([gen.generate(rng) for gen in self.components], rng)
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
         if batch < 0:
             raise ConfigurationError(f"batch size must be non-negative, got {batch}")
         if batch == 0:
-            return np.empty((0, self.n_inputs), dtype=np.int64)
+            return np.empty((0, self.n_inputs), dtype=dtype)
         return self._select(
-            [gen.generate_batch(rng, batch) for gen in self.components], rng
+            [gen.generate_batch(rng, batch, dtype) for gen in self.components], rng
         )
 
     def describe(self) -> str:
@@ -429,12 +546,17 @@ class TraceTraffic(TrafficGenerator):
         self._cursor = (self._cursor + 1) % len(self.demands)
         return self._apply_rate(row, self.rate, rng)
 
-    def generate_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
+    def generate_batch(
+        self, rng: np.random.Generator, batch: int, dtype=np.int64
+    ) -> np.ndarray:
         if batch < 0:
             raise ConfigurationError(f"batch size must be non-negative, got {batch}")
         rows = (self._cursor + np.arange(batch)) % len(self.demands)
         self._cursor = (self._cursor + batch) % len(self.demands)
-        return self._apply_rate(self.demands[rows], self.rate, rng)
+        # Fancy indexing copies, so thinning never touches ``self.demands``.
+        return self._apply_rate(
+            self.demands[rows].astype(dtype, copy=False), self.rate, rng
+        )
 
     def describe(self) -> str:
         if self.path is None:

@@ -32,12 +32,17 @@ import repro
 from repro.api import NetworkSpec, RunConfig, build_router, resolve_backend
 from repro.api.jobs import SweepCell, measure_cell
 from repro.core.config import EDNParams
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, LabelError
 from repro.core.faults import WireFault
 from repro.experiments.parallel import ParallelSweep
 from repro.sim import native
 from repro.sim.batched import BatchAcceptanceCounts, CompiledStageRouter
-from repro.sim.native import NativeStageRouter, available_tiers, kernel_for
+from repro.sim.native import (
+    NativeKernel,
+    NativeStageRouter,
+    available_tiers,
+    kernel_for,
+)
 from repro.sim.plan import compile_stage_plan
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
@@ -149,6 +154,61 @@ class TestCountsBitIdentity:
             dests, make_rng(21)
         )
         assert_counts_equal(got, want)
+
+
+@needs_cc
+class TestDemandDtype:
+    """The label kernel reads demands in the plan's wire dtype (int16 here)."""
+
+    def test_label_router_advertises_its_wire_dtype(self):
+        graph = delta_graph(4, 4, 3)
+        assert NativeStageRouter(graph).demand_dtype == np.int16
+        assert NativeStageRouter(graph, priority="random").demand_dtype == np.int64
+        assert not hasattr(CompiledStageRouter(graph), "demand_dtype")
+
+    def test_too_wide_label_raises_before_the_narrowing_cast(self):
+        # 2**16 + 5 wraps to 5 in int16, a valid label: only a bounds check
+        # on the matrix as given can reject it.
+        router = NativeStageRouter(delta_graph(4, 4, 3))
+        dests = demands(router.graph, 1, 3)
+        dests[1, 7] = 2**16 + 5
+        with pytest.raises(LabelError, match="out-of-range"):
+            router.route_batch_counts(dests)
+
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    def test_int16_and_int64_demands_route_identically(self, family):
+        graph = GRAPHS[family]()
+        wide = demands(graph, 4, L + 3)
+        narrow = wide.astype(np.int16)
+        router = NativeStageRouter(graph)
+        want = router.route_batch_counts(wide)
+        assert_counts_equal(router.route_batch_counts(narrow), want)
+        kernel = kernel_for(router._plan)
+        ws = router._plan.workspace()
+        assert_counts_equal(kernel.counts(narrow, ws), want)
+        assert_counts_equal(kernel.counts(wide, ws), want)
+
+    def test_measure_acceptance_draws_chunks_in_the_wire_dtype(self, monkeypatch):
+        from repro.sim.montecarlo import measure_acceptance
+        from repro.workloads import make_traffic
+
+        graph = delta_graph(4, 4, 3)
+        seen = []
+        original = NativeKernel.counts
+
+        def spy(self, dests, ws):
+            seen.append(dests.dtype)
+            return original(self, dests, ws)
+
+        monkeypatch.setattr(NativeKernel, "counts", spy)
+        traffic = make_traffic("hotspot:0.1,rate=0.5", 64, 64)
+        got = measure_acceptance(NativeStageRouter(graph), traffic, cycles=70, seed=3)
+        monkeypatch.undo()
+        want = measure_acceptance(CompiledStageRouter(graph), traffic, cycles=70, seed=3)
+        assert seen and set(seen) == {np.dtype(np.int16)}
+        assert (got.offered, got.delivered, got.acceptance) == (
+            want.offered, want.delivered, want.acceptance
+        )
 
 
 @needs_cc

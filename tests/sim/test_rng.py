@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.sim.rng import make_rng, spawn, spawn_keys, stream_for
 
 
@@ -44,6 +50,26 @@ class TestStreamFor:
         a = stream_for(1, "x").integers(0, 1 << 30, size=8)
         b = stream_for(2, "x").integers(0, 1 << 30, size=8)
         assert not np.array_equal(a, b)
+
+    def test_same_stream_in_every_interpreter(self):
+        # The built-in hash() of a str is salted per interpreter; the
+        # stream must not depend on that salt.
+        code = (
+            "from repro.sim.rng import stream_for; "
+            "print(stream_for(42, 'mimd', 'traffic').integers(0, 1 << 30, size=4).tolist())"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for salt in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": salt}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            outputs.append(proc.stdout.strip())
+        here = stream_for(42, "mimd", "traffic").integers(0, 1 << 30, size=4).tolist()
+        assert outputs == [str(here)] * 2
 
 
 class TestSeedLike:

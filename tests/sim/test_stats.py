@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.sim import stats as stats_module
 from repro.sim.stats import (
     Interval,
     RatioStats,
     RunningStats,
+    _t_quantile,
     batch_means,
     proportion_ci,
 )
@@ -139,3 +141,21 @@ class TestProportionCI:
         assert interval.contains(0.45)
         assert not interval.contains(0.3)
         assert "0.5" in str(interval)
+
+
+class TestTQuantileCache:
+    @pytest.mark.parametrize("df", [1, 63, 127, 10**6])
+    def test_equals_scipy(self, df):
+        from scipy import stats as scipy_stats
+
+        assert _t_quantile(0.975, df) == scipy_stats.t.ppf(0.975, df=df)
+
+    def test_repeat_call_does_not_reenter_scipy(self, monkeypatch):
+        first = _t_quantile(0.95, 31)
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError("scipy re-entered for a cached quantile")
+
+        monkeypatch.setattr(stats_module, "_scipy_stats", Unreachable())
+        assert _t_quantile(0.95, 31) == first

@@ -1,6 +1,6 @@
 """Property tests over every registered workload (the subsystem's contract).
 
-Three invariants for the whole registry:
+Four invariants for the whole registry:
 
 * batched and per-cycle generation agree *distribution-wise* for seeded
   rngs (vectorized ``generate_batch`` may consume the stream in a
@@ -8,7 +8,10 @@ Three invariants for the whole registry:
 * every draw respects the ``n_outputs`` bound (``-1`` idle or a valid
   output terminal);
 * every built model round-trips: ``parse -> build -> describe`` yields a
-  spec the registry parses back to an equivalent model.
+  spec the registry parses back to an equivalent model;
+* a chunk generated in a narrow dtype is the ``int64`` chunk cast to it,
+  drawn from the same stream, and thinning a stored pattern or trace never
+  writes into it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workloads import available_workloads, make_traffic, parse_workload
+from repro.workloads import (
+    FixedPattern,
+    TraceTraffic,
+    available_workloads,
+    make_traffic,
+    parse_workload,
+)
 
 N = 64
 BATCH = 300
@@ -100,3 +109,29 @@ def test_empty_batch_is_well_formed(spec_text):
     gen = make_traffic(spec_text, N, N)
     empty = gen.generate_batch(np.random.default_rng(0), 0)
     assert empty.shape == (0, N)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_batch_in_a_narrow_dtype_is_the_int64_batch_cast(spec_text, dtype):
+    gen, twin = make_traffic(spec_text, N, N), make_traffic(spec_text, N, N)
+    rng, twin_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for batch in (1, 7, 32):
+        got = gen.generate_batch(rng, batch, dtype=dtype)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, twin.generate_batch(twin_rng, batch).astype(dtype))
+    # The dtype never changes how much of the stream a chunk consumes.
+    np.testing.assert_array_equal(rng.random(4), twin_rng.random(4))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_thinning_never_writes_model_state(trace_path, dtype):
+    pattern = FixedPattern(np.arange(N)[::-1].copy(), N, rate=0.5)
+    trace = TraceTraffic(np.load(trace_path), N, rate=0.5)
+    before = pattern.dests.copy(), trace.demands.copy()
+    rng = np.random.default_rng(9)
+    for gen in (pattern, trace):
+        thinned = gen.generate_batch(rng, 40, dtype=dtype)
+        assert (thinned == -1).any()
+        gen.generate(rng)
+    np.testing.assert_array_equal(pattern.dests, before[0])
+    np.testing.assert_array_equal(trace.demands, before[1])
