@@ -369,10 +369,10 @@ def measure_cell(cell: SweepCell, *, progress=None):
     packet-switched discipline instead
     (:func:`~repro.sim.buffered.measure_buffered`, warmup fixed at
     ``cycles // 4``) on the buffered engine its backend declares in the
-    registry — the compiled FIFO kernels for ``auto``/``native``/
-    ``batched``, the per-packet interpreter for ``vectorized``/
-    ``reference``: bit-identical either way, so the content key's
-    ``backend`` field stays honest.
+    registry — the C step for ``native`` (and ``auto`` where a compiler
+    works), the NumPy FIFO kernels for ``batched``, the per-packet
+    interpreter for ``vectorized``/``reference``: bit-identical every
+    way, so the content key's ``backend`` field stays honest.
     """
     from repro.api.registry import build_router, resolve_backend
     from repro.sim.montecarlo import measure_acceptance

@@ -11,12 +11,15 @@ one compiled engine and one independent interpreter:
 =============  =======================================  =================
 name           engine                                   kinds
 =============  =======================================  =================
-``native``     :class:`StagePlan` lowered to one        edn, delta,
-               plan-specialized C kernel                omega, dilated
-               (:class:`NativeStageRouter`), compiled
-               at first use with the host C
-               toolchain; drops out of the registry
-               when no working C compiler is present
+``native``     :class:`NativeStageRouter`: label        edn, delta,
+               counts on a plan-specialized C lane      omega, dilated
+               kernel, random-priority counts and
+               buffered cycles on one
+               plan-independent C source, each
+               compiled at first use with the host
+               C toolchain; drops out of the
+               registry when no working C compiler
+               is present
 ``batched``    the compiled stage-graph router          edn, delta,
                (:class:`CompiledStageRouter`) every     omega, dilated,
                stage-graph kind compiles to, and the    crossbar
@@ -34,12 +37,15 @@ name           engine                                   kinds
 ``looping``    Beneš looping algorithm                  benes
 =============  =======================================  =================
 
-The buffered packet-switched discipline has the same two engines: each
-backend that can run it names its ``buffered_engine`` — ``"compiled"``
-(:class:`CompiledStageRouter` with per-wire FIFOs) for ``native`` and
-``batched``, ``"reference"`` (the per-packet
+The buffered packet-switched discipline has the same engines: each
+backend that can run it names its ``buffered_engine`` — ``"native"``
+(:class:`NativeStageRouter`, its cycles in C) for ``native``,
+``"compiled"`` (:class:`CompiledStageRouter` with per-wire FIFOs on
+NumPy) for ``batched``, ``"reference"`` (the per-packet
 :class:`BufferedStageReference`) for ``vectorized`` and ``reference`` —
-and ``resolve_backend(spec, backend, buffered=True)`` picks among them.
+and ``resolve_backend(spec, backend, buffered=True)`` picks among them,
+so ``auto`` steps buffered cells in C when a compiler is present and on
+NumPy otherwise, with identical results.
 
 ``auto`` picks the first supporting, runnable backend in
 :data:`AUTO_PREFERENCE` order — the native kernel when a C compiler is
@@ -189,6 +195,14 @@ def resolve_backend(
     >>> spec = NetworkSpec.delta(2, 2, 3)
     >>> resolve_backend(spec, "vectorized", buffered=True).buffered_engine
     'reference'
+
+    ``auto`` takes the native engine where a C compiler works, and the
+    NumPy one where it does not:
+
+    >>> backend = resolve_backend(spec, "auto", buffered=True)
+    >>> (backend.name, backend.buffered_engine) in {
+    ...     ("native", "native"), ("batched", "compiled")}
+    True
     """
     if backend == "auto":
         names = available_backends(spec, buffered=buffered)
@@ -379,19 +393,19 @@ def _native_availability() -> str | None:
 
 @register_backend(
     "native",
-    description="StagePlan lowered to a plan-specialized C kernel",
+    description="StagePlan lowered to C: lane kernel and contended kernels",
     kinds={"edn", "delta", "omega", "dilated"},
     batched=True,
     accepts=_array_engine_ok,
     availability=_native_availability,
-    buffered_engine="compiled",
+    buffered_engine="native",
 )
 def _build_native(spec: NetworkSpec) -> Router:
     from repro.sim.native import NativeStageRouter
 
     # Every stage-graph kind (a faulted EDN included) compiles to the
-    # same plan; the native router swaps in the fused counts kernel and
-    # inherits the full batched capability surface for everything else.
+    # same plan; the native router runs counts (both priorities) and
+    # buffered cycles in C and inherits the rest of the batched surface.
     return NativeStageRouter(
         spec.stage_graph(), priority=spec.priority, faults=spec.faults
     )

@@ -60,6 +60,14 @@ __all__ = [
 BatchRng = Union[np.random.Generator, Sequence[np.random.Generator], None]
 
 
+def _check_integer_labels(arr: np.ndarray, what: str) -> None:
+    if arr.dtype.kind not in "iu":
+        raise LabelError(
+            f"demand {what} must have an integer dtype (output labels, with "
+            f"-1 marking idle inputs); got dtype {arr.dtype}"
+        )
+
+
 def _check_demand_shape(dests: np.ndarray, n_inputs: int) -> np.ndarray:
     """Check an integer dtype and the ``(batch, n_inputs)`` shape.
 
@@ -71,16 +79,30 @@ def _check_demand_shape(dests: np.ndarray, n_inputs: int) -> np.ndarray:
     rather than wrapped.
     """
     arr = np.asanyarray(dests)
-    if arr.dtype.kind not in "iu":
-        raise LabelError(
-            "demand matrix must have an integer dtype (output labels, with "
-            f"-1 marking idle inputs); got dtype {arr.dtype}"
-        )
+    _check_integer_labels(arr, "matrix")
     if arr.ndim != 2 or arr.shape[1] != n_inputs:
         raise LabelError(
             f"expected demand matrix of shape (batch, {n_inputs}), "
             f"got {arr.shape}"
         )
+    return arr
+
+
+def _check_demand_vector(dests, n_inputs: int, n_outputs: int) -> np.ndarray:
+    """The batch path's dtype, shape and bounds check on one cycle's vector.
+
+    Every per-cycle entry point (``route``, ``step``, and the reference
+    interpreters') validates through here, so a float label raises
+    :class:`LabelError` exactly as it does in a batch instead of being
+    truncated to an output.  Returns the vector in its own dtype.
+    """
+    arr = np.asanyarray(dests)
+    _check_integer_labels(arr, "vector")
+    if arr.shape != (n_inputs,):
+        raise LabelError(
+            f"expected demand vector of shape ({n_inputs},), got {arr.shape}"
+        )
+    _check_destination_bounds(arr, n_outputs)
     return arr
 
 
@@ -196,8 +218,8 @@ class CompiledStageRouter:
     switch-base rows, narrow dtypes, per-thread workspaces), and routed
     by the dense packed-lane / batch-folded-sort kernels below.  ``edn``,
     ``delta``, ``omega``, and ``dilated`` specs all compile here (the
-    ``batched`` backend, and the ``native`` backend's fallback for
-    everything its fused kernel does not lower); the per-cycle
+    ``batched`` backend, and the ``native`` backend's base for
+    everything its C kernels do not lower); the per-cycle
     :class:`~repro.sim.stagegraph.StageGraphReference` interpreter behind
     the generic batch loop remains as the independent cross-check path.
 
@@ -513,14 +535,8 @@ class CompiledStageRouter:
         the per-cycle stream the reference interpreter would.
         """
         g = self.graph
-        dests = np.asarray(dests)
-        if dests.shape != (g.n_inputs,):
-            raise LabelError(
-                f"expected demand vector of shape ({g.n_inputs},), got {dests.shape}"
-            )
-        result = self.route_batch(
-            np.ascontiguousarray(dests, dtype=np.int64)[None, :], rng
-        )
+        dests = _check_demand_vector(dests, g.n_inputs, g.n_outputs)
+        result = self.route_batch(dests[None, :], rng)
         return VectorCycleResult(
             output=result.output[0], blocked_stage=result.blocked_stage[0]
         )
@@ -686,26 +702,26 @@ class CompiledStageRouter:
         under the same seed compare bit for bit.  Random priority draws
         one ``rng.permutation`` per stage with live contenders, stages
         serviced last column first — the reference draw protocol.
+
+        The vector is validated here (integer dtype, shape, bounds) and
+        the cycle handed to ``_step_cycle``, the NumPy core that
+        :class:`~repro.sim.native.NativeStageRouter` replaces with C.
         """
         self._require_buffered()
-        plan, g = self._plan, self.graph
-        state = self._buffers
-        depth = state.depth
-        dests = np.asarray(dests, dtype=np.int64)
-        if dests.shape != (g.n_inputs,):
-            raise LabelError(
-                f"expected demand vector of shape ({g.n_inputs},), got {dests.shape}"
-            )
-        live0 = dests != IDLE
-        if live0.any():
-            lo, hi = int(dests[live0].min()), int(dests[live0].max())
-            if lo < 0 or hi >= g.n_outputs:
-                raise LabelError("demand vector contains out-of-range destinations")
+        g = self.graph
+        dests = _check_demand_vector(dests, g.n_inputs, g.n_outputs)
         if self.priority == "random" and rng is None:
             raise ConfigurationError(
                 "random priority requires an explicit numpy Generator"
             )
+        return self._step_cycle(dests, rng)
 
+    def _step_cycle(self, dests: np.ndarray, rng) -> BufferedCycleOutcome:
+        """One validated buffered cycle on the NumPy kernels."""
+        plan, g = self._plan, self.graph
+        state = self._buffers
+        depth = state.depth
+        live0 = dests != IDLE
         t = self._cycle
         out_arr = lat_arr = None
         last = g.num_stages - 1

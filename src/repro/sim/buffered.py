@@ -100,10 +100,13 @@ def measure_buffered(
     *accepted* injection rate saturates below the offered rate once the
     network backs up.  ``engine`` selects the compiled kernels
     (``"compiled"``) or the per-packet reference interpreter
-    (``"reference"``) — identical results, wildly different speed.
-    ``faults`` routes the whole run under a static dead-wire set (both
-    engines honor it bit-identically); the returned measurement then
-    conserves ``injected == delivered + in_flight + dropped``.
+    (``"reference"``) — identical results, wildly different speed;
+    ``"native"`` runs the compiled router's cycles in C
+    (:class:`~repro.sim.native.NativeStageRouter`; it needs a working C
+    compiler).  ``faults`` routes the whole run under a static dead-wire
+    set (every engine honors it bit-identically); the returned
+    measurement then conserves ``injected == delivered + in_flight +
+    dropped``.
     """
     from repro.sim.batched import CompiledStageRouter
     from repro.sim.rng import make_rng
@@ -114,16 +117,19 @@ def measure_buffered(
         raise ConfigurationError("need at least one measured cycle")
     if warmup < 0:
         raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
-    if engine not in ("compiled", "reference"):
+    if engine not in ("compiled", "native", "reference"):
         raise ConfigurationError(f"unknown buffered engine {engine!r}")
 
     faults = tuple(sorted(set(faults)))
     gen = make_traffic(traffic, graph.n_inputs, graph.n_outputs)
-    if engine == "compiled":
-        router = CompiledStageRouter(
+    if engine != "reference":
+        if engine == "native":
+            from repro.sim.native import NativeStageRouter as router_class
+        else:
+            router_class = CompiledStageRouter
+        router = router_class(
             graph, priority=priority, buffer_depth=depth, faults=faults
         )
-        router.reset_buffers()
         num_queues = router._buffers.num_queues
     else:
         router = BufferedStageReference(

@@ -1,5 +1,7 @@
 """Native kernel backend: each :class:`~repro.sim.plan.StagePlan` lowered to
-one plan-specialized C kernel that routes a block of cycles per SIMD vector.
+C — label-priority counts on a plan-specialized kernel that routes a block
+of cycles per SIMD vector, random-priority counts and buffered stepping on
+one plan-independent source of contended kernels.
 
 The batched NumPy kernels stream ~10 chunk-sized array passes per stage;
 at Monte-Carlo scale that is memory traffic, not arithmetic.  The native
@@ -37,6 +39,14 @@ stages), rank-space fault liveness, and the input permutation — packed
 once per plan into flat arrays (:func:`_lower`) and cached on the plan
 itself, so the warm path allocates nothing chunk-sized and forked sweep
 workers inherit both the lowered tables and the on-disk kernel cache.
+
+The contended disciplines draw tie-breaks cycle after cycle, so they do
+not fit SIMD lanes: their kernels (``_CONTENDED_SOURCE``) are scalar C
+that takes every stage shape as data (:func:`contended_for`), built once
+per host through the same cache, and draw each tie permutation in place
+on the caller's own NumPy generator.  Random-priority counts go through
+:meth:`NativeKernel.counts`; a buffered cycle is the core that
+:meth:`~repro.sim.batched.CompiledStageRouter.step` hands it to.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -59,6 +70,8 @@ from repro.sim.batched import (
     _check_demand_shape,
     _check_destination_bounds,
 )
+from repro.sim.plan import ChunkWorkspace
+from repro.sim.stagegraph import BufferedCycleOutcome
 
 __all__ = [
     "NativeStageRouter",
@@ -384,6 +397,371 @@ def _spec_kernel(tables, wire_dtype):
 
 
 # ----------------------------------------------------------------------
+# Contended kernels (plan-independent, built once per host)
+# ----------------------------------------------------------------------
+# Random priority and buffered stepping draw their tie-breaks from the
+# caller's NumPy generator, one cycle after another, so they are scalar C
+# beside the lane kernel and take every stage shape as data: one source,
+# one build per host.  Draws run in place on the generator's own
+# ``bitgen_t`` (NumPy's C interface, read from
+# ``bit_generator.capsule``): ``Generator.permutation(n)`` is ``arange``
+# shuffled by a Fisher-Yates loop over ``random_interval`` draws, and
+# the kernel repeats that loop call for call, so every bit generator and
+# any pending 32-bit half stay in step with NumPy.
+#
+# A stage descriptor is one row of ``_SF`` int64 fields (``_S_*``);
+# offset fields index the concatenated ``tables`` (int64) and ``masks``
+# (uint8) arrays, ``-1`` = none (identity link, no faults).  Counts use
+# the rank-space fault view (``ALIVE``, and ``LINK`` pre-composed with
+# the live remap); the FIFO step grants physical slots (``DEAD``, plain
+# ``PLINK``).  ``QOFF`` is the stage's first queue in the flat
+# :class:`~repro.sim.plan.BufferedState` arrays.
+
+_S_FIELDS = ("FIB", "SHIFT", "RMASK", "CAP", "WIDTH", "LINK", "ALIVE", "PLINK", "DEAD", "QOFF")
+_SF = len(_S_FIELDS)
+
+_CONTENDED_SOURCE = """#include <stdint.h>
+#include <string.h>
+
+/* NumPy's bitgen_t (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+enum { %(enum)s, S_FIELDS };
+
+/* NumPy's random_interval: a draw in [0, max] by masked rejection. */
+static uint64_t interval(bitgen_t *g, uint64_t max)
+{
+    uint64_t mask = max, value;
+    if (max == 0)
+        return 0;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffULL) {
+        while ((value = (g->next_uint32(g->state) & mask)) > max) {
+        }
+    } else {
+        while ((value = (g->next_uint64(g->state) & mask)) > max) {
+        }
+    }
+    return value;
+}
+
+/* Generator.permutation(n): arange(n) under NumPy's Fisher-Yates shuffle. */
+static void permutation(bitgen_t *g, int64_t *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)interval(g, (uint64_t)i);
+        int64_t swap = out[i];
+        out[i] = out[j];
+        out[j] = swap;
+    }
+}
+
+/* Row c of a demand matrix of `size`-byte labels, in first-column wire order. */
+static void load_row(const void *dests, int64_t size, int64_t c, int64_t n,
+                     const int64_t *src_of_wire, int64_t *row)
+{
+    if (size == 2) {
+        const int16_t *d = (const int16_t *)dests + c * n;
+        for (int64_t w = 0; w < n; w++) row[w] = d[src_of_wire[w]];
+    } else if (size == 4) {
+        const int32_t *d = (const int32_t *)dests + c * n;
+        for (int64_t w = 0; w < n; w++) row[w] = d[src_of_wire[w]];
+    } else {
+        const int64_t *d = (const int64_t *)dests + c * n;
+        for (int64_t w = 0; w < n; w++) row[w] = d[src_of_wire[w]];
+    }
+}
+
+/* Random-priority counts of `batch` cycles.  Survivors stay in (cycle,
+ * first-column wire) order.  Per stage each draws a tie value: one
+ * permutation over all of the batch's survivors from gens[0] (ngens == 1),
+ * or one per cycle with survivors from gens[cycle].  Each (switch, bucket)
+ * group grants its `capacity` lowest tie values the bucket's wires in tie
+ * order; a dead wire (ALIVE) blocks its winner after ranking. */
+void repro_random_counts(
+    const void *dests, int64_t size, int64_t batch, int64_t n,
+    const int64_t *stages, int64_t nstages,
+    const int64_t *tables, const uint8_t *masks, const int64_t *src_of_wire,
+    bitgen_t *const *gens, int64_t ngens, int64_t *work,
+    int32_t *count, int64_t groups,
+    int64_t *offered, int64_t *delivered, int64_t *blocked)
+{
+    int64_t total = batch * n;
+    int64_t *dest = work, *wire = dest + total, *cyc = wire + total;
+    int64_t *tie = cyc + total, *order = tie + total, *next = order + total;
+    int64_t *start = next + total;
+    int64_t k = 0;
+    for (int64_t c = 0; c < batch; c++) {
+        load_row(dests, size, c, n, src_of_wire, next);
+        offered[c] = 0;
+        delivered[c] = 0;
+        for (int64_t w = 0; w < n; w++) {
+            if (next[w] == -1)
+                continue;
+            dest[k] = next[w];
+            wire[k] = w;
+            cyc[k] = c;
+            k++;
+            offered[c]++;
+        }
+    }
+    memset(count, 0, sizeof(int32_t) * groups);
+    for (int64_t i = 0; i < nstages; i++)
+        blocked[i] = 0;
+    for (int64_t i = 0; i < nstages && k > 0; i++) {
+        const int64_t *s = stages + i * S_FIELDS;
+        int64_t fib = s[S_FIB], shift = s[S_SHIFT], rmask = s[S_RMASK], cap = s[S_CAP];
+        const int64_t *link = s[S_LINK] >= 0 ? tables + s[S_LINK] : 0;
+        const uint8_t *alive = s[S_ALIVE] >= 0 ? masks + s[S_ALIVE] : 0;
+        int last = i == nstages - 1;
+        if (ngens == 1) {
+            /* Deal the batch-wide permutation into the cycles' segments,
+             * each in ascending tie order. */
+            permutation(gens[0], tie, k);
+            for (int64_t j = 0; j < k; j++) {
+                next[tie[j]] = j;
+                if (j == 0 || cyc[j] != cyc[j - 1])
+                    start[cyc[j]] = j;
+            }
+            for (int64_t t = 0; t < k; t++)
+                order[start[cyc[next[t]]]++] = next[t];
+        }
+        for (int64_t a = 0, b; a < k; a = b) {
+            for (b = a + 1; b < k && cyc[b] == cyc[a]; b++) {
+            }
+            if (ngens != 1) {
+                permutation(gens[cyc[a]], tie + a, b - a);
+                for (int64_t j = a; j < b; j++)
+                    order[a + tie[j]] = j;
+            }
+            /* Rank each group in tie order; tie[j] keeps j's group. */
+            for (int64_t t = a; t < b; t++) {
+                int64_t j = order[t];
+                int64_t key = (wire[j] >> fib) * (rmask + 1) + ((dest[j] >> shift) & rmask);
+                int64_t r = count[key]++;
+                tie[j] = key;
+                next[j] = -1;
+                if (r < cap) {
+                    int64_t y = key * cap + r;
+                    if (!alive || alive[y])
+                        next[j] = link ? link[y] : y;
+                }
+            }
+            for (int64_t j = a; j < b; j++)
+                count[tie[j]] = 0;
+        }
+        int64_t m = 0;
+        for (int64_t j = 0; j < k; j++) {
+            if (next[j] < 0) {
+                blocked[i]++;
+            } else if (last) {
+                delivered[cyc[j]]++;
+            } else {
+                dest[m] = dest[j];
+                wire[m] = next[j];
+                cyc[m] = cyc[j];
+                m++;
+            }
+        }
+        k = m;
+    }
+}
+
+/* What one buffered run steps on: the plan's tables, the flat FIFO arrays
+ * (occupancy, head-first destinations and injection stamps, `depth` slots
+ * per queue), the demand vector and the scratch and result buffers. */
+typedef struct {
+    const int64_t *stages;
+    int64_t nstages, maxw;
+    const int64_t *tables;
+    const uint8_t *masks;
+    const int64_t *wire_of_src;
+    int64_t n, n_outputs, out_shift, depth;
+    int64_t *occ, *qdest, *qstamp;
+    const int64_t *dests;
+    int64_t *work;
+    int32_t *count;
+    int64_t groups;
+    int64_t *outputs, *latencies, *injection;
+} step_t;
+
+/* One buffered cycle at clock t.  Stages are serviced output side first:
+ * contenders (queues with a head) rank within their bucket by wire, or by
+ * tie value when `gen` is set (one permutation per stage with
+ * contenders), and the rank-r winner takes the bucket's r-th slot that is
+ * live and whose downstream queue has room, judged before the stage moves
+ * anything.  Deliveries are written sorted by (output, latency); returns
+ * their number.  injection[] = {offered, injected}. */
+int64_t repro_buffered_step(const step_t *run, int64_t t, bitgen_t *gen)
+{
+    const int64_t *stages = run->stages, *tables = run->tables;
+    const uint8_t *masks = run->masks;
+    int64_t nstages = run->nstages, maxw = run->maxw, depth = run->depth;
+    int64_t *occ = run->occ, *qdest = run->qdest, *qstamp = run->qstamp;
+    int64_t *outputs = run->outputs, *latencies = run->latencies;
+    int32_t *count = run->count;
+    int64_t *con = run->work, *tie = con + maxw, *order = tie + maxw, *target = order + maxw;
+    int64_t *dout = target + maxw, *dlat = dout + maxw, *bin = dlat + maxw;
+    int64_t nd = 0;
+    memset(count, 0, sizeof(int32_t) * run->groups);
+    for (int64_t i = nstages - 1; i >= 0; i--) {
+        const int64_t *s = stages + i * S_FIELDS;
+        int64_t fib = s[S_FIB], shift = s[S_SHIFT], rmask = s[S_RMASK], cap = s[S_CAP];
+        const int64_t *link = s[S_PLINK] >= 0 ? tables + s[S_PLINK] : 0;
+        const uint8_t *dead = s[S_DEAD] >= 0 ? masks + s[S_DEAD] : 0;
+        int last = i == nstages - 1;
+        int64_t *o = occ + s[S_QOFF];
+        int64_t *qd = qdest + s[S_QOFF] * depth, *qs = qstamp + s[S_QOFF] * depth;
+        int64_t *no = 0, *nqd = 0, *nqs = 0;
+        if (!last) {
+            int64_t noff = s[S_FIELDS + S_QOFF];
+            no = occ + noff;
+            nqd = qdest + noff * depth;
+            nqs = qstamp + noff * depth;
+        }
+        int64_t ncon = 0;
+        for (int64_t w = 0; w < s[S_WIDTH]; w++)
+            if (o[w] > 0)
+                con[ncon++] = w;
+        if (ncon == 0)
+            continue;
+        if (gen) {
+            permutation(gen, tie, ncon);
+            for (int64_t j = 0; j < ncon; j++)
+                order[tie[j]] = j;
+        } else {
+            for (int64_t j = 0; j < ncon; j++)
+                order[j] = j;
+        }
+        for (int64_t q = 0; q < ncon; q++) {
+            int64_t j = order[q], w = con[j];
+            int64_t key = (w >> fib) * (rmask + 1) + ((qd[w * depth] >> shift) & rmask);
+            int64_t r = count[key]++;
+            tie[j] = key;
+            target[j] = -1;
+            for (int64_t slot = 0; r < cap && slot < cap; slot++) {
+                int64_t y = key * cap + slot;
+                if ((dead && dead[y]) || (!last && no[link ? link[y] : y] >= depth))
+                    continue;
+                if (r-- == 0) {
+                    target[j] = y;
+                    break;
+                }
+            }
+        }
+        for (int64_t j = 0; j < ncon; j++) {
+            int64_t y = target[j], w = con[j];
+            count[tie[j]] = 0;
+            if (y < 0)
+                continue;
+            int64_t *hd = qd + w * depth, *hs = qs + w * depth;
+            int64_t d = hd[0], stamp = hs[0];
+            for (int64_t p = 0; p + 1 < depth; p++) {
+                hd[p] = hd[p + 1];
+                hs[p] = hs[p + 1];
+            }
+            o[w]--;
+            if (last) {
+                dout[nd] = y >> run->out_shift;
+                dlat[nd] = t - stamp;
+                nd++;
+            } else {
+                int64_t nw = link ? link[y] : y;
+                nqd[nw * depth + no[nw]] = d;
+                nqs[nw * depth + no[nw]] = stamp;
+                no[nw]++;
+            }
+        }
+    }
+    /* Counting sort by output, then insertion sort of each output's run. */
+    memset(bin, 0, sizeof(int64_t) * (run->n_outputs + 1));
+    for (int64_t q = 0; q < nd; q++)
+        bin[dout[q] + 1]++;
+    for (int64_t v = 0; v < run->n_outputs; v++)
+        bin[v + 1] += bin[v];
+    for (int64_t q = 0; q < nd; q++) {
+        int64_t at = bin[dout[q]]++;
+        outputs[at] = dout[q];
+        latencies[at] = dlat[q];
+    }
+    for (int64_t q = 1; q < nd; q++) {
+        int64_t lat = latencies[q], p = q;
+        for (; p > 0 && outputs[p - 1] == outputs[q] && latencies[p - 1] > lat; p--)
+            latencies[p] = latencies[p - 1];
+        latencies[p] = lat;
+    }
+    int64_t *injection = run->injection;
+    injection[0] = injection[1] = 0;
+    for (int64_t src = 0; src < run->n; src++) {
+        int64_t w = run->wire_of_src[src];
+        if (run->dests[src] == -1)
+            continue;
+        injection[0]++;
+        if (occ[w] >= depth)
+            continue;
+        qdest[w * depth + occ[w]] = run->dests[src];
+        qstamp[w * depth + occ[w]] = t;
+        occ[w]++;
+        injection[1]++;
+    }
+    return nd;
+}
+""" % {"enum": ", ".join(f"S_{name}" for name in _S_FIELDS)}
+
+class _StepRun(ctypes.Structure):
+    """``step_t``: everything one buffered run steps on, bound once per state."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p if kind == "p" else ctypes.c_int64)
+        for name, kind in (
+            ("stages", "p"), ("nstages", "i"), ("maxw", "i"), ("tables", "p"),
+            ("masks", "p"), ("wire_of_src", "p"), ("n", "i"), ("n_outputs", "i"),
+            ("out_shift", "i"), ("depth", "i"), ("occ", "p"), ("qdest", "p"),
+            ("qstamp", "p"), ("dests", "p"), ("work", "p"), ("count", "p"),
+            ("groups", "i"), ("outputs", "p"), ("latencies", "p"),
+            ("injection", "p"),
+        )
+    ]
+
+
+_contended = None
+
+
+def _contended_lib():
+    """The contended kernels' shared library, built at first use."""
+    global _contended
+    if _contended is None:
+        lib = ctypes.CDLL(str(_build_shared_object(_CONTENDED_SOURCE, "repro_contended")))
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.repro_random_counts.restype = None
+        lib.repro_random_counts.argtypes = [
+            ptr, i64, i64, i64,          # dests, size, batch, n
+            ptr, i64,                    # stages, nstages
+            ptr, ptr, ptr,               # tables, masks, src_of_wire
+            ptr, i64, ptr,               # gens, ngens, work
+            ptr, i64,                    # count, groups
+            ptr, ptr, ptr,               # offered, delivered, blocked
+        ]
+        lib.repro_buffered_step.restype = i64
+        lib.repro_buffered_step.argtypes = [ctypes.POINTER(_StepRun), i64, ptr]
+        _contended = lib
+    return _contended
+
+
+# ----------------------------------------------------------------------
 # Toolchain discovery
 # ----------------------------------------------------------------------
 
@@ -529,28 +907,220 @@ def _lower(plan) -> _PlanTables:
     )
 
 
+class _ContendedTables:
+    """One plan lowered for the contended kernels (see ``_CONTENDED_SOURCE``).
+
+    ``stages`` is the ``(nstages, _SF)`` descriptor matrix; ``tables``
+    and ``masks`` the concatenated link tables and fault masks its offsets
+    index; ``src_of_wire``/``wire_of_src`` the input permutation both
+    ways.  ``groups`` is the most ``(switch, bucket)`` groups of any
+    stage (the size of the rank counters).  Addresses are taken once.
+    """
+
+    __slots__ = (
+        "stages", "tables", "masks", "src_of_wire", "wire_of_src", "wire", "n",
+        "n_outputs", "out_shift", "maxw", "groups", "_ptrs",
+    )
+
+    def __init__(self, plan):
+        g = plan.graph
+        widths = plan.stage_widths
+        rows, tables, masks = [], [], []
+
+        def put(parts, array):
+            """Append ``array`` to ``parts``; its offset, or -1 for none."""
+            if array is None:
+                return -1
+            parts.append(array)
+            return sum(part.size for part in parts[:-1])
+
+        for i, stage in enumerate(g.stages):
+            link = plan.fault_link_table(i, np.int64)
+            fields = {
+                "FIB": int(np.log2(stage.fan_in)),
+                "SHIFT": int(stage.shift),
+                "RMASK": int(stage.radix) - 1,
+                "CAP": int(stage.capacity),
+                "WIDTH": int(widths[i]),
+                "LINK": put(tables, link if link is not None else plan.perm_table(i, np.int64)),
+                "ALIVE": put(masks, plan.fault_alive(i)),
+                "PLINK": put(tables, plan.perm_table(i, np.int64)),
+                "DEAD": put(masks, plan.fault_dead_slots(i)),
+                "QOFF": int(sum(widths[:i])),
+            }
+            rows.append([fields[name] for name in _S_FIELDS])
+        self.stages = np.array(rows, dtype=np.int64)
+        self.tables = np.concatenate(tables or [np.zeros(1)]).astype(np.int64)
+        self.masks = np.concatenate(masks or [np.zeros(1)]).astype(np.uint8)
+        self.wire = plan.wire_dtype
+        wires = np.arange(g.n_inputs, dtype=np.int64)
+        perm = plan.input_perm_table(np.int64)
+        self.wire_of_src = wires if perm is None else np.ascontiguousarray(perm)
+        self.src_of_wire = np.empty_like(wires)
+        self.src_of_wire[self.wire_of_src] = wires
+        self.n = g.n_inputs
+        self.n_outputs = g.n_outputs
+        self.out_shift = g.out_shift
+        self.maxw = int(max(widths))
+        self.groups = max(
+            widths[i] // s.fan_in * s.radix for i, s in enumerate(g.stages)
+        )
+        self._ptrs = tuple(
+            a.ctypes.data
+            for a in (self.stages, self.tables, self.masks, self.src_of_wire, self.wire_of_src)
+        )
+
+    def random_counts(self, dests, ws, rng) -> BatchAcceptanceCounts:
+        """Random-priority counts of a validated demand matrix (see the C)."""
+        batch = dests.shape[0]
+        nstages = self.stages.shape[0]
+        dests = np.ascontiguousarray(dests, dtype=self.wire)
+        work = ws.array("native_random", 6 * batch * self.n + batch, np.int64)
+        count = ws.array("native_counters", self.groups, np.int32)
+        offered = np.empty(batch, dtype=np.int64)
+        delivered = np.empty(batch, dtype=np.int64)
+        blocked = np.empty(nstages, dtype=np.int64)
+        stages, tables, masks, src_of_wire, _ = self._ptrs
+        pointers, locks = _bit_generators(rng)
+        gens = np.array(pointers, dtype=np.uintp)
+        with _held(locks):
+            _contended_lib().repro_random_counts(
+                dests.ctypes.data, dests.itemsize, batch, self.n,
+                stages, nstages, tables, masks, src_of_wire,
+                gens.ctypes.data, gens.size, work.ctypes.data,
+                count.ctypes.data, self.groups,
+                offered.ctypes.data, delivered.ctypes.data, blocked.ctypes.data,
+            )
+        return BatchAcceptanceCounts(
+            offered_per_cycle=offered,
+            delivered_per_cycle=delivered,
+            blocked_by_stage={
+                i + 1: int(v) for i, v in enumerate(blocked.tolist()) if v
+            },
+        )
+
+
+_contended_local = threading.local()
+
+
+def _contended_workspace() -> ChunkWorkspace:
+    """This thread's scratch for the random-priority kernel, shared by plans."""
+    ws = getattr(_contended_local, "ws", None)
+    if ws is None:
+        ws = _contended_local.ws = ChunkWorkspace()
+    return ws
+
+
+def contended_for(plan) -> _ContendedTables:
+    """The plan lowered for the contended kernels, cached like :func:`kernel_for`."""
+    key = ("native_contended",)
+    tables = plan._tables.get(key)
+    if tables is None:
+        tables = _ContendedTables(plan)
+        plan._tables[key] = tables
+    return tables
+
+
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.restype = ctypes.c_void_p
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+
+
+def _bit_generators(rng):
+    """``bitgen_t*`` per generator (one, or one per cycle) and their locks.
+
+    The locks are each distinct bit generator's, once, in a fixed order
+    (by ``id``), so two calls sharing generators cannot deadlock.
+    """
+    rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
+    pointers, locks = [], {}
+    for r in rngs:
+        bitgen = r.bit_generator
+        if id(bitgen) not in locks:
+            locks[id(bitgen)] = (bitgen.lock, _capsule_pointer(bitgen.capsule, b"BitGenerator"))
+        pointers.append(locks[id(bitgen)][1])
+    return pointers, [lock for _, (lock, _) in sorted(locks.items())]
+
+
+class _held:
+    """Hold several locks for a block, releasing those taken on any exit."""
+
+    __slots__ = ("locks", "taken")
+
+    def __init__(self, locks):
+        self.locks = locks
+        self.taken = []
+
+    def __enter__(self):
+        for lock in self.locks:
+            lock.acquire()
+            self.taken.append(lock)
+
+    def __exit__(self, *exc):
+        while self.taken:
+            self.taken.pop().release()
+
+
+class _BufferedRun:
+    """A buffered state bound to the step kernel: its ``step_t``, scratch
+    and result buffers, set up once instead of on every cycle."""
+
+    __slots__ = ("state", "tables", "dests", "out", "injection", "struct", "_scratch")
+
+    def __init__(self, tables: _ContendedTables, state):
+        self.state = state
+        self.tables = tables
+        self.dests = np.empty(tables.n, dtype=np.int64)
+        self.out = np.empty((2, tables.maxw), dtype=np.int64)
+        self.injection = np.empty(2, dtype=np.int64)
+        work = np.empty(6 * tables.maxw + tables.n_outputs + 1, dtype=np.int64)
+        count = np.empty(tables.groups, dtype=np.int32)
+        self._scratch = (work, count)
+        stages, tabs, masks, _, wire_of_src = tables._ptrs
+        self.struct = _StepRun(
+            stages, tables.stages.shape[0], tables.maxw, tabs, masks,
+            wire_of_src, tables.n, tables.n_outputs, tables.out_shift,
+            state.depth, state.flat_occupancy.ctypes.data,
+            state.flat_dests.ctypes.data, state.flat_stamps.ctypes.data,
+            self.dests.ctypes.data, work.ctypes.data, count.ctypes.data,
+            tables.groups, self.out.ctypes.data, self.out[1].ctypes.data,
+            self.injection.ctypes.data,
+        )
+
+
 class NativeKernel:
-    """One plan's fused counts kernel."""
+    """One plan's native counts kernel.
+
+    Label priority runs the plan-specialized lane kernel; random priority
+    runs the shared contended kernel on the caller's generators.
+    """
 
     __slots__ = ("tables", "wire", "_fn")
 
     def __init__(self, plan):
-        self.tables = _lower(plan)
         self.wire = plan.wire_dtype
-        self._fn = _spec_kernel(self.tables, self.wire)
+        if plan.priority == "label":
+            self.tables = _lower(plan)
+            self._fn = _spec_kernel(self.tables, self.wire)
+        else:
+            self.tables = contended_for(plan)
+            self._fn = None
 
-    def counts(self, dests: np.ndarray, ws) -> BatchAcceptanceCounts:
+    def counts(self, dests: np.ndarray, ws, rng=None) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
 
-        ``dests`` must already be bounds-checked (the routers validate);
-        the kernel reads it in the plan's wire dtype, so it is cast here,
-        a no-op for a contiguous matrix generated in that dtype.  The input
+        ``dests`` must already be bounds-checked (the routers validate).
+        The kernels read it in the plan's wire dtype, so it is cast here, a
+        no-op for a contiguous matrix generated in that dtype.  The input
         permutation is applied inside the kernel, so callers pass the raw
-        matrix.  The two frontier halves (``maxw`` rows of ``_LANES`` wires
-        each) come from ``ws``; only the O(batch) result arrays are
-        allocated per call.
+        matrix.  Scratch comes from ``ws``; only the O(batch) result arrays
+        are allocated per call.  ``rng`` (random priority only) is one
+        generator or one per cycle, drawn exactly as
+        :meth:`CompiledStageRouter.route_batch_counts` draws them.
         """
         t = self.tables
+        if self._fn is None:
+            return t.random_counts(dests, ws, rng)
         dests = np.ascontiguousarray(dests, dtype=self.wire)
         batch = dests.shape[0]
         frontier = ws.array("native_frontier", 2 * t.maxw * _LANES, self.wire)
@@ -598,13 +1168,15 @@ def kernel_for(plan) -> NativeKernel:
 
 
 class NativeStageRouter(CompiledStageRouter):
-    """:class:`CompiledStageRouter` with the counts hot path in native code.
+    """:class:`CompiledStageRouter` with its Monte-Carlo paths in native code.
 
-    Only the label-priority counts-only kernel — the Monte-Carlo hot
-    path — is lowered; everything else (per-message outcomes, random
-    priority's sort-based resolution, buffered stepping, fault
-    hot-swapping) is inherited unchanged, so the native backend has the
-    full capability surface of ``batched`` with identical semantics.
+    Three paths run in C: label-priority counts on the plan-specialized
+    lane kernel, and random-priority counts and buffered stepping on the
+    plan-independent contended kernels, which draw every tie-break on the
+    caller's own generators exactly as the NumPy engine does.  Everything
+    else (per-message outcomes, fault hot-swapping) is inherited
+    unchanged, so the native backend has the full capability surface of
+    ``batched`` with identical results.
 
     Construction raises :class:`ConfigurationError` when no working C
     compiler is present (the message says why); keyword options are
@@ -620,33 +1192,59 @@ class NativeStageRouter(CompiledStageRouter):
         if reason is not None:
             raise ConfigurationError(reason)
         super().__init__(graph, **options)
+        self._native_run = None
 
     @property
     def demand_dtype(self) -> np.dtype:
         """The dtype :meth:`route_batch_counts` reads demands in.
 
-        Under label priority that is the plan's wire dtype (int16 up to
-        N = 4096), so a traffic model can generate the chunk in it and no
-        int64 matrix is ever built; random priority takes ``int64``.
+        The plan's wire dtype (int16 up to N = 4096) under both
+        priorities, so a traffic model can generate the chunk in it and no
+        int64 matrix is ever built.
         """
-        if self.priority != "label":
-            return np.dtype(np.int64)
         return self._plan.wire_dtype
 
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
     ) -> BatchAcceptanceCounts:
-        if self.priority != "label":
-            # Random priority is resolved by sort: the inherited engine
-            # is the one implementation of it.
-            return super().route_batch_counts(dests, rng, workspace=workspace)
         g = self.graph
         # Bounds are checked in the dtype given, before the kernel's cast
         # to the wire dtype, so a too-wide label raises instead of wrapping.
         dests = _check_demand_shape(dests, g.n_inputs)
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
-        ws = workspace if workspace is not None else self._plan.workspace()
-        return kernel_for(self._plan).counts(dests, ws)
+        if self.priority == "label":
+            ws = workspace if workspace is not None else self._plan.workspace()
+            return kernel_for(self._plan).counts(dests, ws)
+        # The random kernel's scratch depends on the batch shape only, so
+        # one per-thread workspace serves every plan (random cells with
+        # drawn faults churn through many plans).
+        ws = workspace if workspace is not None else _contended_workspace()
+        cycle_rngs = self._cycle_rngs(rng, dests.shape[0])
+        return kernel_for(self._plan).counts(
+            dests, ws, rng if cycle_rngs is None else cycle_rngs
+        )
+
+    def _step_cycle(self, dests: np.ndarray, rng) -> BufferedCycleOutcome:
+        tables = contended_for(self._plan)
+        run = self._native_run
+        if run is None or run.state is not self._buffers or run.tables is not tables:
+            # A new state (reset_buffers) or plan (apply_faults) rebinds.
+            run = self._native_run = _BufferedRun(tables, self._buffers)
+        gen, locks = 0, ()
+        if self.priority == "random":
+            pointers, locks = _bit_generators(rng)
+            gen = pointers[0]
+        np.copyto(run.dests, dests)
+        with _held(locks):
+            delivered = _contended_lib().repro_buffered_step(run.struct, self._cycle, gen)
+        self._cycle += 1
+        result = run.out[:, :delivered].copy()
+        return BufferedCycleOutcome(
+            outputs=result[0],
+            latencies=result[1],
+            offered=int(run.injection[0]),
+            injected=int(run.injection[1]),
+        )
 
     def __repr__(self) -> str:
         faulted = f", faults={len(self.faults)}" if self.faults else ""

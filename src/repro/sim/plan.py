@@ -457,12 +457,17 @@ class BufferedState:
     destination labels, injection-cycle stamps, and an occupancy count —
     which is exactly the layout the vectorized back-pressure kernels
     want: head reads are column 0, pops are one slice copy, pushes index
-    ``[wire, occupancy]``.  Unlike the immutable plan this state is
-    per-run and single-threaded; :meth:`StagePlan.buffered_state` hands
-    every run a fresh instance.
+    ``[wire, occupancy]``.  Every boundary's arrays are views into one
+    flat ``int64`` array per field (``flat_*``, boundaries back to back),
+    which the native step works on in place.  Unlike the immutable plan
+    this state is per-run and single-threaded;
+    :meth:`StagePlan.buffered_state` hands every run a fresh instance.
     """
 
-    __slots__ = ("plan", "depth", "occupancy", "dests", "stamps")
+    __slots__ = (
+        "plan", "depth", "occupancy", "dests", "stamps",
+        "flat_occupancy", "flat_dests", "flat_stamps",
+    )
 
     def __init__(self, plan: StagePlan) -> None:
         if plan.buffer_depth is None:
@@ -470,20 +475,24 @@ class BufferedState:
         self.plan = plan
         self.depth = plan.buffer_depth
         widths = plan.stage_widths
-        self.occupancy = [np.zeros(w, dtype=np.int64) for w in widths]
-        self.dests = [
-            np.full((w, self.depth), -1, dtype=plan.wire_dtype) for w in widths
-        ]
-        self.stamps = [np.zeros((w, self.depth), dtype=np.int64) for w in widths]
+        total = sum(widths)
+        self.flat_occupancy = np.zeros(total, dtype=np.int64)
+        self.flat_dests = np.full((total, self.depth), -1, dtype=np.int64)
+        self.flat_stamps = np.zeros((total, self.depth), dtype=np.int64)
+        bounds = np.cumsum((0,) + tuple(widths)).tolist()
+        spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.occupancy = [self.flat_occupancy[s] for s in spans]
+        self.dests = [self.flat_dests[s] for s in spans]
+        self.stamps = [self.flat_stamps[s] for s in spans]
 
     @property
     def num_queues(self) -> int:
         """Total FIFO queues across all stage boundaries."""
-        return sum(occ.size for occ in self.occupancy)
+        return self.flat_occupancy.size
 
     def total_occupancy(self) -> int:
         """Packets currently queued anywhere in the network."""
-        return int(sum(int(occ.sum()) for occ in self.occupancy))
+        return int(self.flat_occupancy.sum())
 
 
 # ----------------------------------------------------------------------

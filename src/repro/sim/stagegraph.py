@@ -486,19 +486,10 @@ class StageGraphReference:
 
     def route(self, dests: np.ndarray, rng: Optional[np.random.Generator] = None):
         """Route one cycle into a :class:`VectorCycleResult`."""
-        from repro.core.exceptions import LabelError
+        from repro.sim.batched import _check_demand_vector
 
         g = self.graph
-        dests = np.asarray(dests, dtype=np.int64)
-        if dests.shape != (g.n_inputs,):
-            raise LabelError(
-                f"expected demand vector of shape ({g.n_inputs},), got {dests.shape}"
-            )
-        live0 = dests != IDLE
-        if live0.any():
-            lo, hi = int(dests[live0].min()), int(dests[live0].max())
-            if lo < 0 or hi >= g.n_outputs:
-                raise LabelError("demand vector contains out-of-range destinations")
+        dests = _check_demand_vector(dests, g.n_inputs, g.n_outputs).astype(np.int64)
         if self.priority == "random" and rng is None:
             raise ConfigurationError(
                 "random priority requires an explicit numpy Generator"
@@ -712,19 +703,10 @@ class BufferedStageReference:
         self, dests: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> BufferedCycleOutcome:
         """Advance the network one cycle under demand vector ``dests``."""
-        from repro.core.exceptions import LabelError
+        from repro.sim.batched import _check_demand_vector
 
         g = self.graph
-        dests = np.asarray(dests, dtype=np.int64)
-        if dests.shape != (g.n_inputs,):
-            raise LabelError(
-                f"expected demand vector of shape ({g.n_inputs},), got {dests.shape}"
-            )
-        live0 = dests != IDLE
-        if live0.any():
-            lo, hi = int(dests[live0].min()), int(dests[live0].max())
-            if lo < 0 or hi >= g.n_outputs:
-                raise LabelError("demand vector contains out-of-range destinations")
+        dests = _check_demand_vector(dests, g.n_inputs, g.n_outputs)
         if self.priority == "random" and rng is None:
             raise ConfigurationError(
                 "random priority requires an explicit numpy Generator"

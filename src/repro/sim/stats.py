@@ -372,8 +372,9 @@ class LatencyStats(RatioStats):
         clipped = np.minimum(lat.astype(np.int64, copy=False), self.bound)
         if clipped.min() < 0:
             raise ValueError("latencies must be non-negative")
-        counts = self._ensure_counts()
-        counts += np.bincount(clipped, minlength=self.bound + 1)
+        # Bin into the prefix the batch reaches: no bound-sized temporary.
+        binned = np.bincount(clipped)
+        self._ensure_counts()[: binned.size] += binned
         self.push_many(lat.astype(np.float64, copy=False), np.ones(lat.size))
 
     def record_one(self, latency: int) -> None:

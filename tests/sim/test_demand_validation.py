@@ -15,8 +15,13 @@ import pytest
 from repro.api import NetworkSpec, build_router
 from repro.baselines.crossbar_network import CrossbarNetwork
 from repro.core.exceptions import LabelError
+from repro.sim import native
 from repro.sim.batched import CompiledStageRouter, validate_demand_matrix
-from repro.sim.stagegraph import delta_graph
+from repro.sim.stagegraph import (
+    BufferedStageReference,
+    StageGraphReference,
+    delta_graph,
+)
 
 
 def batch_routers():
@@ -115,3 +120,54 @@ class TestValidationHappensUpFront:
         assert dests.dtype == np.int64 and dests.flags.c_contiguous
         assert flat.shape == (4,)
         assert live.tolist() == [True, False, True, True]
+
+
+def per_cycle_entry_points():
+    """Every per-cycle ``route``/``step``, as ``(name, call)``."""
+    graph = delta_graph(2, 2, 3)
+    needs_cc = pytest.mark.skipif(
+        not native.available_tiers(), reason="no working C compiler"
+    )
+    return [
+        pytest.param(lambda d: CompiledStageRouter(graph).route(d), id="compiled-route"),
+        pytest.param(
+            lambda d: CompiledStageRouter(graph, buffer_depth=2).step(d),
+            id="compiled-step",
+        ),
+        pytest.param(
+            lambda d: native.NativeStageRouter(graph).route(d),
+            id="native-route", marks=needs_cc,
+        ),
+        pytest.param(
+            lambda d: native.NativeStageRouter(graph, buffer_depth=2).step(d),
+            id="native-step", marks=needs_cc,
+        ),
+        pytest.param(lambda d: StageGraphReference(graph).route(d), id="reference-route"),
+        pytest.param(
+            lambda d: BufferedStageReference(graph, depth=2).step(d),
+            id="reference-step",
+        ),
+    ]
+
+
+class TestPerCycleEntryPoints:
+    """One cycle's vector gets the batch path's dtype, shape and bounds check."""
+
+    @pytest.mark.parametrize("call", per_cycle_entry_points())
+    def test_float_label_rejected_not_truncated(self, call):
+        dests = np.full(8, -1.0)
+        dests[0] = 3.7  # used to route to output 3
+        with pytest.raises(LabelError, match="integer dtype"):
+            call(dests)
+
+    @pytest.mark.parametrize("call", per_cycle_entry_points())
+    def test_out_of_range_and_shape_rejected(self, call):
+        with pytest.raises(LabelError, match="out-of-range"):
+            call(np.array([8, -1, -1, -1, -1, -1, -1, -1]))
+        with pytest.raises(LabelError, match="shape"):
+            call(np.full(4, -1))
+
+    @pytest.mark.parametrize("call", per_cycle_entry_points())
+    def test_integer_vectors_still_accepted(self, call):
+        call([3, -1, -1, -1, -1, -1, -1, -1])
+        call(np.full(8, -1, dtype=np.int8))

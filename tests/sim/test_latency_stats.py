@@ -69,6 +69,57 @@ class TestExactness:
         assert acc.mean == pytest.approx((1 + 2 + 1000 + 2000) / 4)
 
 
+class TestPrefixBinning:
+    """``record`` bins into the prefix a call reaches, not all ``bound + 1``."""
+
+    @staticmethod
+    def full_width(calls, bound):
+        counts = np.zeros(bound + 1, dtype=np.int64)
+        for lat in calls:
+            counts += np.bincount(np.minimum(lat, bound), minlength=bound + 1)
+        return counts
+
+    def test_counts_equal_full_width_binning(self, rng):
+        bound = 64
+        calls = [rng.integers(0, 90, size=int(rng.integers(1, 40))) for _ in range(50)]
+        acc = LatencyStats(bound=bound)
+        for lat in calls:
+            acc.record(lat)
+        np.testing.assert_array_equal(acc._counts, self.full_width(calls, bound))
+
+    def test_overflow_bin_collects_everything_past_the_bound(self):
+        acc = LatencyStats(bound=8)
+        acc.record(np.array([8, 9, 3, 10**6]))
+        acc.record(np.array([2]))
+        expected = np.zeros(9, dtype=np.int64)
+        expected[[2, 3]] = 1
+        expected[8] = 3
+        np.testing.assert_array_equal(acc._counts, expected)
+        assert acc.p99 == 8
+
+    def test_payload_equals_full_width_binning(self, rng):
+        calls = [rng.integers(0, 40, size=60) for _ in range(20)]
+        acc = LatencyStats()
+        for lat in calls:
+            acc.record(lat)
+        want = LatencyStats()
+        want._counts = self.full_width(calls, want.bound)
+        want.push_many(np.concatenate(calls).astype(np.float64), np.ones(1200))
+        assert acc.to_payload() == want.to_payload()
+
+    def test_no_bound_sized_temporary(self, rng):
+        import tracemalloc
+
+        acc = LatencyStats()
+        lat = rng.integers(0, 60, size=60)
+        acc.record(lat)  # allocates the histogram itself once
+        tracemalloc.start()
+        acc.record(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < (acc.bound + 1) * 8 // 4
+
+
 class TestMerge:
     def _chunks(self, rng, n_chunks=5):
         return [rng.integers(0, 300, size=rng.integers(1, 400)) for _ in range(n_chunks)]

@@ -142,9 +142,10 @@ class TestCountsBitIdentity:
         got = NativeStageRouter(graph, buffer_depth=depth).route_batch_counts(dests)
         assert_counts_equal(got, want)
 
-    def test_random_priority_defers_to_inherited_engine(self):
-        # Random priority resolves by seeded sort; the native router must
-        # return the inherited engine's exact results (same rng stream).
+    def test_random_priority_matches_batched_under_one_generator(self):
+        # One generator draws one permutation per stage over the whole
+        # batch's survivors: the C kernel must reproduce the NumPy sort
+        # path's draws and results exactly.
         graph = delta_graph(4, 4, 3)
         dests = demands(graph, 5, 4)
         want = CompiledStageRouter(graph, priority="random").route_batch_counts(
@@ -163,7 +164,8 @@ class TestDemandDtype:
     def test_label_router_advertises_its_wire_dtype(self):
         graph = delta_graph(4, 4, 3)
         assert NativeStageRouter(graph).demand_dtype == np.int16
-        assert NativeStageRouter(graph, priority="random").demand_dtype == np.int64
+        # Random priority runs in C too and reads the same narrow labels.
+        assert NativeStageRouter(graph, priority="random").demand_dtype == np.int16
         assert not hasattr(CompiledStageRouter(graph), "demand_dtype")
 
     def test_too_wide_label_raises_before_the_narrowing_cast(self):
@@ -503,7 +505,139 @@ class TestToolchainProbe:
         assert native._isa_fingerprint(compiler) == fingerprint
 
 
+def contended_cells():
+    """A random-priority cell and label/random buffered cells, one faulted."""
+    faults = (WireFault(1, 0, 1),)
+    return [
+        SweepCell(NetworkSpec.delta(4, 4, 3, priority="random"),
+                  RunConfig(cycles=70, seed=3, traffic="hotspot:0.1")),
+        SweepCell(NetworkSpec.omega(64, priority="random", faults=faults),
+                  RunConfig(cycles=40, seed=4)),
+        SweepCell(NetworkSpec.delta(4, 4, 3),
+                  RunConfig(cycles=40, seed=5, traffic="uniform:0.6", buffer_depth=2)),
+        SweepCell(NetworkSpec.edn(16, 4, 4, 2, priority="random", faults=faults),
+                  RunConfig(cycles=40, seed=6, traffic="uniform:0.6", buffer_depth=3)),
+    ]
+
+
+def payload(measurement) -> str:
+    import json
+
+    from repro.api.jobs import measurement_to_payload
+
+    return json.dumps(measurement_to_payload(measurement), sort_keys=True)
+
+
+@needs_cc
+class TestContendedKernels:
+    """Random-priority counts and buffered cycles in the contended C kernels."""
+
+    def test_random_counts_run_through_native_kernel_counts(self, monkeypatch):
+        # The benchmark's tracer times NativeKernel.counts as sim.native.counts.
+        calls = []
+        original = NativeKernel.counts
+
+        def counted(self, dests, ws, rng=None):
+            calls.append(dests.shape[0])
+            return original(self, dests, ws, rng)
+
+        monkeypatch.setattr(NativeKernel, "counts", counted)
+        cell = contended_cells()[0]
+        measure_cell(cell)
+        assert sum(calls) == cell.config.cycles
+        batched = measure_cell(SweepCell(cell.spec, RunConfig(
+            cycles=70, seed=3, traffic="hotspot:0.1", backend="batched")))
+        assert payload(measure_cell(cell)) == payload(batched)
+
+    def test_buffered_cycles_run_under_compiled_step(self, monkeypatch):
+        # ... and CompiledStageRouter.step as sim.batched.step: the native
+        # router replaces only the core step() hands each cycle to.
+        routers = []
+        original = CompiledStageRouter.step
+
+        def counted(self, dests, rng=None):
+            routers.append(type(self))
+            return original(self, dests, rng)
+
+        monkeypatch.setattr(CompiledStageRouter, "step", counted)
+        cell = contended_cells()[2]
+        assert resolve_backend(cell.spec, "auto", buffered=True).buffered_engine == "native"
+        measure_cell(cell)
+        cycles = cell.config.cycles
+        assert routers == [NativeStageRouter] * (cycles + cycles // 4)
+
+    @pytest.mark.parametrize("family", sorted(GRAPHS))
+    @pytest.mark.parametrize("priority", ["label", "random"])
+    def test_measure_buffered_engines_agree(self, family, priority):
+        from repro.sim.buffered import measure_buffered
+
+        # No warm-up, so the measured totals conserve packets.
+        kw = dict(traffic="uniform:0.7", depth=2, priority=priority, cycles=60,
+                  warmup=0, seed=8, faults=FAULTS[family])
+        graph = GRAPHS[family]()
+        ours = measure_buffered(graph, engine="native", **kw)
+        assert ours == measure_buffered(graph, engine="compiled", **kw)
+        assert ours == measure_buffered(graph, engine="reference", **kw)
+        assert ours.injected == ours.delivered + ours.in_flight + ours.dropped
+
+    def test_generator_lock_is_held_for_the_call(self):
+        import threading
+
+        graph = delta_graph(4, 4, 3)
+        rng = make_rng(2)
+        done = threading.Event()
+
+        def route():
+            NativeStageRouter(graph, priority="random").route_batch_counts(
+                demands(graph, 1, 4), rng
+            )
+            done.set()
+
+        with rng.bit_generator.lock:
+            worker = threading.Thread(target=route)
+            worker.start()
+            assert not done.wait(0.2)
+        worker.join(30)
+        assert done.is_set()
+
+    def test_label_cells_build_no_contended_library(self, monkeypatch):
+        monkeypatch.setattr(native, "_contended", None)
+        graph = delta_graph(2, 4, 3)
+        NativeStageRouter(graph).route_batch_counts(demands(graph, 1, 40))
+        assert native._contended is None
+
+    def test_contended_library_is_built_once(self, monkeypatch):
+        builds = []
+        original = native._build_shared_object
+
+        def counted(source, stem):
+            builds.append(stem)
+            return original(source, stem)
+
+        monkeypatch.setattr(native, "_contended", None)
+        monkeypatch.setattr(native, "_build_shared_object", counted)
+        for graph in (delta_graph(4, 4, 3), omega_graph(64), delta_graph(2, 2, 5)):
+            NativeStageRouter(graph, priority="random").route_batch_counts(
+                demands(graph, 1, 5), make_rng(1)
+            )
+            NativeStageRouter(graph, buffer_depth=2).step(demands(graph, 2, 1)[0])
+        assert builds == ["repro_contended"]
+
+
 class TestRegistryGating:
+    def test_contended_cells_fall_back_to_batched(self, monkeypatch):
+        # Without a compiler, random-priority and buffered cells resolve to
+        # batched and its NumPy FIFO engine, with byte-identical payloads.
+        cells = contended_cells()
+        want = [payload(measure_cell(cell)) for cell in cells]
+        monkeypatch.setattr(native, "_probe_cc", lambda: "cc: not found")
+        for cell, expected in zip(cells, want):
+            buffered = cell.config.buffer_depth is not None
+            backend = resolve_backend(cell.spec, "auto", buffered=buffered)
+            assert backend.name == "batched"
+            assert backend.buffered_engine == "compiled"
+            assert payload(measure_cell(cell)) == expected
+
     def test_explicit_native_names_the_compiler_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(native, "_probe_cc", lambda: "cc: not found")
         with pytest.raises(ConfigurationError, match="C compiler") as err:
