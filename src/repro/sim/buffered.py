@@ -23,7 +23,8 @@ Measured quantities per run:
 
 The per-packet :class:`~repro.sim.stagegraph.BufferedStageReference`
 serves as the independent cross-check engine (``engine="reference"``),
-bit-identical per cycle to the compiled path.
+bit-identical per cycle to the compiled path, which steps on NumPy
+(``engine="compiled"``) or in C (``engine="native"``).
 """
 
 from __future__ import annotations

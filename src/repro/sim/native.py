@@ -1035,6 +1035,10 @@ def _bit_generators(rng):
     rngs = (rng,) if isinstance(rng, np.random.Generator) else rng
     pointers, locks = [], {}
     for r in rngs:
+        if not isinstance(r, np.random.Generator):
+            raise ConfigurationError(
+                f"the native kernels draw on numpy Generators, got {type(r).__name__}"
+            )
         bitgen = r.bit_generator
         if id(bitgen) not in locks:
             locks[id(bitgen)] = (bitgen.lock, _capsule_pointer(bitgen.capsule, b"BitGenerator"))
@@ -1043,7 +1047,11 @@ def _bit_generators(rng):
 
 
 class _held:
-    """Hold several locks for a block, releasing those taken on any exit."""
+    """Hold several locks for a block, releasing those taken on any exit.
+
+    Buffered runs take a lock every cycle; ``contextlib.ExitStack`` costs
+    several times more per call.
+    """
 
     __slots__ = ("locks", "taken")
 

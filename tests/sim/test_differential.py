@@ -50,8 +50,9 @@ from repro.sim.stagegraph import (
 
 HAS_CC = bool(native.available_tiers())
 
-#: Batches around the lane block (``native._LANES`` = 32).
-BATCHES = (1, 31, 32, 33, 67)
+#: Batches around the lane block (``native._LANES`` = 32); Hypothesis
+#: favours the first, and a long batch gives tie-breaks the most room.
+BATCHES = (67, 33, 31, 32, 1)
 
 BIT_GENERATORS = {
     "pcg64": np.random.PCG64,
@@ -81,11 +82,13 @@ def _permutations(bits: int):
 @st.composite
 def stage_graphs(draw, max_bits: int = MAX_BITS):
     """A valid :class:`StageGraph`, one column at a time."""
-    bits = draw(st.integers(1, 6))
+    bits = draw(st.integers(3, 7))
     n_inputs = 1 << bits
     input_perm = draw(_permutations(bits))
     wide = draw(st.booleans()) and draw(st.booleans())
-    count = draw(st.integers(1, 4))
+    # Mostly several columns: which message wins a tie changes counts only
+    # through contention in a later column.
+    count = draw(st.sampled_from((3, 2, 4, 1)))
     shapes = []
     for i in range(count):
         fib = draw(st.integers(0, min(bits, 3)))
@@ -97,20 +100,25 @@ def stage_graphs(draw, max_bits: int = MAX_BITS):
             rb = min(8, WIDE_BITS - base)
             cb = WIDE_BITS - base - rb
         else:
-            rb = draw(st.integers(0, min(3, max_bits - base)))
-            cb = draw(st.integers(max(0, 1 - base - rb), min(2, max_bits - base - rb)))
-        shift = draw(st.integers(0, 8))
+            # Columns about as wide as the last keep later columns
+            # contended, where tie-breaks change the counts.
+            target = draw(st.integers(max(1, base, bits - 1), max(base, min(max_bits, bits + 1))))
+            cb = draw(st.integers(0, min(2, target - base)))
+            rb = target - base - cb
         bits = base + rb + cb
-        shapes.append((1 << fib, 1 << rb, 1 << cb, shift, bits))
-    stages = [
-        GraphStage(
-            fan_in, radix, capacity, shift,
-            link_perm=None if i == count - 1 else draw(_permutations(out_bits)),
-        )
-        for i, (fan_in, radix, capacity, shift, out_bits) in enumerate(shapes)
-    ]
+        shapes.append((fib, rb, cb, bits))
     low = bits - 8 if wide else 0
     out_shift = draw(st.integers(max(0, low), bits - 1))
+    # Digits inside the destination label, so columns route on the
+    # message, not only on where it sits.
+    label_bits = bits - out_shift
+    stages = [
+        GraphStage(
+            1 << fib, 1 << rb, 1 << cb, draw(st.integers(0, max(0, label_bits - rb))),
+            link_perm=None if i == count - 1 else draw(_permutations(out_bits)),
+        )
+        for i, (fib, rb, cb, out_bits) in enumerate(shapes)
+    ]
     return StageGraph(
         label=f"generated:{n_inputs}",
         n_inputs=n_inputs,
@@ -226,7 +234,7 @@ def test_label_counts_agree(case):
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no working C compiler")
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(routing_cases(), st.booleans())
 def test_random_counts_match_compiled_on_shared_streams(case, repeat):
     # One generator for the batch, or a per-cycle list that repeats one
