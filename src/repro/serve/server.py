@@ -89,6 +89,10 @@ def _run_cell(item: tuple[str, dict]) -> tuple[str, dict, int, dict]:
     cell = SweepCell.from_payload(cell_payload)
     progress = None
     if _PROGRESS_QUEUE is not None:
+        # Checkpoints are best-effort, so a worker never waits at exit to
+        # flush them: a sibling SIGKILLed mid-send leaves the queue's
+        # shared write lock held for good, and the wait would never end.
+        _PROGRESS_QUEUE.cancel_join_thread()
         last = [0.0]
 
         def progress(cycles, interval):

@@ -732,7 +732,7 @@ class CompiledStageRouter:
             ncon = contenders.size
             if ncon == 0:
                 continue
-            heads = state.dests[i][contenders, 0].astype(np.int64)
+            heads = state.dests[i][contenders, 0]
             switch = contenders >> ilog2(stage.fan_in)
             digit = (heads >> stage.shift) & (stage.radix - 1)
             bucket = switch * stage.radix + digit

@@ -417,7 +417,9 @@ def _spec_kernel(tables, wire_dtype):
 # ``PLINK``).  ``QOFF`` is the stage's first queue in the flat
 # :class:`~repro.sim.plan.BufferedState` arrays.
 
-_S_FIELDS = ("FIB", "SHIFT", "RMASK", "CAP", "WIDTH", "LINK", "ALIVE", "PLINK", "DEAD", "QOFF")
+_S_FIELDS = (
+    "FIB", "SHIFT", "RMASK", "CAP", "WIDTH", "LINK", "ALIVE", "PLINK", "DEAD", "QOFF",
+)
 _SF = len(_S_FIELDS)
 
 _CONTENDED_SOURCE = """#include <stdint.h>
@@ -744,7 +746,8 @@ def _contended_lib():
     """The contended kernels' shared library, built at first use."""
     global _contended
     if _contended is None:
-        lib = ctypes.CDLL(str(_build_shared_object(_CONTENDED_SOURCE, "repro_contended")))
+        path = _build_shared_object(_CONTENDED_SOURCE, "repro_contended")
+        lib = ctypes.CDLL(str(path))
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.repro_random_counts.restype = None
         lib.repro_random_counts.argtypes = [
@@ -936,13 +939,15 @@ class _ContendedTables:
 
         for i, stage in enumerate(g.stages):
             link = plan.fault_link_table(i, np.int64)
+            if link is None:
+                link = plan.perm_table(i, np.int64)
             fields = {
                 "FIB": int(np.log2(stage.fan_in)),
                 "SHIFT": int(stage.shift),
                 "RMASK": int(stage.radix) - 1,
                 "CAP": int(stage.capacity),
                 "WIDTH": int(widths[i]),
-                "LINK": put(tables, link if link is not None else plan.perm_table(i, np.int64)),
+                "LINK": put(tables, link),
                 "ALIVE": put(masks, plan.fault_alive(i)),
                 "PLINK": put(tables, plan.perm_table(i, np.int64)),
                 "DEAD": put(masks, plan.fault_dead_slots(i)),
@@ -967,7 +972,9 @@ class _ContendedTables:
         )
         self._ptrs = tuple(
             a.ctypes.data
-            for a in (self.stages, self.tables, self.masks, self.src_of_wire, self.wire_of_src)
+            for a in (
+                self.stages, self.tables, self.masks, self.src_of_wire, self.wire_of_src
+            )
         )
 
     def random_counts(self, dests, ws, rng) -> BatchAcceptanceCounts:
@@ -1041,7 +1048,8 @@ def _bit_generators(rng):
             )
         bitgen = r.bit_generator
         if id(bitgen) not in locks:
-            locks[id(bitgen)] = (bitgen.lock, _capsule_pointer(bitgen.capsule, b"BitGenerator"))
+            pointer = _capsule_pointer(bitgen.capsule, b"BitGenerator")
+            locks[id(bitgen)] = (bitgen.lock, pointer)
         pointers.append(locks[id(bitgen)][1])
     return pointers, [lock for _, (lock, _) in sorted(locks.items())]
 
@@ -1191,8 +1199,8 @@ class NativeStageRouter(CompiledStageRouter):
     those of :class:`CompiledStageRouter`.
     """
 
-    #: The execution tier, recorded by provenance tooling: the
-    #: plan-specialized C kernel is the only one.
+    #: The execution tier, recorded by provenance tooling: compiled C
+    #: is the only one.
     tier = "cc"
 
     def __init__(self, graph, **options):
@@ -1244,7 +1252,9 @@ class NativeStageRouter(CompiledStageRouter):
             gen = pointers[0]
         np.copyto(run.dests, dests)
         with _held(locks):
-            delivered = _contended_lib().repro_buffered_step(run.struct, self._cycle, gen)
+            delivered = _contended_lib().repro_buffered_step(
+                run.struct, self._cycle, gen
+            )
         self._cycle += 1
         result = run.out[:, :delivered].copy()
         return BufferedCycleOutcome(

@@ -465,3 +465,35 @@ class TestReconnectResume:
         with pytest.raises(ConnectionLost):
             with client:
                 client.submit(cells)
+
+
+def _run_one_cell(cell_payload):
+    server_mod._run_cell(("key", cell_payload))
+
+
+class TestProgressCheckpoints:
+    def test_worker_exits_though_a_killed_sibling_holds_the_write_lock(
+        self, monkeypatch
+    ):
+        # A worker SIGKILLed while its feeder thread sends a checkpoint
+        # leaves the progress queue's shared write lock held for good.
+        # Checkpoints are best-effort, so another worker must still exit
+        # rather than wait forever at exit to flush its own.
+        from repro.serve.supervisor import fork_context
+
+        ctx = fork_context()
+        queue = ctx.Queue()
+        queue._wlock.acquire()
+        monkeypatch.setattr(server_mod, "_PROGRESS_QUEUE", queue)
+        cell = SweepCell(SPEC, RunConfig(cycles=64, seed=0, batch=4))
+        worker = ctx.Process(target=_run_one_cell, args=(cell.payload(),))
+        worker.start()
+        worker.join(20)
+        try:
+            assert worker.exitcode == 0
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()
+            queue._wlock.release()
+            queue.close()

@@ -129,7 +129,9 @@ def per_cycle_entry_points():
         not native.available_tiers(), reason="no working C compiler"
     )
     return [
-        pytest.param(lambda d: CompiledStageRouter(graph).route(d), id="compiled-route"),
+        pytest.param(
+            lambda d: CompiledStageRouter(graph).route(d), id="compiled-route"
+        ),
         pytest.param(
             lambda d: CompiledStageRouter(graph, buffer_depth=2).step(d),
             id="compiled-step",
@@ -142,7 +144,9 @@ def per_cycle_entry_points():
             lambda d: native.NativeStageRouter(graph, buffer_depth=2).step(d),
             id="native-step", marks=needs_cc,
         ),
-        pytest.param(lambda d: StageGraphReference(graph).route(d), id="reference-route"),
+        pytest.param(
+            lambda d: StageGraphReference(graph).route(d), id="reference-route"
+        ),
         pytest.param(
             lambda d: BufferedStageReference(graph, depth=2).step(d),
             id="reference-step",

@@ -102,7 +102,8 @@ def stage_graphs(draw, max_bits: int = MAX_BITS):
         else:
             # Columns about as wide as the last keep later columns
             # contended, where tie-breaks change the counts.
-            target = draw(st.integers(max(1, base, bits - 1), max(base, min(max_bits, bits + 1))))
+            lo = max(1, base, bits - 1)
+            target = draw(st.integers(lo, max(base, min(max_bits, bits + 1))))
             cb = draw(st.integers(0, min(2, target - base)))
             rb = target - base - cb
         bits = base + rb + cb
@@ -246,9 +247,8 @@ def test_random_counts_match_compiled_on_shared_streams(case, repeat):
     got = router.route_batch_counts(
         dests.astype(router.demand_dtype), [ours] * batch if repeat else ours
     )
-    want = CompiledStageRouter(graph, priority="random", faults=faults).route_batch_counts(
-        dests, [theirs] * batch if repeat else theirs
-    )
+    numpy_router = CompiledStageRouter(graph, priority="random", faults=faults)
+    want = numpy_router.route_batch_counts(dests, [theirs] * batch if repeat else theirs)
     assert_counts_equal(got, want)
     assert ours.bit_generator.state == theirs.bit_generator.state
     assert_same_stream(ours, theirs)

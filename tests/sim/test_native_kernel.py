@@ -561,7 +561,8 @@ class TestContendedKernels:
 
         monkeypatch.setattr(CompiledStageRouter, "step", counted)
         cell = contended_cells()[2]
-        assert resolve_backend(cell.spec, "auto", buffered=True).buffered_engine == "native"
+        backend = resolve_backend(cell.spec, "auto", buffered=True)
+        assert backend.buffered_engine == "native"
         measure_cell(cell)
         cycles = cell.config.cycles
         assert routers == [NativeStageRouter] * (cycles + cycles // 4)
