@@ -409,18 +409,17 @@ def _spec_kernel(tables, wire_dtype):
 # the kernel repeats that loop call for call, so every bit generator and
 # any pending 32-bit half stay in step with NumPy.
 #
-# A stage descriptor is one row of ``_SF`` int64 fields (``_S_*``);
-# offset fields index the concatenated ``tables`` (int64) and ``masks``
-# (uint8) arrays, ``-1`` = none (identity link, no faults).  Counts use
-# the rank-space fault view (``ALIVE``, and ``LINK`` pre-composed with
-# the live remap); the FIFO step grants physical slots (``DEAD``, plain
-# ``PLINK``).  ``QOFF`` is the stage's first queue in the flat
-# :class:`~repro.sim.plan.BufferedState` arrays.
+# A stage descriptor is one int64 row, fields in ``_S_FIELDS`` order (the
+# C names them ``S_*``); offset fields index the concatenated ``tables``
+# (int64) and ``masks`` (uint8) arrays, ``-1`` = none (identity link, no
+# faults).  Counts use the rank-space fault view (``ALIVE``, and ``LINK``
+# pre-composed with the live remap); the FIFO step grants physical slots
+# (``DEAD``, plain ``PLINK``).  ``QOFF`` is the stage's first queue in the
+# flat :class:`~repro.sim.plan.BufferedState` arrays.
 
 _S_FIELDS = (
     "FIB", "SHIFT", "RMASK", "CAP", "WIDTH", "LINK", "ALIVE", "PLINK", "DEAD", "QOFF",
 )
-_SF = len(_S_FIELDS)
 
 _CONTENDED_SOURCE = """#include <stdint.h>
 #include <string.h>
@@ -913,7 +912,7 @@ def _lower(plan) -> _PlanTables:
 class _ContendedTables:
     """One plan lowered for the contended kernels (see ``_CONTENDED_SOURCE``).
 
-    ``stages`` is the ``(nstages, _SF)`` descriptor matrix; ``tables``
+    ``stages`` is the ``(nstages, len(_S_FIELDS))`` descriptor matrix; ``tables``
     and ``masks`` the concatenated link tables and fault masks its offsets
     index; ``src_of_wire``/``wire_of_src`` the input permutation both
     ways.  ``groups`` is the most ``(switch, bucket)`` groups of any
