@@ -43,7 +43,11 @@ from repro.baselines.clos import ClosNetwork
 from repro.core.exceptions import RoutingError
 from repro.core.network import EDNetwork, Message
 from repro.core.faults import FaultyEDNetwork
-from repro.sim.batched import BatchCycleResult, validate_demand_matrix
+from repro.sim.batched import (
+    BatchCycleResult,
+    _check_demand_vector,
+    validate_demand_matrix,
+)
 from repro.sim.stagegraph import IDLE, VectorCycleResult
 
 __all__ = [
@@ -166,11 +170,7 @@ class ReferenceEDNRouter(_BatchByLoop):
     def route(
         self, dests: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> VectorCycleResult:
-        dests = np.asarray(dests, dtype=np.int64)
-        if dests.shape != (self.n_inputs,):
-            raise RoutingError(
-                f"expected demand vector of shape ({self.n_inputs},), got {dests.shape}"
-            )
+        dests = _check_demand_vector(dests, self.n_inputs, self.n_outputs)
         params = self.network.params
         messages = [
             Message.to_output(int(s), int(d), params)
@@ -240,14 +240,8 @@ class RearrangeableRouter(_BatchByLoop):
         self, dests: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> VectorCycleResult:
         n = self._terminals
-        dests = np.asarray(dests, dtype=np.int64)
-        if dests.shape != (n,):
-            raise RoutingError(f"expected demand vector of shape ({n},), got {dests.shape}")
+        dests = _check_demand_vector(dests, n, n).astype(np.int64)
         live = dests != IDLE
-        if live.any() and (
-            int(dests[live].min()) < 0 or int(dests[live].max()) >= n
-        ):
-            raise RoutingError("demand vector contains out-of-range destinations")
 
         output = np.full(n, IDLE, dtype=np.int64)
         blocked = np.full(n, IDLE, dtype=np.int64)

@@ -345,7 +345,7 @@ class RunConfig:
         Router backend name, or ``auto`` (batched where available,
         per-cycle fallback) — see :func:`repro.api.build_router`.
     confidence:
-        Confidence level of reported intervals.
+        Confidence level of reported intervals, in ``(0, 1)``.
     rel_err:
         Adaptive early-stopping target: when set, ``cycles`` becomes a
         budget and each measurement stops as soon as its interval
@@ -407,6 +407,10 @@ class RunConfig:
     buffer_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.confidence is not None and not 0 < self.confidence < 1:
+            raise ConfigurationError(
+                f"confidence must lie in (0, 1), got {self.confidence}"
+            )
         if self.rel_err is not None and not 0 < self.rel_err < 1:
             raise ConfigurationError(
                 f"rel_err must lie in (0, 1), got {self.rel_err}"

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 import numpy as np
 
 from repro.sim.rng import SeedLike, make_rng
-from repro.sim.stats import Interval, RatioStats
+from repro.sim.stats import Interval, RatioStats, _check_confidence
 from repro.workloads.models import TrafficGenerator
 from repro.workloads.registry import TrafficLike, make_traffic
 
@@ -248,6 +248,7 @@ def measure_acceptance(
         raise ValueError(f"batch size must be >= 1, got {batch}")
     if rel_err is not None and not 0 < rel_err < 1:
         raise ValueError(f"rel_err must lie in (0, 1), got {rel_err}")
+    _check_confidence(confidence)
     if retry is not None:
         from repro.sim.closedloop import RetryPolicy, drive_closed_loop
 

@@ -313,7 +313,9 @@ def _compiler() -> Optional[str]:
 _FLAG_LADDER = (("-march=native",), ())
 
 #: Optimization level of every build.  ``-O3`` builds the lane kernel
-#: about 1.5x slower and runs it no faster.
+#: about 1.5x slower and runs it no faster; ``-O1`` builds it in about
+#: 0.6x the time but runs it 1.1-1.3x slower (docs/PERFORMANCE.md,
+#: "Cold start").
 _OPT_LEVEL = "-O2"
 
 _isa_fingerprints: dict = {}

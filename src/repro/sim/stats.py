@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import ceil, sqrt
 from collections.abc import Sequence
 
-from scipy import stats as _scipy_stats
+from scipy.special import ndtri as _ndtri, stdtrit as _stdtrit
 
 __all__ = [
     "RunningStats",
@@ -37,15 +37,26 @@ __all__ = [
 ]
 
 
+def _check_confidence(confidence: float) -> None:
+    # ``not 0 < c < 1`` also rejects NaN.
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+
+
 @functools.lru_cache(maxsize=256)
 def _t_quantile(q: float, df: int) -> float:
-    """``scipy.stats.t.ppf(q, df)``, memoized.
+    """The Student-t quantile ``stdtrit(df, q)``, memoized.
 
-    A scipy quantile call costs ~90 µs, and every confidence interval of a
-    Monte-Carlo cell (one per chunk under ``rel_err``) asks for one of a few
-    ``(q, df)`` pairs.  The cached value is the very float scipy returned.
+    This is the function ``scipy.stats.t.ppf(q, df)`` evaluates (at loc 0
+    and scale 1), bit for bit.  Importing ``scipy.special`` instead of
+    ``scipy.stats`` keeps the largest import of the numeric stack out of
+    every process that measures a cell (see "Cold start" in
+    ``docs/PERFORMANCE.md``).  Every confidence interval of a Monte-Carlo
+    cell (one per chunk under ``rel_err``) asks for one of a few
+    ``(q, df)`` pairs, so the memo returns the float scipy computed the
+    first time without calling it again.
     """
-    return _scipy_stats.t.ppf(q, df=df)
+    return _stdtrit(df, q)
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,7 @@ class RunningStats:
 
     def confidence_interval(self, confidence: float = 0.95) -> Interval:
         """Student-t interval for the mean."""
+        _check_confidence(confidence)
         if self._n < 2:
             return Interval(self.mean, float("-inf"), float("inf"))
         t = _t_quantile(0.5 + confidence / 2.0, self._n - 1)
@@ -305,6 +317,7 @@ class RatioStats:
 
     def confidence_interval(self, confidence: float = 0.95) -> Interval:
         """Delta-method interval on the ratio of means."""
+        _check_confidence(confidence)
         n = self._n
         point = self.ratio
         if n < 2:
@@ -583,7 +596,8 @@ def proportion_ci(successes: int, trials: int, confidence: float = 0.95) -> Inte
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = _scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+    _check_confidence(confidence)
+    z = _ndtri(0.5 + confidence / 2.0)  # scipy.stats.norm.ppf, bit for bit
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -130,6 +130,16 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="unknown RunConfig field"):
             RunConfig().resolve(sedd=0)
 
+    @pytest.mark.parametrize("confidence", [1.5, -1.0, 1.0, 0.0, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        # 1.5 used to measure [nan, nan], -1.0 [inf, -inf] and 1.0 an
+        # infinite interval.
+        with pytest.raises(ConfigurationError, match="confidence must lie in"):
+            RunConfig(confidence=confidence)
+
+    def test_confidence_inside_unit_interval_kept(self):
+        assert RunConfig(confidence=0.99).confidence == 0.99
+
     def test_frozen_and_picklable(self):
         cfg = RunConfig(cycles=5, seed=3)
         with pytest.raises(AttributeError):

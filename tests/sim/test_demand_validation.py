@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 
 from repro.api import NetworkSpec, build_router
+from repro.api.router import RearrangeableRouter, ReferenceEDNRouter
+from repro.baselines.benes import BenesNetwork
 from repro.baselines.crossbar_network import CrossbarNetwork
+from repro.core.config import EDNParams
 from repro.core.exceptions import LabelError
+from repro.core.network import EDNetwork
 from repro.sim import native
 from repro.sim.batched import CompiledStageRouter, validate_demand_matrix
 from repro.sim.stagegraph import (
@@ -150,6 +154,14 @@ def per_cycle_entry_points():
         pytest.param(
             lambda d: BufferedStageReference(graph, depth=2).step(d),
             id="reference-step",
+        ),
+        pytest.param(
+            lambda d: ReferenceEDNRouter(EDNetwork(EDNParams(4, 2, 2, 2))).route(d),
+            id="reference-edn-route",
+        ),
+        pytest.param(
+            lambda d: RearrangeableRouter(BenesNetwork(8)).route(d),
+            id="rearrangeable-route",
         ),
     ]
 

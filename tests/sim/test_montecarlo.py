@@ -315,6 +315,23 @@ class TestAdaptiveEarlyStopping:
         with pytest.raises(ValueError):
             measure_acceptance(router, traffic, cycles=10, rel_err=0.0)
 
+    @pytest.mark.parametrize("confidence", [1.5, -1.0, 1.0, 0.0])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        # Rejected before any cycle is routed, on both source kinds.
+        class Unroutable:
+            n_inputs = n_outputs = 64
+
+            def route(self, dests, rng=None):  # pragma: no cover - must not run
+                raise AssertionError("routed before the confidence check")
+
+            route_batch = route
+
+        for retry in (None, "4"):
+            with pytest.raises(ValueError, match="confidence must lie in"):
+                measure_acceptance(
+                    Unroutable(), "uniform", cycles=10, confidence=confidence, retry=retry
+                )
+
     def test_config_carries_rel_err(self):
         from repro.api.spec import RunConfig
 

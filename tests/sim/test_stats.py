@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.sim import stats as stats_module
 from repro.sim.stats import (
     Interval,
@@ -153,9 +160,132 @@ class TestTQuantileCache:
     def test_repeat_call_does_not_reenter_scipy(self, monkeypatch):
         first = _t_quantile(0.95, 31)
 
-        class Unreachable:
-            def __getattr__(self, name):
-                raise AssertionError("scipy re-entered for a cached quantile")
+        def unreachable(*args):
+            raise AssertionError("scipy re-entered for a cached quantile")
 
-        monkeypatch.setattr(stats_module, "_scipy_stats", Unreachable())
+        monkeypatch.setattr(stats_module, "_stdtrit", unreachable)
         assert _t_quantile(0.95, 31) == first
+
+
+def _bits(values) -> np.ndarray:
+    """Float64 values as their bit patterns: ``-0.0 != 0.0``, NaN == NaN."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+#: Confidence levels in (0, 1): the usual ones, both ends, and a seeded
+#: spread.  Quantiles are asked for at ``0.5 + confidence / 2``, as the
+#: intervals do, so q covers (0.5, 1) with the rounding the code sees;
+#: ``1 - 2**-52`` gives the largest q below 1.
+CONFIDENCES = np.concatenate([
+    [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-12, 1 - 2**-52],
+    np.random.default_rng(17).uniform(0.0, 1.0, 24),
+])
+QUANTILES = 0.5 + CONFIDENCES / 2.0
+DEGREES = [*range(1, 2001), 4095, 2**16, 10**6, 10**9]
+
+
+class TestQuantilesMatchScipyStats:
+    """The ``scipy.special`` quantiles equal ``scipy.stats``'s bit for bit."""
+
+    def test_t_quantile_equals_t_ppf(self):
+        from scipy import stats as scipy_stats
+
+        ours = [[_t_quantile(float(q), df) for df in DEGREES] for q in QUANTILES]
+        reference = scipy_stats.t.ppf(QUANTILES[:, None], df=np.array(DEGREES)[None, :])
+        np.testing.assert_array_equal(_bits(ours), _bits(reference))
+
+    def test_proportion_ci_z_equals_norm_ppf(self):
+        from scipy import stats as scipy_stats
+
+        def wilson(successes, trials, confidence):
+            """The Wilson interval on ``scipy.stats``'s normal quantile."""
+            z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+            phat = successes / trials
+            denom = 1.0 + z * z / trials
+            center = (phat + z * z / (2 * trials)) / denom
+            half = (z / denom) * math.sqrt(
+                phat * (1 - phat) / trials + z * z / (4 * trials * trials)
+            )
+            return phat, max(0.0, center - half), min(1.0, center + half)
+
+        np.testing.assert_array_equal(
+            _bits(stats_module._ndtri(QUANTILES)), _bits(scipy_stats.norm.ppf(QUANTILES))
+        )
+        for confidence in map(float, CONFIDENCES):
+            for successes, trials in ((0, 10), (7, 40), (40, 40), (123, 1000)):
+                ours = proportion_ci(successes, trials, confidence)
+                np.testing.assert_array_equal(
+                    _bits([ours.point, ours.low, ours.high]),
+                    _bits(wilson(successes, trials, confidence)),
+                )
+
+
+class TestImportFootprint:
+    def test_cell_path_does_not_import_scipy_stats(self):
+        # scipy.stats costs a process about three times the import time and
+        # memory of scipy.special ("Cold start" in docs/PERFORMANCE.md).
+        # One adaptive cell (its interval asks for a t quantile every
+        # chunk) runs in a fresh interpreter, where nothing else could
+        # have loaded scipy.stats.
+        code = (
+            "import sys\n"
+            "from repro.api import NetworkSpec, RunConfig\n"
+            "from repro.api.jobs import SweepCell, measure_cell\n"
+            "cell = SweepCell(NetworkSpec.parse('delta:4,4,2'),\n"
+            "                 RunConfig(cycles=256, seed=3, rel_err=0.05))\n"
+            "interval = measure_cell(cell).acceptance\n"
+            "assert interval.low < interval.point < interval.high, interval\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert proc.stdout.strip() == "[]"
+
+
+class TestConfidenceValidation:
+    """A confidence outside (0, 1) is rejected, not turned into a NaN interval."""
+
+    BAD = [1.5, -1.0, 1.0, 0.0, float("nan")]
+
+    @pytest.mark.parametrize("confidence", BAD)
+    def test_running_stats(self, confidence):
+        acc = RunningStats()
+        acc.extend([1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="confidence"):
+            acc.confidence_interval(confidence)
+
+    @pytest.mark.parametrize("confidence", BAD)
+    def test_ratio_stats(self, confidence):
+        acc = RatioStats()
+        acc.push(3, 4)
+        acc.push(2, 4)
+        with pytest.raises(ValueError, match="confidence"):
+            acc.confidence_interval(confidence)
+
+    @pytest.mark.parametrize("confidence", BAD)
+    def test_proportion_ci(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            proportion_ci(3, 10, confidence)
+
+    def test_rejected_before_enough_observations(self):
+        # The degenerate one-observation interval still checks its level.
+        acc = RunningStats()
+        acc.push(1.0)
+        with pytest.raises(ValueError, match="confidence"):
+            acc.confidence_interval(1.5)
+        with pytest.raises(ValueError, match="confidence"):
+            RatioStats().confidence_interval(1.5)
+
+    @pytest.mark.parametrize("confidence", [1e-12, 0.5, 0.95, 1 - 2**-52])
+    def test_levels_inside_accepted(self, confidence):
+        acc = RatioStats()
+        acc.push(3, 4)
+        acc.push(2, 4)
+        interval = acc.confidence_interval(confidence)
+        assert interval.low <= interval.point <= interval.high
+        assert proportion_ci(3, 10, confidence).contains(0.3)
