@@ -47,6 +47,10 @@ per host through the same cache, and draw each tie permutation in place
 on the caller's own NumPy generator.  Random-priority counts go through
 :meth:`NativeKernel.counts`; a buffered cycle is the core that
 :meth:`~repro.sim.batched.CompiledStageRouter.step` hands it to.
+
+The toolchain probe's source (``_C_PROBE``) also carries the PCG64
+traffic draws of :mod:`repro.workloads.models`, handed over by
+:func:`draw_library`.
 """
 
 from __future__ import annotations
@@ -364,18 +368,29 @@ def _build_shared_object(source: str, stem: str) -> Path:
     if so_path.exists():
         return so_path
     cache.mkdir(parents=True, exist_ok=True)
-    c_path = cache / f"{stem}_{digest}.c"
-    c_path.write_text(source)
-    tmp = cache / f".{so_path.name}.{os.getpid()}.tmp"
+    # Every build (thread or process) compiles its own copy of the source
+    # into its own object and publishes both by atomic rename, so a
+    # concurrent first build never reads a half-written source or loads a
+    # half-written object.
+    fd, tmp_c = tempfile.mkstemp(prefix=f".{stem}_{digest}.", suffix=".c", dir=cache)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(source)
+    tmp_so = tmp_c[: -len(".c")] + ".so"
     errors = []
-    for cmd in commands:
-        proc = subprocess.run(
-            [*cmd, str(c_path), "-o", str(tmp)], capture_output=True, text=True
-        )
-        if proc.returncode == 0:
-            os.replace(tmp, so_path)
-            return so_path
-        errors.append(proc.stderr.strip())
+    try:
+        for cmd in commands:
+            proc = subprocess.run(
+                [*cmd, tmp_c, "-o", tmp_so], capture_output=True, text=True
+            )
+            if proc.returncode == 0:
+                os.replace(tmp_so, so_path)
+                os.replace(tmp_c, so_path.with_suffix(".c"))
+                return so_path
+            errors.append(proc.stderr.strip())
+    finally:
+        for leftover in (tmp_c, tmp_so):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
     raise ConfigurationError(
         f"C kernel compilation failed with {compiler}: {errors[-1]!r}"
     )
@@ -772,7 +787,26 @@ def _contended_lib():
 #: Compiled and called once per process.  It uses the vector extension
 #: the way the lane kernel does, so a compiler that builds plain C but not
 #: the kernel reports ``native`` unavailable instead of failing a cell.
+#:
+#: The same translation unit carries the traffic draws of
+#: :mod:`repro.workloads.models` (see :func:`draw_library`), so no process
+#: builds an object for them alone.  They compute numpy's ``PCG64`` words
+#: bit for bit: the state is a 128-bit LCG, stepped before each word, and
+#: the word is the XSL-RR output of the new state (its two halves xored,
+#: rotated right by the state's top six bits).  Where the target has a
+#: native 64-bit vector multiply (AVX-512DQ), ``DRAW_LANES`` = 8 lanes hold
+#: the states of eight consecutive words and each step jumps every lane
+#: eight words ahead; elsewhere one ``unsigned __int128`` lane steps word
+#: by word.  Either way the words are used in stream order.  Two fused
+#: loops use them, over a chunk of 2-, 4- or 8-byte signed labels:
+#: ``repro_draw_labels`` stores the top bits of each 32-bit half (low half
+#: first), and ``repro_draw_set`` sets each entry whose word is, or is not,
+#: below a bound to a value.  ``st`` is ``{state high, state low, increment
+#: high, increment low}``; the state of the last word drawn is written back
+#: to its first two entries.  The draws are guarded on
+#: ``__SIZEOF_INT128__``, so the probe still builds without them.
 _C_PROBE = """#include <stdint.h>
+#include <string.h>
 typedef int16_t probe_t
     __attribute__((vector_size(32 * sizeof(int16_t)), aligned(sizeof(int16_t))));
 
@@ -784,15 +818,245 @@ long repro_probe(void)
     v = (m & (v + 20)) | (~m & v);      /* every lane 21 */
     return (long)v[0] + (long)v[31];
 }
+
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+
+#ifndef DRAW_LANES
+#if defined(__AVX512DQ__)
+#define DRAW_LANES 8
+#else
+#define DRAW_LANES 1
+#endif
+#endif
+
+#define INLINE static inline __attribute__((always_inline))
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+long repro_draw_lanes(void)
+{
+    return DRAW_LANES;
+}
+
+/* A stream: `s` is the state of the last word drawn. */
+typedef struct {
+    u128 s, inc;
+} pcg_t;
+
+INLINE uint64_t pcg_output(u128 s)
+{
+    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned r = (unsigned)(s >> 122);
+    return (x >> r) | (x << (-r & 63));
+}
+
+INLINE uint64_t pcg_next(pcg_t *g)
+{
+    g->s = g->s * PCG_MULT + g->inc;
+    return pcg_output(g->s);
+}
+
+INLINE int64_t get_entry(const void *a, int size, int64_t i)
+{
+    if (size == 2)
+        return ((const int16_t *)a)[i];
+    if (size == 4)
+        return ((const int32_t *)a)[i];
+    return ((const int64_t *)a)[i];
+}
+
+INLINE void put_entry(void *a, int size, int64_t i, int64_t v)
+{
+    if (size == 2)
+        ((int16_t *)a)[i] = (int16_t)v;
+    else if (size == 4)
+        ((int32_t *)a)[i] = (int32_t)v;
+    else
+        ((int64_t *)a)[i] = v;
+}
+
+#if DRAW_LANES == 8
+typedef uint64_t word_v __attribute__((vector_size(64)));
+typedef uint32_t half_v __attribute__((vector_size(64)));
+typedef int64_t mask_v __attribute__((vector_size(64)));
+
+/* Lane j holds the state of the (j+1)-th word not yet drawn; a step is
+ * eight LCG steps at once, s -> s * mul + add. */
+typedef struct {
+    word_v hi, lo, mul_hi, mul_lo, add_hi, add_lo;
+} lanes_t;
+
+INLINE lanes_t lanes_start(const pcg_t *g)
+{
+    lanes_t v;
+    u128 s = g->s, mul = 1, add = 0;
+    for (int j = 0; j < 8; j++) {
+        s = s * PCG_MULT + g->inc;
+        v.hi[j] = (uint64_t)(s >> 64);
+        v.lo[j] = (uint64_t)s;
+        mul *= PCG_MULT;
+        add = add * PCG_MULT + g->inc;
+    }
+    v.mul_hi = (word_v){0} + (uint64_t)(mul >> 64);
+    v.mul_lo = (word_v){0} + (uint64_t)mul;
+    v.add_hi = (word_v){0} + (uint64_t)(add >> 64);
+    v.add_lo = (word_v){0} + (uint64_t)add;
+    return v;
+}
+
+/* Two AVX-512 instructions the vector extension does not emit, in inline
+ * assembly: including <immintrin.h> would cost more to compile than the
+ * rest of the probe. */
+
+/* The low 32 bits of each lane times those of the other. */
+INLINE word_v mul32(word_v a, word_v b)
+{
+    word_v r;
+    __asm__("vpmuludq %2, %1, %0" : "=v"(r) : "v"(a), "v"(b));
+    return r;
+}
+
+/* Each lane of x rotated right by that lane of r. */
+INLINE word_v rotr(word_v x, word_v r)
+{
+    word_v y;
+    __asm__("vprorvq %2, %1, %0" : "=v"(y) : "v"(x), "v"(r));
+    return y;
+}
+
+/* The lanes' eight words; then every lane steps eight words on, and g->s
+ * becomes the state of the last word returned. */
+INLINE word_v lanes_next(lanes_t *v, pcg_t *g)
+{
+    word_v h = v->hi, l = v->lo;
+    word_v w = rotr(h ^ l, h >> 58);
+    /* (h, l) * (mul_hi, mul_lo): the high word of l * mul_lo from 32-bit
+     * products, the two cross terms from 64-bit ones. */
+    const word_v low = (word_v){0} + 0xffffffffULL;
+    word_v l1 = l >> 32, m0 = v->mul_lo, m1 = v->mul_lo >> 32;
+    word_v p00 = mul32(l, m0), p01 = mul32(l, m1), p10 = mul32(l1, m0);
+    word_v mid = (p00 >> 32) + (p01 & low) + (p10 & low);
+    word_v lo = ((mid << 32) | (p00 & low)) + v->add_lo;
+    v->hi = mul32(l1, m1) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        + l * v->mul_hi + h * v->mul_lo + v->add_hi - (word_v)(lo < v->add_lo);
+    v->lo = lo;
+    g->s = ((u128)h[7] << 64) | l[7];
+    return w;
+}
+
+INLINE void store_halves(void *out, int size, int64_t at, half_v h)
+{
+    if (size == 2) {
+        typedef int16_t out_v __attribute__((vector_size(32), aligned(2)));
+        out_v o = __builtin_convertvector(h, out_v);
+        memcpy((int16_t *)out + at, &o, sizeof o);
+    } else if (size == 4) {
+        memcpy((int32_t *)out + at, &h, sizeof h);
+    } else {
+        typedef int64_t out_v __attribute__((vector_size(128), aligned(8)));
+        out_v o = __builtin_convertvector(h, out_v);
+        memcpy((int64_t *)out + at, &o, sizeof o);
+    }
+}
+
+#define BLEND(T, bytes)                                                   \\
+    do {                                                                  \\
+        typedef T out_v __attribute__((vector_size(bytes), aligned(sizeof(T)))); \\
+        out_v mm = __builtin_convertvector(m, out_v), o;                 \\
+        memcpy(&o, (T *)out + at, sizeof o);                              \\
+        o = (mm & (T)value) | (~mm & o);                                  \\
+        memcpy((T *)out + at, &o, sizeof o);                              \\
+    } while (0)
+
+INLINE void blend_entries(void *out, int size, int64_t at, mask_v m, int64_t value)
+{
+    if (size == 2)
+        BLEND(int16_t, 16);
+    else if (size == 4)
+        BLEND(int32_t, 32);
+    else
+        BLEND(int64_t, 64);
+}
+#endif
+
+/* Word by word: the single lane, and the last words of a lane build. */
+INLINE void labels_tail(pcg_t *g, void *out, int size, int64_t i, int64_t words, int shift)
+{
+    for (; i < words; i++) {
+        uint64_t w = pcg_next(g);
+        put_entry(out, size, 2 * i, (uint32_t)w >> shift);
+        put_entry(out, size, 2 * i + 1, (uint32_t)(w >> 32) >> shift);
+    }
+}
+
+INLINE void set_tail(pcg_t *g, void *out, int size, int64_t i, int64_t count,
+                     uint64_t bound, int ge, int64_t value)
+{
+    for (; i < count; i++) {
+        int64_t keep = ((pcg_next(g) >= bound) == ge) - 1;
+        put_entry(out, size, i, (get_entry(out, size, i) & keep) | (value & ~keep));
+    }
+}
+
+/* out[i] = the top 32 - shift bits of each 32-bit half, low half first:
+ * numpy's integers(0, 2 ** (32 - shift)), two values per word. */
+void repro_draw_labels(uint64_t *st, void *out, int64_t size, int64_t words, int64_t shift)
+{
+    pcg_t g = {((u128)st[0] << 64) | st[1], ((u128)st[2] << 64) | st[3]};
+    int64_t i = 0;
+#if DRAW_LANES == 8
+    if (words >= 8) {
+        lanes_t v = lanes_start(&g);
+        for (; i + 8 <= words; i += 8)
+            store_halves(out, (int)size, 2 * i, (half_v)lanes_next(&v, &g) >> shift);
+    }
+#endif
+    if (size == 2)
+        labels_tail(&g, out, 2, i, words, (int)shift);
+    else if (size == 4)
+        labels_tail(&g, out, 4, i, words, (int)shift);
+    else
+        labels_tail(&g, out, 8, i, words, (int)shift);
+    st[0] = (uint64_t)(g.s >> 64);
+    st[1] = (uint64_t)g.s;
+}
+
+/* out[i] = value wherever (word i >= bound) == ge: with bound =
+ * ceil(p * 2**53) << 11, ge = 0 sets the entries where numpy's
+ * random() < p holds, ge = 1 those where it fails. */
+void repro_draw_set(uint64_t *st, void *out, int64_t size, int64_t count,
+                    uint64_t bound, int64_t ge, int64_t value)
+{
+    pcg_t g = {((u128)st[0] << 64) | st[1], ((u128)st[2] << 64) | st[3]};
+    int64_t i = 0;
+#if DRAW_LANES == 8
+    if (count >= 8) {
+        lanes_t v = lanes_start(&g);
+        mask_v flip = (mask_v){0} - !ge;
+        for (; i + 8 <= count; i += 8)
+            blend_entries(out, (int)size, i, (mask_v)(lanes_next(&v, &g) >= bound) ^ flip, value);
+    }
+#endif
+    if (size == 2)
+        set_tail(&g, out, 2, i, count, bound, ge != 0, value);
+    else if (size == 4)
+        set_tail(&g, out, 4, i, count, bound, ge != 0, value);
+    else
+        set_tail(&g, out, 8, i, count, bound, ge != 0, value);
+    st[0] = (uint64_t)(g.s >> 64);
+    st[1] = (uint64_t)g.s;
+}
+#endif
 """
 
 _cc_error: Optional[str] = None
 _cc_probed = False
+_probe_lib: Optional[ctypes.CDLL] = None
 
 
 def _probe_cc() -> Optional[str]:
     """Compile-and-call the vector probe once; ``None`` = toolchain works."""
-    global _cc_error, _cc_probed
+    global _cc_error, _cc_probed, _probe_lib
     if not _cc_probed:
         _cc_probed = True
         try:
@@ -800,9 +1064,22 @@ def _probe_cc() -> Optional[str]:
             if int(lib.repro_probe()) != 42:
                 raise ConfigurationError("probe kernel returned garbage")
             _cc_error = None
+            _probe_lib = lib
         except Exception as exc:  # noqa: BLE001 - any failure = no kernel
             _cc_error = str(exc)
     return _cc_error
+
+
+def draw_library() -> Optional[ctypes.CDLL]:
+    """The probe's library if it built with its traffic draws, else ``None``.
+
+    ``None`` without a working compiler, and where the compiler has no
+    128-bit integer type (the draws are compiled out).  The caller sets
+    the argument types and checks the draws (``repro.workloads.models``).
+    """
+    if _probe_cc() is not None or _probe_lib is None:
+        return None
+    return _probe_lib if hasattr(_probe_lib, "repro_draw_lanes") else None
 
 
 def available_tiers() -> tuple[str, ...]:

@@ -17,8 +17,7 @@ Monte-Carlo chunk is a few numpy calls, never a per-cycle Python loop.
 router that reads narrow labels (the native kernel's int16 wires) gets
 them without an int64 round trip.
 
-Destination and Bernoulli draws go through two helpers, :func:`_integers`
-and :func:`_random_below`, that reproduce ``rng.integers(0, n, size,
+Destination and Bernoulli draws reproduce ``rng.integers(0, n, size,
 dtype=np.int64)`` and ``rng.random(size) < p`` bit for bit from the raw
 64-bit words of a ``PCG64`` stream, with the same words consumed:
 
@@ -28,12 +27,21 @@ dtype=np.int64)`` and ``rng.random(size) < p`` bit for bit from the raw
 * ``random()`` is ``(word >> 11) * 2**-53``, so ``random() < p`` holds
   exactly when ``word < ceil(p * 2**53) * 2**11``.
 
-Words are drawn in pieces of :data:`_PIECE_WORDS`, so no chunk allocates a
-float64 or int64 temporary of its own size.  The NumPy call itself is the
-only other path, taken wherever an identity is not guaranteed: another bit
-generator, a range of 1 or one that is not a power of two, a pending
-buffered 32-bit half (integer draws), or a big-endian host.  Streams, and
-with them every measurement and content key, are the same either way.
+Where a C compiler works, the words are computed in C (the probe library
+of :mod:`repro.sim.native`, eight jumped-ahead PCG64 lanes on AVX-512,
+one lane elsewhere) by two loops fused with their use: one stores a
+chunk's labels, the other sets each entry that passes, or fails, a
+threshold to a value (the hot output, or ``IDLE``).  Each draw reads
+``bit_generator.state`` once and writes the advanced state back, and a
+check at load compares the C words with ``random_raw``.  Without them the
+raw-word helpers :func:`_integers` and :func:`_random_below` draw the same
+words through ``random_raw``, in pieces of :data:`_PIECE_WORDS`, so no
+chunk allocates a float64 or int64 temporary of its own size.  The NumPy
+call itself is the only other path, taken wherever an identity is not
+guaranteed: another bit generator, a range of 1 or one that is not a
+power of two, a pending buffered 32-bit half (integer draws), or a
+big-endian host.  Streams, and with them every measurement and content
+key, are the same on every path.
 
 Models are rarely constructed by hand; the string-spec registry in
 :mod:`repro.workloads.registry` is the canonical front door
@@ -50,6 +58,7 @@ reports its canonical spec string through :meth:`TrafficGenerator.describe`.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import sys
@@ -90,35 +99,188 @@ def _raw_words_exact(rng: np.random.Generator) -> bool:
     return _LITTLE_ENDIAN and type(rng.bit_generator) is np.random.PCG64
 
 
+#: Label dtypes the C draws store in (2-, 4- and 8-byte entries).
+_C_DTYPES = frozenset(np.dtype(t) for t in (np.int16, np.int32, np.int64))
+
+_MASK64 = (1 << 64) - 1
+
+#: The C draws' stream argument: state high and low, increment high and low.
+_STATE = ctypes.c_uint64 * 4
+
+#: The stream the load-time check draws from.
+_CHECK_SEED = 0x5EED
+
+#: Draws of fewer words stay on ``random_raw``: reading and writing back
+#: ``bit_generator.state`` costs more than the C loop saves on them, so a
+#: per-cycle draw (a few hundred words) is no slower than before.
+_C_MIN_WORDS = 1 << 10
+
+
+class _CDraws:
+    """PCG64 words drawn in C, fused with their use (see ``_C_PROBE`` in
+    :mod:`repro.sim.native`).
+
+    A draw holds the bit generator's lock, reads ``bit_generator.state``
+    once, runs one C loop over the chunk and writes the advanced state
+    back.  ``has_uint32`` and ``uinteger`` are written back as read, so
+    the values, the words consumed and the whole state dict are those the
+    ``random_raw`` helpers leave.
+    """
+
+    def __init__(self, lib):
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self._labels = lib.repro_draw_labels
+        self._labels.argtypes = [ptr, ptr, i64, i64, i64]
+        self._labels.restype = None
+        self._set = lib.repro_draw_set
+        self._set.argtypes = [ptr, ptr, i64, i64, ctypes.c_uint64, i64, i64]
+        self._set.restype = None
+        lanes = lib.repro_draw_lanes
+        lanes.argtypes = []
+        lanes.restype = ctypes.c_long
+        #: 8 on a build with the AVX-512 lanes, 1 on the scalar lane.
+        self.lanes = lanes()
+
+    def _advance(self, rng: np.random.Generator, draw, flat, *args, pending_ok: bool) -> bool:
+        """Run ``draw(state, flat, *args)`` on ``rng``'s stream; False if
+        a half is pending and ``pending_ok`` is not set (nothing drawn)."""
+        if not flat.size:
+            return True  # nothing to draw (and no buffer to point at)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            state = bitgen.state
+            if state["has_uint32"] and not pending_ok:
+                return False
+            inner = state["state"]
+            s, inc = inner["state"], inner["inc"]
+            words = _STATE(s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
+            draw(words, ctypes.addressof(ctypes.c_char.from_buffer(flat)), *args)
+            inner["state"] = words[0] << 64 | words[1]
+            bitgen.state = state
+        return True
+
+    def labels(self, rng: np.random.Generator, flat: np.ndarray, shift: int) -> bool:
+        """Fill ``flat`` (even size) with each next 32-bit half ``>> shift``.
+
+        Low half first.  False, with nothing drawn, when a 32-bit half is
+        pending: NumPy would hand that out first.
+        """
+        return self._advance(
+            rng, self._labels, flat, flat.itemsize, flat.size // 2, shift, pending_ok=False
+        )
+
+    def set_where(self, rng, flat: np.ndarray, p: float, below: bool, value: int) -> None:
+        """``flat[i] = value`` wherever ``(random() < p) == below`` on word ``i``.
+
+        The C sets entries whose word is ``>= bound`` (``ge``) or ``<``
+        it.  Every word is below a ``p >= 1``, so that case asks for
+        ``word >= 0`` (always) or ``word < 0`` (never).
+        """
+        if p >= 1.0:
+            bound, ge = 0, below
+        else:
+            bound, ge = (math.ceil(p * 2**53) << 11 if p > 0.0 else 0), not below
+        self._advance(
+            rng, self._set, flat, flat.itemsize, flat.size, bound, ge, value, pending_ok=True
+        )
+
+    def agrees(self) -> bool:
+        """Whether these draws match ``random_raw`` on a fixed seed.
+
+        Per dtype, draws shorter than a lane block and of two blocks and a
+        tail: labels, and thresholds placed on one of the words, both
+        ways.  Then the two state dicts.
+        """
+        ours = np.random.Generator(np.random.PCG64(_CHECK_SEED))
+        theirs = np.random.PCG64(_CHECK_SEED)
+        for dtype, shift in ((np.int16, 17), (np.int32, 1), (np.int64, 0)):
+            for words in (3, 21):
+                got = np.empty(2 * words, dtype=dtype)
+                self.labels(ours, got, shift)
+                if not np.array_equal(got, theirs.random_raw(words).view(np.uint32) >> shift):
+                    return False
+                for below in (True, False):
+                    raw = theirs.random_raw(words)
+                    bound = int(raw[words // 2])
+                    got = np.zeros(words, dtype=dtype)
+                    self._advance(
+                        ours, self._set, got, got.itemsize, words, bound, not below, -1,
+                        pending_ok=True,
+                    )
+                    if not np.array_equal(got, np.where((raw < bound) == below, -1, 0)):
+                        return False
+        return ours.bit_generator.state == theirs.state
+
+
+@functools.lru_cache(maxsize=None)
+def _c_draws() -> Optional[_CDraws]:
+    """The C draws, loaded and checked once per process, or ``None``.
+
+    ``None`` where no C compiler works, where it has no 128-bit integers,
+    and when the load-time check disagrees with ``random_raw``: the
+    raw-word helpers then draw the same values.
+    """
+    # Imported here: repro.sim.native pulls in the routing engines.
+    from repro.sim.native import draw_library
+
+    lib = draw_library()
+    if lib is None:
+        return None
+    draws = _CDraws(lib)
+    return draws if draws.agrees() else None
+
+
 def _integers(rng: np.random.Generator, n: int, size, dtype=np.int64) -> np.ndarray:
     """``rng.integers(0, n, size, dtype=np.int64)`` built in ``dtype``.
 
     Same values and same stream consumption as the NumPy call.  For a
     power-of-two ``n`` each pair of values comes from one raw word (its low
-    32-bit half first, each value the half's top ``log2(n)`` bits); an odd
-    last value is a one-value NumPy draw, which leaves the word's high half
-    buffered exactly as the full call does.
+    32-bit half first, each value the half's top ``log2(n)`` bits), drawn
+    in C where the C draws serve the chunk, else through ``random_raw``; an
+    odd last value is a one-value NumPy draw, which leaves the word's high
+    half buffered exactly as the full call does.  A pending half goes to
+    NumPy whole: it would hand that half out first.
     """
     n = int(n)
-    if (
-        not _raw_words_exact(rng)
-        or n < 2
-        or n & (n - 1)
-        or n > 1 << 32
-        or rng.bit_generator.state["has_uint32"]
-    ):
-        return rng.integers(0, n, size=size, dtype=np.int64).astype(dtype, copy=False)
-    out = np.empty(size, dtype=dtype)
-    flat = out.reshape(-1)
-    shift = 33 - n.bit_length()
-    pairs = flat.size // 2
-    for start in range(0, pairs, _PIECE_WORDS):
-        stop = min(start + _PIECE_WORDS, pairs)
-        halves = rng.bit_generator.random_raw(stop - start).view(np.uint32)
-        np.right_shift(halves, shift, out=flat[2 * start : 2 * stop], casting="unsafe")
-    if flat.size % 2:
-        flat[-1] = rng.integers(0, n, size=1, dtype=np.int64)[0]
-    return out
+    if _raw_words_exact(rng) and 2 <= n <= 1 << 32 and not n & (n - 1):
+        out = np.empty(size, dtype=dtype)
+        flat = out.reshape(-1)
+        pairs = flat.size // 2
+        shift = 33 - n.bit_length()
+        draws = _c_draws() if pairs >= _C_MIN_WORDS and flat.dtype in _C_DTYPES else None
+        if draws is not None:
+            drawn = draws.labels(rng, flat[: 2 * pairs], shift)
+        elif rng.bit_generator.state["has_uint32"]:
+            drawn = False
+        else:
+            for start in range(0, pairs, _PIECE_WORDS):
+                stop = min(start + _PIECE_WORDS, pairs)
+                halves = rng.bit_generator.random_raw(stop - start).view(np.uint32)
+                np.right_shift(halves, shift, out=flat[2 * start : 2 * stop], casting="unsafe")
+            drawn = True
+        if drawn:
+            if flat.size % 2:
+                flat[-1] = rng.integers(0, n, size=1, dtype=np.int64)[0]
+            return out
+    return rng.integers(0, n, size=size, dtype=np.int64).astype(dtype, copy=False)
+
+
+def _set_drawn(
+    rng: np.random.Generator, flat: np.ndarray, p: float, below: bool, value: int
+) -> bool:
+    """``flat[i] = value`` wherever ``(rng.random() < p) == below``, in C.
+
+    One draw per entry, as ``rng.random(flat.size)`` consumes them.  False,
+    with nothing drawn, where the C draws do not serve ``rng``, ``flat``'s
+    dtype or its size; the caller then applies :func:`_random_below`.
+    """
+    if flat.size < _C_MIN_WORDS or flat.dtype not in _C_DTYPES or not _raw_words_exact(rng):
+        return False
+    draws = _c_draws()
+    if draws is None:
+        return False
+    draws.set_where(rng, flat, p, below, value)
+    return True
 
 
 def _random_below(rng: np.random.Generator, count: int, p: float):
@@ -159,22 +321,43 @@ class TrafficGenerator:
     ) -> np.ndarray:
         """Return ``batch`` cycles of demands at once (``dtype[batch, n_inputs]``).
 
-        ``dtype`` is a signed integer dtype that holds every output label;
-        the result equals the ``int64`` chunk cast to it, and the stream
-        consumed does not depend on it.  The base implementation stacks
-        ``batch`` sequential :meth:`generate` calls, so any subclass batches
-        correctly; the built-in generators override it with fully
-        vectorized draws (which consume the stream in a different order
-        than sequential calls — equally distributed, but a chunked
-        measurement is only reproducible for a fixed chunk size).
+        ``dtype`` must be a signed integer dtype that holds every output
+        label (:meth:`_check_chunk`); the result equals the ``int64``
+        chunk cast to it, and the stream consumed does not depend on it.
+        The base implementation stacks ``batch`` sequential
+        :meth:`generate` calls, so any subclass batches correctly; the
+        built-in generators override it with fully vectorized draws (which
+        consume the stream in a different order than sequential calls —
+        equally distributed, but a chunked measurement is only
+        reproducible for a fixed chunk size).
         """
-        if batch < 0:
-            raise ConfigurationError(f"batch size must be non-negative, got {batch}")
+        dtype = self._check_chunk(batch, dtype)
         if batch == 0:
             return np.empty((0, self.n_inputs), dtype=dtype)
         return np.stack([self.generate(rng) for _ in range(batch)]).astype(
             dtype, copy=False
         )
+
+    def _check_chunk(self, batch: int, dtype) -> np.dtype:
+        """Check a :meth:`generate_batch` request; ``dtype`` as a ``np.dtype``.
+
+        ``batch`` must be non-negative, and ``dtype`` a signed integer type
+        whose maximum is at least ``n_outputs - 1``: an unsigned one cannot
+        hold ``IDLE``, and a narrower one would wrap a label into another
+        label or into ``IDLE``.  Every built-in override calls it first.
+        """
+        if batch < 0:
+            raise ConfigurationError(f"batch size must be non-negative, got {batch}")
+        try:
+            dtype = np.dtype(dtype)
+        except TypeError:
+            raise ConfigurationError(f"not a demand dtype: {dtype!r}") from None
+        if dtype.kind != "i" or (1 << (8 * dtype.itemsize - 1)) < self.n_outputs:
+            raise ConfigurationError(
+                f"demands need a signed integer dtype that holds label "
+                f"{self.n_outputs - 1}, got {dtype}"
+            )
+        return dtype
 
     def describe(self) -> str:
         """The canonical workload spec string this model round-trips through.
@@ -200,13 +383,15 @@ class TrafficGenerator:
         if rate >= 1.0:
             return dests
         flat = dests.reshape(-1)  # a view of a fresh chunk (else a copy, returned)
-        for start, keep in _random_below(rng, flat.size, rate):
-            # Branch-free select (a masked copy is ~20x slower on a random
-            # mask): a kept entry's byte becomes 0, a dropped one's -1, and
-            # OR-ing -1 (all bits set) into a label makes it IDLE.
-            drop = keep.view(np.int8)
-            drop -= 1
-            flat[start : start + drop.size] |= drop
+        if not _set_drawn(rng, flat, rate, False, IDLE):
+            for start, keep in _random_below(rng, flat.size, rate):
+                # Branch-free select (a masked copy is ~20x slower on a
+                # random mask): a kept entry's byte becomes 0, a dropped
+                # one's -1, and OR-ing -1 (all bits set) into a label makes
+                # it IDLE.
+                drop = keep.view(np.int8)
+                drop -= 1
+                flat[start : start + drop.size] |= drop
         return flat.reshape(dests.shape)
 
 
@@ -239,6 +424,7 @@ class UniformTraffic(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
+        dtype = self._check_chunk(batch, dtype)
         dests = _integers(rng, self.n_outputs, (batch, self.n_inputs), dtype)
         return self._apply_rate(dests, self.rate, rng)
 
@@ -269,6 +455,7 @@ class PermutationTraffic(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
+        dtype = self._check_chunk(batch, dtype)
         outputs = np.broadcast_to(
             np.arange(self.n_outputs, dtype=dtype), (batch, self.n_outputs)
         )
@@ -310,6 +497,7 @@ class FixedPattern(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
+        dtype = self._check_chunk(batch, dtype)
         # ``np.tile`` always copies, so thinning never touches ``self.dests``.
         rows = np.tile(self.dests.astype(dtype, copy=False), (batch, 1))
         return self._apply_rate(rows, self.rate, rng)
@@ -353,18 +541,19 @@ class HotspotTraffic(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
-        return self._draw(rng, (batch, self.n_inputs), dtype)
+        return self._draw(rng, (batch, self.n_inputs), self._check_chunk(batch, dtype))
 
     def _draw(self, rng: np.random.Generator, shape, dtype) -> np.ndarray:
         dests = _integers(rng, self.n_outputs, shape, dtype)
         flat = dests.reshape(-1)
-        for start, hot in _random_below(rng, flat.size, self.hot_fraction):
-            # Branch-free select: a hot entry becomes 0 relative to
-            # ``hot_output``, so it ends up equal to it.
-            piece = flat[start : start + hot.size]
-            piece -= self.hot_output
-            piece *= ~hot
-            piece += self.hot_output
+        if not _set_drawn(rng, flat, self.hot_fraction, True, self.hot_output):
+            for start, hot in _random_below(rng, flat.size, self.hot_fraction):
+                # Branch-free select: a hot entry becomes 0 relative to
+                # ``hot_output``, so it ends up equal to it.
+                piece = flat[start : start + hot.size]
+                piece -= self.hot_output
+                piece *= ~hot
+                piece += self.hot_output
         return self._apply_rate(dests, self.rate, rng)
 
     def describe(self) -> str:
@@ -416,8 +605,7 @@ class BurstyTraffic(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
-        if batch < 0:
-            raise ConfigurationError(f"batch size must be non-negative, got {batch}")
+        dtype = self._check_chunk(batch, dtype)
         period = self.on + self.off
         phase = _integers(rng, period, self.n_inputs)
         ticks = (phase[None, :] + np.arange(batch)[:, None]) % period
@@ -470,8 +658,7 @@ class MixtureTraffic(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
-        if batch < 0:
-            raise ConfigurationError(f"batch size must be non-negative, got {batch}")
+        dtype = self._check_chunk(batch, dtype)
         if batch == 0:
             return np.empty((0, self.n_inputs), dtype=dtype)
         return self._select(
@@ -549,8 +736,7 @@ class TraceTraffic(TrafficGenerator):
     def generate_batch(
         self, rng: np.random.Generator, batch: int, dtype=np.int64
     ) -> np.ndarray:
-        if batch < 0:
-            raise ConfigurationError(f"batch size must be non-negative, got {batch}")
+        dtype = self._check_chunk(batch, dtype)
         rows = (self._cursor + np.arange(batch)) % len(self.demands)
         self._cursor = (self._cursor + batch) % len(self.demands)
         # Fancy indexing copies, so thinning never touches ``self.demands``.

@@ -17,11 +17,13 @@ and run everywhere.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -486,6 +488,36 @@ class TestToolchainProbe:
         assert first == again
         assert other != first
         assert first.exists() and other.exists()
+
+    def test_concurrent_first_builds_all_load(self, monkeypatch, tmp_path):
+        # Threads (like serve workers meeting one new plan) building one
+        # source into an empty cache each compile their own copy and
+        # publish it by rename: every one loads a whole object, and no
+        # temp file is left behind.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+        source = "long racing(void) { return 11; }\n"
+        start = threading.Barrier(4)
+        loaded, errors = [], []
+
+        def build():
+            try:
+                start.wait(30)
+                path = native._build_shared_object(source, "racing")
+                loaded.append(ctypes.CDLL(str(path)).racing())
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert errors == []
+        assert loaded == [11] * 4
+        names = sorted(path.name for path in cache.iterdir())
+        assert len(names) == 2 and not any(name.startswith(".") for name in names)
+        assert names[0].endswith(".c") and names[1] == names[0][:-2] + ".so"
 
     def test_kernel_cache_is_keyed_by_compile_command(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))

@@ -12,7 +12,9 @@ from repro.workloads import (
     FixedPattern,
     HotspotTraffic,
     MixtureTraffic,
+    PermutationTraffic,
     TraceTraffic,
+    TrafficGenerator,
     UniformTraffic,
     structured_permutation,
 )
@@ -179,3 +181,50 @@ class TestDescribe:
 
         gen = structured_permutation("bit_reversal", 16, rate=0.5)
         assert parse_workload(gen.describe()).name == "bitrev"
+
+
+class _Stacked(TrafficGenerator):
+    """A model with only ``generate``: it batches through the base class."""
+
+    def generate(self, rng):
+        return rng.integers(0, self.n_outputs, self.n_inputs)
+
+
+#: One of each model over 4 inputs and ``n`` outputs, label ``n - 1`` used.
+CHUNK_MODELS = {
+    "uniform": lambda n: UniformTraffic(4, n, rate=0.5),
+    "permutation": lambda n: PermutationTraffic(4, n),
+    "fixed": lambda n: FixedPattern([0, n - 1, -1, 1], n, rate=0.5),
+    "hotspot": lambda n: HotspotTraffic(4, n, rate=0.5, hot_output=n - 1),
+    "bursty": lambda n: BurstyTraffic(4, n, on=2, off=1),
+    "mixture": lambda n: MixtureTraffic([(UniformTraffic(4, n), 1.0), (HotspotTraffic(4, n), 1.0)]),
+    "trace": lambda n: TraceTraffic(np.array([[0, n - 1, -1, 2], [1, 1, 0, -1]]), n),
+    "base": lambda n: _Stacked(4, n),
+}
+
+
+@pytest.mark.parametrize("model", sorted(CHUNK_MODELS))
+class TestChunkDtype:
+    """``generate_batch`` takes only a signed dtype that holds every label."""
+
+    def test_rejects_a_dtype_too_narrow_for_the_labels(self, model):
+        # Label 65535 would wrap to -1 (IDLE) in int16; 32767 still fits.
+        with pytest.raises(ConfigurationError, match="holds label 65535"):
+            CHUNK_MODELS[model](65536).generate_batch(np.random.default_rng(0), 4, np.int16)
+        chunk = CHUNK_MODELS[model](32768).generate_batch(np.random.default_rng(0), 4, np.int16)
+        assert chunk.dtype == np.int16 and chunk.shape == (4, 4)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32, np.bool_, "S2"])
+    def test_rejects_unsigned_float_and_other_dtypes(self, model, dtype):
+        with pytest.raises(ConfigurationError):
+            CHUNK_MODELS[model](8).generate_batch(np.random.default_rng(0), 4, dtype)
+
+    def test_int8_chunk_is_the_int64_chunk_cast(self, model):
+        got = CHUNK_MODELS[model](128).generate_batch(np.random.default_rng(5), 6, np.int8)
+        want = CHUNK_MODELS[model](128).generate_batch(np.random.default_rng(5), 6)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, want)
+
+    def test_rejects_a_negative_batch(self, model):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            CHUNK_MODELS[model](8).generate_batch(np.random.default_rng(0), -1)

@@ -1,17 +1,27 @@
-"""The raw-word draw helpers against the NumPy calls they stand in for.
+"""The traffic draws against the NumPy calls they stand in for.
 
-``_integers`` and ``_random_below`` build ``rng.integers(0, n, size,
-dtype=np.int64)`` and ``rng.random(size) < p`` from raw ``PCG64`` words.
-On a twin generator they must give the same values and leave the stream
-in the same place, so the draws after them agree too.  Generators and
-ranges where the identities do not hold (Philox, MT19937, a pending
-32-bit half, a range of 1 or one that is not a power of two) take the
-NumPy call, and must agree just the same.
+``_integers`` and the threshold draws (``_set_drawn``, else the pieces of
+``_random_below``) build ``rng.integers(0, n, size, dtype=np.int64)`` and
+``rng.random(size) < p`` from raw ``PCG64`` words.  On a twin generator
+they must give the same values and leave the stream in the same place, so
+the draws after them agree too.  Generators and ranges where the
+identities do not hold (Philox, MT19937, a pending 32-bit half, a range of
+1 or one that is not a power of two) take the NumPy call, and must agree
+just the same.
+
+Every test runs three times: on the C draws this host builds (eight
+AVX-512 lanes or the scalar lane), on the probe source built with the lane
+count forced to 1, and with the C draws off, so the ``random_raw`` helpers
+stay tested on hosts with a compiler.  The C modes draw every size in C;
+the real size threshold has a test of its own.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -19,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import native
 from repro.workloads import make_traffic
 from repro.workloads import models
 from repro.workloads.models import _integers, _random_below
@@ -30,14 +41,50 @@ _BIT_GENERATORS = {
     "mt19937": np.random.MT19937,
 }
 GENERATORS = tuple(_BIT_GENERATORS)
+DTYPES = (np.int16, np.int32, np.int64)
 
 _ranges = st.sampled_from([1 << k for k in range(1, 16)] + [1, 3, 1000])
-_probabilities = st.one_of(
-    st.sampled_from([0.0, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0]),
-    st.floats(0.0, 1.0),
-)
+_EDGE_PROBABILITIES = (0.0, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0)
+_probabilities = st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0))
 #: Piece sizes: tiny ones split even a short draw into several pieces.
 _pieces = st.sampled_from([1, 3, 16, models._PIECE_WORDS])
+#: Word counts around lane blocks (8 words) and pieces (8,192 words).
+_BLOCK_WORDS = (7, 8, 9, 15, 16, 17, 8191, 8192, 8193)
+#: The chunk shapes ``mc-label`` draws (N = 4096 and 1024, int16 wires).
+_MC_LABEL_CHUNKS = ((32, 4096), (64, 1024))
+
+#: The cached loader itself; the fixture below stands ``_c_draws`` in.
+_load_c_draws = models._c_draws
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_draws() -> models._CDraws:
+    """The probe source built with one lane, whatever this host's vectors."""
+    source = "#define DRAW_LANES 1\n" + native._C_PROBE
+    lib = ctypes.CDLL(str(native._build_shared_object(source, "repro_probe")))
+    return models._CDraws(lib)
+
+
+@pytest.fixture(autouse=True, params=["c", "scalar", "numpy"])
+def draws(request):
+    """Which draws the test runs on; yields the ``_CDraws`` or ``None``."""
+    if request.param == "numpy":
+        with mock.patch.object(models, "_c_draws", lambda: None):
+            yield None
+        return
+    if native.unavailable_reason() is not None:
+        pytest.skip("no working C compiler")
+    if request.param == "c":
+        chosen = models._c_draws()
+        assert chosen is not None, "a C compiler works but the C draws did not load"
+    else:
+        chosen = _scalar_draws()
+        assert chosen.lanes == 1
+        assert chosen.agrees()
+    with mock.patch.object(models, "_c_draws", lambda: chosen), mock.patch.object(
+        models, "_C_MIN_WORDS", 0
+    ):
+        yield chosen
 
 
 def twins(kind: str, seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -55,6 +102,23 @@ def assert_streams_agree(ours: np.random.Generator, theirs: np.random.Generator)
     np.testing.assert_array_equal(ours.random(3), theirs.random(3))
 
 
+def same_state(ours: np.random.Generator, theirs: np.random.Generator) -> bool:
+    """Whether two bit generators' whole state dicts are equal."""
+
+    def equal(a, b) -> bool:
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(equal(a[k], b[k]) for k in a)
+        return np.array_equal(a, b)
+
+    return equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+def on_helpers(fn, *args):
+    """``fn(*args)`` on the ``random_raw`` helpers (the C draws off)."""
+    with mock.patch.object(models, "_c_draws", lambda: None):
+        return fn(*args)
+
+
 def mask_of(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
     """Join the pieces, checking they tile ``[0, count)`` in order."""
     joined = np.zeros(0, dtype=bool)
@@ -63,6 +127,28 @@ def mask_of(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
         joined = np.concatenate([joined, piece])
     assert joined.size == count
     return joined
+
+
+def set_where(rng, flat: np.ndarray, p: float, below: bool, value: int) -> bool:
+    """``flat[i] = value`` where ``(random() < p) == below``, as the models
+    apply it: in C where it serves, else piece by piece.  Whether C ran."""
+    if models._set_drawn(rng, flat, p, below, value):
+        return True
+    for start, mask in _random_below(rng, flat.size, p):
+        flat[start : start + mask.size][mask == below] = value
+    return False
+
+
+def expect_c(rng, dtype) -> bool:
+    """Whether the draws in use take a threshold draw on ``rng`` in ``dtype`` in C."""
+    return models._c_draws() is not None and type(rng.bit_generator) is np.random.PCG64 and (
+        np.dtype(dtype) in models._C_DTYPES
+    )
+
+
+# ----------------------------------------------------------------------
+# Integer draws
+# ----------------------------------------------------------------------
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -83,6 +169,64 @@ def test_integers_match_numpy(kind, seed, n, count, piece):
     assert_streams_agree(ours, theirs)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_integers_in_every_dtype_leave_the_helpers_state(kind, dtype):
+    """Counts 0-70 and around lane blocks: NumPy's values, the helpers' state.
+
+    NumPy's own call leaves ``uinteger`` holding the last high half it
+    used; the helpers (``random_raw``) never touch it, and the C draws
+    write back the dict they read, so after every draw the whole state
+    dict equals the helpers'.
+    """
+    n = 1 << 15 if dtype is np.int16 else 1 << 20
+    counts = list(range(71)) + [2 * words + odd for words in _BLOCK_WORDS for odd in (0, 1)]
+    ours, helped = twins(kind, 3)
+    reference, _ = twins(kind, 3)
+    for count in counts:
+        got = _integers(ours, n, count, dtype)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, reference.integers(0, n, count, dtype=np.int64))
+        np.testing.assert_array_equal(got, on_helpers(_integers, helped, n, count, dtype))
+        assert same_state(ours, helped)
+    assert_streams_agree(ours, reference)
+
+
+@pytest.mark.parametrize("shape", _MC_LABEL_CHUNKS)
+@pytest.mark.parametrize("n", [2, 1024, 4096, 1 << 15])
+def test_integers_fill_mc_label_chunks(shape, n):
+    ours, theirs = twins("pcg64", 17)
+    got = _integers(ours, n, shape, np.int16)
+    assert got.shape == shape and got.dtype == np.int16
+    np.testing.assert_array_equal(got, theirs.integers(0, n, shape, dtype=np.int64))
+    assert_streams_agree(ours, theirs)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_integers_up_to_the_full_half(dtype):
+    """``n = 2**31`` (int32's widest) and ``2**32`` keep every bit of a half."""
+    for n in (1 << 31, 1 << 32) if dtype is np.int64 else (1 << 31,):
+        ours, theirs = twins("pcg64", 23)
+        got = _integers(ours, n, 2 * 8193, dtype)
+        np.testing.assert_array_equal(got, theirs.integers(0, n, 2 * 8193, dtype=np.int64))
+        assert_streams_agree(ours, theirs)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(3, 5), (4, 64), (1,)])
+def test_integers_fill_any_shape_and_dtype(shape, dtype):
+    ours, theirs = twins("pcg64", 11)
+    got = _integers(ours, 64, shape, dtype)
+    assert got.shape == shape and got.dtype == dtype
+    np.testing.assert_array_equal(got, theirs.integers(0, 64, shape, dtype=np.int64))
+    assert_streams_agree(ours, theirs)
+
+
+# ----------------------------------------------------------------------
+# Threshold draws
+# ----------------------------------------------------------------------
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(GENERATORS),
@@ -99,17 +243,43 @@ def test_random_below_matches_numpy(kind, seed, p, count, piece):
     assert_streams_agree(ours, theirs)
 
 
-def test_threshold_is_strict_and_rounds_up():
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(GENERATORS),
+    seed=st.integers(0, 2**32 - 1),
+    p=_probabilities,
+    count=st.one_of(st.integers(0, 70), st.sampled_from(_BLOCK_WORDS)),
+    dtype=st.sampled_from(DTYPES),
+    below=st.booleans(),
+)
+def test_threshold_draws_match_numpy(kind, seed, p, count, dtype, below):
+    ours, helped = twins(kind, seed)
+    reference, _ = twins(kind, seed)
+    value = -1 if not below else 3
+    got = np.arange(count, dtype=dtype)
+    assert set_where(ours, got, p, below, value) == expect_c(ours, dtype)
+    want = np.arange(count, dtype=np.int64)
+    want[(reference.random(count) < p) == below] = value
+    np.testing.assert_array_equal(got, want)
+    on_helpers(set_where, helped, np.arange(count, dtype=dtype), p, below, value)
+    assert same_state(ours, helped)
+    assert_streams_agree(ours, reference)
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_threshold_is_strict_and_rounds_up(below):
     """A word exactly at the bound fails, and ``p * 2**53`` rounds up.
 
     Random ``p`` almost never lands within one word of the threshold, so
     the boundary is set on a chosen word: its low 11 bits are clear, so
     ``p = (word >> 11) / 2**53`` puts the bound on the word itself, and its
     top bit is clear, so ``p < 0.5`` and the next float up is not a whole
-    multiple of ``2**-53`` (rounding down would miss the word).
+    multiple of ``2**-53`` (rounding down would miss the word).  The word
+    sits past two lane blocks, so the C draws meet it in a vector lane.
     """
     words = np.random.Generator(np.random.PCG64(2)).bit_generator.random_raw(1 << 16)
     chosen = ((words & np.uint64(0x7FF)) == 0) & (words < np.uint64(1 << 63))
+    chosen[:16] = False
     index = int(np.flatnonzero(chosen)[0])
     at = float(int(words[index]) >> 11) / 2**53
     for p in (at, np.nextafter(at, 1.0), np.nextafter(at, 0.0)):
@@ -117,27 +287,95 @@ def test_threshold_is_strict_and_rounds_up():
         got = mask_of(ours, index + 1, p)
         np.testing.assert_array_equal(got, theirs.random(index + 1) < p)
         assert got[index] == (p > at)
-
-
-@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
-@pytest.mark.parametrize("shape", [(3, 5), (4, 64), (1,)])
-def test_integers_fill_any_shape_and_dtype(shape, dtype):
-    ours, theirs = twins("pcg64", 11)
-    got = _integers(ours, 64, shape, dtype)
-    assert got.shape == shape and got.dtype == dtype
-    np.testing.assert_array_equal(got, theirs.integers(0, 64, shape, dtype=np.int64))
-    assert_streams_agree(ours, theirs)
+        for dtype in DTYPES:
+            ours, _ = twins("pcg64", 2)
+            hit = np.zeros(index + 9, dtype=dtype)
+            set_where(ours, hit, p, below, 1)
+            assert hit[index] == ((p > at) == below)
+            np.testing.assert_array_equal(hit[:index + 1] == 1, got == below)
 
 
 def test_mixed_draws_keep_one_stream():
-    """Odd integer draws, masks and NumPy calls interleave on one stream."""
+    """Odd integer draws, thresholds and NumPy calls interleave on one stream."""
     ours, theirs = twins("pcg64", 5)
-    for count in (7, 64, 3):
+    for count in (7, 64, 3, 8193):
         np.testing.assert_array_equal(
             _integers(ours, 256, count), theirs.integers(0, 256, count, dtype=np.int64)
         )
         np.testing.assert_array_equal(mask_of(ours, count, 0.3), theirs.random(count) < 0.3)
+        hot = np.zeros(count, dtype=np.int16)
+        set_where(ours, hot, 0.3, True, 1)
+        np.testing.assert_array_equal(hot == 1, theirs.random(count) < 0.3)
     assert_streams_agree(ours, theirs)
+
+
+# ----------------------------------------------------------------------
+# The models on the draws
+# ----------------------------------------------------------------------
+
+
+def reference_chunk(spec: str, rng, batch: int, n: int, pattern=None) -> np.ndarray:
+    """The chunk ``spec`` must give, from plain NumPy calls."""
+    size = (batch, n)
+    if pattern is not None:
+        dests = np.tile(pattern, (batch, 1))
+    else:
+        dests = rng.integers(0, n, size, dtype=np.int64)
+    if spec.startswith("hotspot"):
+        dests[rng.random(size) < 0.25] = 5
+    if "rate" in spec or spec.endswith(":0.5"):
+        dests[rng.random(size) >= 0.5] = -1
+    return dests
+
+
+_MODEL_SPECS = (
+    "uniform",
+    "uniform:0.5",
+    "hotspot:0.25,out=5",
+    "hotspot:0.25,out=5,rate=0.5",
+    "bitrev:0.5",
+)
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+@pytest.mark.parametrize("spec", _MODEL_SPECS)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_models_match_numpy_and_the_helpers(spec, dtype, kind):
+    """Hot output 5, and rate 0.5 on uniform, hot-spot and a fixed pattern.
+
+    Chunk and single-cycle draws both; 64 x 64 chunks are 2,048 words of
+    labels and 4,096 threshold words each, several lane blocks.
+    """
+    gen = make_traffic(spec, 64, 64)
+    pattern = None
+    if spec.startswith("bitrev"):
+        pattern = make_traffic("bitrev", 64, 64).dests
+    ours, helped = twins(kind, 29)
+    reference, _ = twins(kind, 29)
+    for batch in (64, 3, 0):
+        got = gen.generate_batch(ours, batch, dtype)
+        assert got.dtype == dtype and got.shape == (batch, 64)
+        np.testing.assert_array_equal(got, reference_chunk(spec, reference, batch, 64, pattern))
+        np.testing.assert_array_equal(got, on_helpers(gen.generate_batch, helped, batch, dtype))
+        assert same_state(ours, helped)
+    one = gen.generate(ours)
+    np.testing.assert_array_equal(one, reference_chunk(spec, reference, 1, 64, pattern)[0])
+    on_helpers(gen.generate, helped)
+    assert same_state(ours, helped)
+    assert_streams_agree(ours, reference)
+
+
+def test_int8_chunks_stay_on_the_helpers():
+    gen = make_traffic("hotspot:0.25,out=5,rate=0.5", 64, 64)
+    ours, theirs = twins("pcg64", 31)
+    with mock.patch.object(models._CDraws, "set_where") as thresholds, mock.patch.object(
+        models._CDraws, "labels"
+    ) as labels:
+        got = gen.generate_batch(ours, 64, np.int8)
+    assert got.dtype == np.int8 and not thresholds.called and not labels.called
+    np.testing.assert_array_equal(
+        got, reference_chunk("hotspot:0.25,out=5,rate=0.5", theirs, 64, 64)
+    )
 
 
 @pytest.mark.parametrize("spec", ["uniform", "hotspot:0.1", "hotspot:0.1,rate=0.5"])
@@ -153,3 +391,55 @@ def test_int16_chunk_peaks_below_one_mib(spec):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"{spec}: peak {peak / 2**20:.2f} MiB"
+
+
+# ----------------------------------------------------------------------
+# The C draws themselves
+# ----------------------------------------------------------------------
+
+
+def test_small_draws_stay_on_the_helpers(draws):
+    """Below ``_C_MIN_WORDS`` words a draw takes ``random_raw``; from it on, C."""
+    if draws is None:
+        pytest.skip("the C draws are off")
+    words = 64
+    with mock.patch.object(models, "_C_MIN_WORDS", words):
+        for count, in_c in ((words - 1, False), (words, True)):
+            ours, theirs = twins("pcg64", 37)
+            thresholds = mock.MagicMock(wraps=draws.set_where)
+            labels = mock.MagicMock(wraps=draws.labels)
+            with mock.patch.object(draws, "set_where", thresholds), mock.patch.object(
+                draws, "labels", labels
+            ):
+                hot = np.zeros(count, dtype=np.int16)
+                set_where(ours, hot, 0.5, True, 1)
+                got = _integers(ours, 64, 2 * count)
+            assert thresholds.called == in_c and labels.called == in_c
+            np.testing.assert_array_equal(hot == 1, theirs.random(count) < 0.5)
+            np.testing.assert_array_equal(got, theirs.integers(0, 64, 2 * count))
+
+
+def test_load_check_turns_wrong_draws_off(draws):
+    """A wrong word fails the check at load, and the helpers draw instead."""
+    if draws is None:
+        pytest.skip("the C draws are off")
+    real = native.draw_library()
+
+    def wrong_labels(state, out, size, words, shift):
+        real.repro_draw_labels(state, out, size, words, shift)
+        ctypes.c_int8.from_address(out + size * (2 * words - 1)).value ^= 1
+
+    wrong = types.SimpleNamespace(
+        repro_draw_labels=wrong_labels,
+        repro_draw_set=real.repro_draw_set,
+        repro_draw_lanes=real.repro_draw_lanes,
+    )
+    assert models._CDraws(real).agrees()
+    assert not models._CDraws(wrong).agrees()
+    _load_c_draws.cache_clear()
+    try:
+        with mock.patch.object(native, "draw_library", lambda: wrong):
+            assert _load_c_draws() is None
+    finally:
+        _load_c_draws.cache_clear()
+    assert _load_c_draws() is not None
