@@ -1113,10 +1113,11 @@ class _PlanTables:
     link_offset, falive_offset)``, offset ``-1`` = none — and the arrays
     are the runtime data: concatenated link tables, concatenated
     rank-space liveness masks of faulted stages, and the source ->
-    entry-wire table (size 0 = identity).
+    entry-wire table (size 0 = identity).  The three arrays' addresses are
+    taken once.
     """
 
-    __slots__ = ("stages", "links", "falive", "input_perm", "maxw")
+    __slots__ = ("stages", "links", "falive", "input_perm", "maxw", "_ptrs")
 
     def __init__(self, stages, links, falive, input_perm, maxw):
         self.stages = stages
@@ -1124,6 +1125,7 @@ class _PlanTables:
         self.falive = falive
         self.input_perm = input_perm
         self.maxw = maxw
+        self._ptrs = (links.ctypes.data, falive.ctypes.data, input_perm.ctypes.data)
 
 
 def _lower(plan) -> _PlanTables:
@@ -1421,11 +1423,10 @@ class NativeKernel:
         offered = np.empty(batch, dtype=np.int64)
         delivered = np.empty(batch, dtype=np.int64)
         blocked = np.empty((batch, len(t.stages)), dtype=np.int64)
+        links, falive, input_perm = t._ptrs
         self._fn(
-            dests.ctypes.data, batch,
-            t.links.ctypes.data, t.falive.ctypes.data,
-            t.input_perm.ctypes.data, frontier.ctypes.data,
-            offered.ctypes.data, delivered.ctypes.data,
+            dests.ctypes.data, batch, links, falive, input_perm,
+            frontier.ctypes.data, offered.ctypes.data, delivered.ctypes.data,
             blocked.ctypes.data,
         )
         per_stage = blocked.sum(axis=0)

@@ -17,9 +17,15 @@ Monte-Carlo chunk is a few numpy calls, never a per-cycle Python loop.
 router that reads narrow labels (the native kernel's int16 wires) gets
 them without an int64 round trip.
 
-Destination and Bernoulli draws reproduce ``rng.integers(0, n, size,
-dtype=np.int64)`` and ``rng.random(size) < p`` bit for bit from the raw
-64-bit words of a ``PCG64`` stream, with the same words consumed:
+Destination and Bernoulli draws are ``rng.integers(0, n, size,
+dtype=np.int64)`` and ``rng.random(size) < p`` bit for bit, with the same
+words consumed, on one of two paths.  Where a C compiler works, a draw of
+:data:`_C_MIN_WORDS` raw words or more from a ``PCG64`` stream into an
+int16, int32 or int64 chunk computes the words in C (the probe library of
+:mod:`repro.sim.native`, eight jumped-ahead PCG64 lanes on AVX-512, one
+lane elsewhere), by two loops fused with their use: one stores a chunk's
+labels, the other sets each entry that passes, or fails, a threshold to a
+value (the hot output, or ``IDLE``).  They rest on two identities:
 
 * for a power-of-two ``n`` NumPy's Lemire draw never rejects, so each
   value is the top ``log2(n)`` bits of a 32-bit half of one word, low
@@ -27,21 +33,13 @@ dtype=np.int64)`` and ``rng.random(size) < p`` bit for bit from the raw
 * ``random()`` is ``(word >> 11) * 2**-53``, so ``random() < p`` holds
   exactly when ``word < ceil(p * 2**53) * 2**11``.
 
-Where a C compiler works, the words are computed in C (the probe library
-of :mod:`repro.sim.native`, eight jumped-ahead PCG64 lanes on AVX-512,
-one lane elsewhere) by two loops fused with their use: one stores a
-chunk's labels, the other sets each entry that passes, or fails, a
-threshold to a value (the hot output, or ``IDLE``).  Each draw reads
-``bit_generator.state`` once and writes the advanced state back, and a
-check at load compares the C words with ``random_raw``.  Without them the
-raw-word helpers :func:`_integers` and :func:`_random_below` draw the same
-words through ``random_raw``, in pieces of :data:`_PIECE_WORDS`, so no
-chunk allocates a float64 or int64 temporary of its own size.  The NumPy
-call itself is the only other path, taken wherever an identity is not
-guaranteed: another bit generator, a range of 1 or one that is not a
-power of two, a pending buffered 32-bit half (integer draws), or a
-big-endian host.  Streams, and with them every measurement and content
-key, are the same on every path.
+Each C draw reads ``bit_generator.state`` once and writes the advanced
+state back, and a check at load compares the C words with ``random_raw``.
+Every other draw is the NumPy call itself: smaller draws, another bit
+generator, a range of 1 or one that is not a power of two, a pending
+buffered 32-bit half (integer draws), a big-endian host, and every draw on
+a host without a working C compiler.  Streams, and with them every
+measurement and content key, are the same on both paths.
 
 Models are rarely constructed by hand; the string-spec registry in
 :mod:`repro.workloads.registry` is the canonical front door
@@ -86,18 +84,7 @@ __all__ = [
 
 IDLE = -1
 
-#: Raw words drawn per piece (64 KiB of ``uint64``).  A chunk's draws never
-#: hold more than one piece of words, so they allocate nothing of the
-#: chunk's own size beyond the demand matrix itself.
-_PIECE_WORDS = 1 << 13
-
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _raw_words_exact(rng: np.random.Generator) -> bool:
-    """Whether the raw-word identities hold for ``rng``'s stream layout."""
-    return _LITTLE_ENDIAN and type(rng.bit_generator) is np.random.PCG64
-
 
 #: Label dtypes the C draws store in (2-, 4- and 8-byte entries).
 _C_DTYPES = frozenset(np.dtype(t) for t in (np.int16, np.int32, np.int64))
@@ -110,9 +97,9 @@ _STATE = ctypes.c_uint64 * 4
 #: The stream the load-time check draws from.
 _CHECK_SEED = 0x5EED
 
-#: Draws of fewer words stay on ``random_raw``: reading and writing back
-#: ``bit_generator.state`` costs more than the C loop saves on them, so a
-#: per-cycle draw (a few hundred words) is no slower than before.
+#: Draws of fewer words take NumPy's own call: reading and writing back
+#: ``bit_generator.state`` costs more than the C loop saves on them (a
+#: per-cycle draw is a few hundred words).
 _C_MIN_WORDS = 1 << 10
 
 
@@ -123,8 +110,8 @@ class _CDraws:
     A draw holds the bit generator's lock, reads ``bit_generator.state``
     once, runs one C loop over the chunk and writes the advanced state
     back.  ``has_uint32`` and ``uinteger`` are written back as read, so
-    the values, the words consumed and the whole state dict are those the
-    ``random_raw`` helpers leave.
+    the values, the words consumed and the whole state dict are those of
+    drawing the same words through ``random_raw``.
     """
 
     def __init__(self, lib):
@@ -217,8 +204,8 @@ def _c_draws() -> Optional[_CDraws]:
     """The C draws, loaded and checked once per process, or ``None``.
 
     ``None`` where no C compiler works, where it has no 128-bit integers,
-    and when the load-time check disagrees with ``random_raw``: the
-    raw-word helpers then draw the same values.
+    and when the load-time check disagrees with ``random_raw``: NumPy's
+    own calls then draw the same values.
     """
     # Imported here: repro.sim.native pulls in the routing engines.
     from repro.sim.native import draw_library
@@ -230,77 +217,71 @@ def _c_draws() -> Optional[_CDraws]:
     return draws if draws.agrees() else None
 
 
+def _c_serving(rng: np.random.Generator, flat: np.ndarray, words: int) -> Optional[_CDraws]:
+    """The C draws, if they serve ``words`` raw words of ``rng`` into ``flat``."""
+    if (
+        words < _C_MIN_WORDS
+        or flat.dtype not in _C_DTYPES
+        or type(rng.bit_generator) is not np.random.PCG64
+        or not _LITTLE_ENDIAN
+    ):
+        return None
+    return _c_draws()
+
+
 def _integers(rng: np.random.Generator, n: int, size, dtype=np.int64) -> np.ndarray:
     """``rng.integers(0, n, size, dtype=np.int64)`` built in ``dtype``.
 
-    Same values and same stream consumption as the NumPy call.  For a
-    power-of-two ``n`` each pair of values comes from one raw word (its low
-    32-bit half first, each value the half's top ``log2(n)`` bits), drawn
-    in C where the C draws serve the chunk, else through ``random_raw``; an
-    odd last value is a one-value NumPy draw, which leaves the word's high
-    half buffered exactly as the full call does.  A pending half goes to
-    NumPy whole: it would hand that half out first.
+    Same values and same stream consumption as the NumPy call.  Where the C
+    draws serve the chunk and ``n`` is a power of two, each pair of values
+    comes from one raw word (its low 32-bit half first, each value the
+    half's top ``log2(n)`` bits); an odd last value is a one-value NumPy
+    draw, which leaves the word's high half buffered exactly as the full
+    call does.  A pending half goes to NumPy whole: it would hand that half
+    out first.
     """
     n = int(n)
-    if _raw_words_exact(rng) and 2 <= n <= 1 << 32 and not n & (n - 1):
+    if 2 <= n <= 1 << 32 and not n & (n - 1):
         out = np.empty(size, dtype=dtype)
         flat = out.reshape(-1)
         pairs = flat.size // 2
-        shift = 33 - n.bit_length()
-        draws = _c_draws() if pairs >= _C_MIN_WORDS and flat.dtype in _C_DTYPES else None
-        if draws is not None:
-            drawn = draws.labels(rng, flat[: 2 * pairs], shift)
-        elif rng.bit_generator.state["has_uint32"]:
-            drawn = False
-        else:
-            for start in range(0, pairs, _PIECE_WORDS):
-                stop = min(start + _PIECE_WORDS, pairs)
-                halves = rng.bit_generator.random_raw(stop - start).view(np.uint32)
-                np.right_shift(halves, shift, out=flat[2 * start : 2 * stop], casting="unsafe")
-            drawn = True
-        if drawn:
+        draws = _c_serving(rng, flat, pairs)
+        if draws is not None and draws.labels(rng, flat[: 2 * pairs], 33 - n.bit_length()):
             if flat.size % 2:
                 flat[-1] = rng.integers(0, n, size=1, dtype=np.int64)[0]
             return out
     return rng.integers(0, n, size=size, dtype=np.int64).astype(dtype, copy=False)
 
 
-def _set_drawn(
+def _set_where(
     rng: np.random.Generator, flat: np.ndarray, p: float, below: bool, value: int
-) -> bool:
-    """``flat[i] = value`` wherever ``(rng.random() < p) == below``, in C.
+) -> None:
+    """``flat[i] = value`` wherever ``(rng.random() < p) == below``.
 
-    One draw per entry, as ``rng.random(flat.size)`` consumes them.  False,
-    with nothing drawn, where the C draws do not serve ``rng``, ``flat``'s
-    dtype or its size; the caller then applies :func:`_random_below`.
+    One draw per entry, as ``rng.random(flat.size)`` consumes them: in C
+    where the C draws serve ``rng``, ``flat``'s dtype and its size, else
+    through that NumPy call.
     """
-    if flat.size < _C_MIN_WORDS or flat.dtype not in _C_DTYPES or not _raw_words_exact(rng):
-        return False
-    draws = _c_draws()
-    if draws is None:
-        return False
-    draws.set_where(rng, flat, p, below, value)
-    return True
+    draws = _c_serving(rng, flat, flat.size)
+    if draws is not None:
+        draws.set_where(rng, flat, p, below, value)
+    else:
+        flat[(rng.random(flat.size) < p) == below] = value
 
 
-def _random_below(rng: np.random.Generator, count: int, p: float):
-    """``rng.random(count) < p`` as consecutive ``(start, mask)`` pieces.
+def _integer_labels(values, what: str) -> np.ndarray:
+    """``values`` as int64 labels; ``ConfigurationError`` unless integer-typed.
 
-    Same result and same stream consumption as the NumPy call, once the
-    pieces are consumed in order: each entry is one raw word, which passes
-    when it is below ``ceil(p * 2**53) * 2**11``.  ``p`` outside ``(0, 1)``
-    gives a constant mask and still consumes the words.  A pending 32-bit
-    half does not matter: neither ``random`` nor ``random_raw`` reads or
-    clears it.  Callers apply each piece as it comes, so no mask of the
-    full count exists; the NumPy path yields one piece.
+    An int64 cast would truncate a float silently (1.9 to label 1, and
+    -0.5 to label 0 instead of idle) and read a bool as labels 0 and 1.
     """
-    if not _raw_words_exact(rng):
-        yield 0, rng.random(count) < p
-        return
-    bound = np.uint64(math.ceil(p * 2**53) << 11) if 0.0 < p < 1.0 else None
-    for start in range(0, count, _PIECE_WORDS):
-        words = rng.bit_generator.random_raw(min(_PIECE_WORDS, count - start))
-        yield start, words < bound if bound is not None else np.full(words.size, p >= 1.0)
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"{what} must have an integer dtype (output labels, with -1 marking "
+            f"idle inputs); got dtype {values.dtype}"
+        )
+    return values.astype(np.int64, copy=False)
 
 
 class TrafficGenerator:
@@ -383,15 +364,7 @@ class TrafficGenerator:
         if rate >= 1.0:
             return dests
         flat = dests.reshape(-1)  # a view of a fresh chunk (else a copy, returned)
-        if not _set_drawn(rng, flat, rate, False, IDLE):
-            for start, keep in _random_below(rng, flat.size, rate):
-                # Branch-free select (a masked copy is ~20x slower on a
-                # random mask): a kept entry's byte becomes 0, a dropped
-                # one's -1, and OR-ing -1 (all bits set) into a label makes
-                # it IDLE.
-                drop = keep.view(np.int8)
-                drop -= 1
-                flat[start : start + drop.size] |= drop
+        _set_where(rng, flat, rate, False, IDLE)
         return flat.reshape(dests.shape)
 
 
@@ -481,7 +454,7 @@ class FixedPattern(TrafficGenerator):
         rate: float = 1.0,
         label: Optional[str] = None,
     ):
-        dests = np.asarray(dests, dtype=np.int64)
+        dests = _integer_labels(dests, "fixed pattern destinations")
         super().__init__(len(dests), n_outputs)
         # Idle entries are exactly IDLE, the smallest valid value, so two
         # reductions bound every live entry.
@@ -545,15 +518,7 @@ class HotspotTraffic(TrafficGenerator):
 
     def _draw(self, rng: np.random.Generator, shape, dtype) -> np.ndarray:
         dests = _integers(rng, self.n_outputs, shape, dtype)
-        flat = dests.reshape(-1)
-        if not _set_drawn(rng, flat, self.hot_fraction, True, self.hot_output):
-            for start, hot in _random_below(rng, flat.size, self.hot_fraction):
-                # Branch-free select: a hot entry becomes 0 relative to
-                # ``hot_output``, so it ends up equal to it.
-                piece = flat[start : start + hot.size]
-                piece -= self.hot_output
-                piece *= ~hot
-                piece += self.hot_output
+        _set_where(rng, dests.reshape(-1), self.hot_fraction, True, self.hot_output)
         return self._apply_rate(dests, self.rate, rng)
 
     def describe(self) -> str:
@@ -689,7 +654,7 @@ class TraceTraffic(TrafficGenerator):
         rate: float = 1.0,
         path: Optional[str] = None,
     ):
-        demands = np.asarray(demands, dtype=np.int64)
+        demands = _integer_labels(demands, "trace demands")
         if demands.ndim != 2 or demands.shape[0] < 1:
             raise ConfigurationError(
                 f"a trace must be a (cycles, n_inputs) matrix, got shape {demands.shape}"
@@ -717,7 +682,7 @@ class TraceTraffic(TrafficGenerator):
             demands = np.load(path, allow_pickle=False)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot load trace {path!r}: {exc}") from None
-        demands = np.asarray(demands)
+        demands = _integer_labels(demands, f"trace {path!r}")
         if demands.ndim == 1:
             demands = demands[None, :]  # a single recorded cycle
         if n_inputs is not None and demands.ndim == 2 and demands.shape[1] != n_inputs:

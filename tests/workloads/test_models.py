@@ -136,6 +136,30 @@ class TestTraceTraffic:
         with pytest.raises(ConfigurationError, match="out-of-range"):
             TraceTraffic(np.array([[9]]), 4)
 
+    @pytest.mark.parametrize(
+        "demands", [np.array([[0.7, 1.9, -0.5]]), np.array([[True, False, True]])]
+    )
+    def test_rejects_non_integer_demands(self, demands):
+        # An int64 cast would read 1.9 as label 1, -0.5 as label 0 (not
+        # idle), and a bool trace as labels 0 and 1.
+        with pytest.raises(ConfigurationError, match="integer dtype"):
+            TraceTraffic(demands, 4)
+
+    @pytest.mark.parametrize(
+        "demands", [np.array([[0.0, 1.5], [2.0, np.nan]]), np.array([[True, False]])]
+    )
+    def test_from_file_rejects_non_integer_demands(self, tmp_path, demands):
+        path = tmp_path / "demands.npy"
+        np.save(path, demands)
+        with pytest.raises(ConfigurationError, match="integer dtype"):
+            TraceTraffic.from_file(str(path))
+
+    def test_accepts_narrow_integer_demands(self, rng):
+        trace = np.array([[3, -1], [0, 2]], dtype=np.int32)
+        gen = TraceTraffic(trace, 4)
+        assert gen.demands.dtype == np.int64
+        assert gen.generate_batch(rng, 2).tolist() == trace.tolist()
+
 
 class TestNewPatterns:
     def test_complement_inverts_bits(self, rng):
@@ -162,6 +186,11 @@ class TestNewPatterns:
         gen = structured_permutation("shuffle", 1024, rate=0.25)
         active = (gen.generate(rng) != -1).mean()
         assert 0.15 < active < 0.35
+
+    @pytest.mark.parametrize("dests", [[0.9, 2.5, 3.99], np.array([True, False, True])])
+    def test_fixed_pattern_rejects_non_integer_dests(self, dests):
+        with pytest.raises(ConfigurationError, match="integer dtype"):
+            FixedPattern(dests, 4)
 
     def test_fixed_pattern_rate(self, rng):
         gen = FixedPattern(np.arange(2048), 2048, rate=0.5)

@@ -1,19 +1,19 @@
 """The traffic draws against the NumPy calls they stand in for.
 
-``_integers`` and the threshold draws (``_set_drawn``, else the pieces of
-``_random_below``) build ``rng.integers(0, n, size, dtype=np.int64)`` and
-``rng.random(size) < p`` from raw ``PCG64`` words.  On a twin generator
-they must give the same values and leave the stream in the same place, so
-the draws after them agree too.  Generators and ranges where the
-identities do not hold (Philox, MT19937, a pending 32-bit half, a range of
-1 or one that is not a power of two) take the NumPy call, and must agree
-just the same.
+``_integers`` and ``_set_where`` are ``rng.integers(0, n, size,
+dtype=np.int64)`` and ``rng.random(size) < p`` applied to a chunk: drawn
+in C from raw ``PCG64`` words where the C draws serve, else through those
+NumPy calls.  On a twin generator they must give the same values and
+leave the stream in the same place, so the draws after them agree too.
+Generators and ranges where the C identities do not hold (Philox,
+MT19937, a pending 32-bit half, a range of 1 or one that is not a power
+of two) take the NumPy call, and must agree just the same.
 
 Every test runs three times: on the C draws this host builds (eight
 AVX-512 lanes or the scalar lane), on the probe source built with the lane
-count forced to 1, and with the C draws off, so the ``random_raw`` helpers
-stay tested on hosts with a compiler.  The C modes draw every size in C;
-the real size threshold has a test of its own.
+count forced to 1, and with the C draws off, so NumPy's own calls stay
+tested on hosts with a compiler.  The C modes draw every size in C; the
+real size threshold has tests of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.sim import native
 from repro.workloads import make_traffic
 from repro.workloads import models
-from repro.workloads.models import _integers, _random_below
+from repro.workloads.models import _integers, _set_where
 
 _BIT_GENERATORS = {
     "pcg64": np.random.PCG64,
@@ -46,15 +46,15 @@ DTYPES = (np.int16, np.int32, np.int64)
 _ranges = st.sampled_from([1 << k for k in range(1, 16)] + [1, 3, 1000])
 _EDGE_PROBABILITIES = (0.0, 2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 1.0)
 _probabilities = st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0))
-#: Piece sizes: tiny ones split even a short draw into several pieces.
-_pieces = st.sampled_from([1, 3, 16, models._PIECE_WORDS])
-#: Word counts around lane blocks (8 words) and pieces (8,192 words).
+#: Word counts around lane blocks (8 words), short and long.
 _BLOCK_WORDS = (7, 8, 9, 15, 16, 17, 8191, 8192, 8193)
 #: The chunk shapes ``mc-label`` draws (N = 4096 and 1024, int16 wires).
 _MC_LABEL_CHUNKS = ((32, 4096), (64, 1024))
 
 #: The cached loader itself; the fixture below stands ``_c_draws`` in.
 _load_c_draws = models._c_draws
+#: The real size threshold; the fixture sets it to 0 in the C modes.
+_C_MIN_WORDS = models._C_MIN_WORDS
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,30 +113,46 @@ def same_state(ours: np.random.Generator, theirs: np.random.Generator) -> bool:
     return equal(ours.bit_generator.state, theirs.bit_generator.state)
 
 
-def on_helpers(fn, *args):
-    """``fn(*args)`` on the ``random_raw`` helpers (the C draws off)."""
-    with mock.patch.object(models, "_c_draws", lambda: None):
+class RawWords:
+    """The C draws' contract, drawn through ``random_raw`` as ``agrees()``
+    checks it: the same words, with ``has_uint32`` and ``uinteger`` left
+    as they were.
+
+    NumPy's own ``integers`` leaves ``uinteger`` holding the last high
+    half it used, so in the C modes the whole-state checks compare against
+    a twin drawing on this instead (:func:`on_twin`).
+    """
+
+    @staticmethod
+    def labels(rng, flat: np.ndarray, shift: int) -> bool:
+        if rng.bit_generator.state["has_uint32"]:
+            return False
+        words = rng.bit_generator.random_raw(flat.size // 2)
+        flat[0::2] = (words & 0xFFFFFFFF) >> shift
+        flat[1::2] = words >> (32 + shift)
+        return True
+
+    @staticmethod
+    def set_where(rng, flat: np.ndarray, p: float, below: bool, value: int) -> None:
+        words = rng.bit_generator.random_raw(flat.size)
+        flat[((words >> 11) * 2.0**-53 < p) == below] = value
+
+
+def on_twin(fn, *args):
+    """``fn(*args)`` as the whole-state twin draws it: on :class:`RawWords`
+    where the draws under test are C, else on NumPy's own calls."""
+    raw = RawWords if models._c_draws() is not None else None
+    with mock.patch.object(models, "_c_draws", lambda: raw):
         return fn(*args)
 
 
-def mask_of(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
-    """Join the pieces, checking they tile ``[0, count)`` in order."""
-    joined = np.zeros(0, dtype=bool)
-    for start, piece in _random_below(rng, count, p):
-        assert start == joined.size and piece.dtype == bool
-        joined = np.concatenate([joined, piece])
-    assert joined.size == count
-    return joined
-
-
 def set_where(rng, flat: np.ndarray, p: float, below: bool, value: int) -> bool:
-    """``flat[i] = value`` where ``(random() < p) == below``, as the models
-    apply it: in C where it serves, else piece by piece.  Whether C ran."""
-    if models._set_drawn(rng, flat, p, below, value):
-        return True
-    for start, mask in _random_below(rng, flat.size, p):
-        flat[start : start + mask.size][mask == below] = value
-    return False
+    """``_set_where(rng, flat, p, below, value)``; whether it drew in C."""
+    with mock.patch.object(
+        models._CDraws, "set_where", autospec=True, side_effect=models._CDraws.set_where
+    ) as in_c:
+        _set_where(rng, flat, p, below, value)
+    return in_c.called
 
 
 def expect_c(rng, dtype) -> bool:
@@ -157,12 +173,10 @@ def expect_c(rng, dtype) -> bool:
     seed=st.integers(0, 2**32 - 1),
     n=_ranges,
     count=st.integers(0, 70),
-    piece=_pieces,
 )
-def test_integers_match_numpy(kind, seed, n, count, piece):
+def test_integers_match_numpy(kind, seed, n, count):
     ours, theirs = twins(kind, seed)
-    with mock.patch.object(models, "_PIECE_WORDS", piece):
-        got = _integers(ours, n, count)
+    got = _integers(ours, n, count)
     want = theirs.integers(0, n, count, dtype=np.int64)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
@@ -171,24 +185,24 @@ def test_integers_match_numpy(kind, seed, n, count, piece):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("kind", GENERATORS)
-def test_integers_in_every_dtype_leave_the_helpers_state(kind, dtype):
-    """Counts 0-70 and around lane blocks: NumPy's values, the helpers' state.
+def test_integers_in_every_dtype_leave_the_twins_state(kind, dtype):
+    """Counts 0-70 and around lane blocks: NumPy's values, the twin's state.
 
-    NumPy's own call leaves ``uinteger`` holding the last high half it
-    used; the helpers (``random_raw``) never touch it, and the C draws
-    write back the dict they read, so after every draw the whole state
-    dict equals the helpers'.
+    The C draws write back the ``has_uint32`` and ``uinteger`` they read,
+    so after every draw the whole state dict equals that of a twin drawing
+    the same words through ``random_raw``; with the C draws off, that of
+    NumPy's own calls.
     """
     n = 1 << 15 if dtype is np.int16 else 1 << 20
     counts = list(range(71)) + [2 * words + odd for words in _BLOCK_WORDS for odd in (0, 1)]
-    ours, helped = twins(kind, 3)
+    ours, twin = twins(kind, 3)
     reference, _ = twins(kind, 3)
     for count in counts:
         got = _integers(ours, n, count, dtype)
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, reference.integers(0, n, count, dtype=np.int64))
-        np.testing.assert_array_equal(got, on_helpers(_integers, helped, n, count, dtype))
-        assert same_state(ours, helped)
+        np.testing.assert_array_equal(got, on_twin(_integers, twin, n, count, dtype))
+        assert same_state(ours, twin)
     assert_streams_agree(ours, reference)
 
 
@@ -232,28 +246,12 @@ def test_integers_fill_any_shape_and_dtype(shape, dtype):
     kind=st.sampled_from(GENERATORS),
     seed=st.integers(0, 2**32 - 1),
     p=_probabilities,
-    count=st.integers(0, 70),
-    piece=_pieces,
-)
-def test_random_below_matches_numpy(kind, seed, p, count, piece):
-    ours, theirs = twins(kind, seed)
-    with mock.patch.object(models, "_PIECE_WORDS", piece):
-        got = mask_of(ours, count, p)
-    np.testing.assert_array_equal(got, theirs.random(count) < p)
-    assert_streams_agree(ours, theirs)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    kind=st.sampled_from(GENERATORS),
-    seed=st.integers(0, 2**32 - 1),
-    p=_probabilities,
     count=st.one_of(st.integers(0, 70), st.sampled_from(_BLOCK_WORDS)),
     dtype=st.sampled_from(DTYPES),
     below=st.booleans(),
 )
 def test_threshold_draws_match_numpy(kind, seed, p, count, dtype, below):
-    ours, helped = twins(kind, seed)
+    ours, twin = twins(kind, seed)
     reference, _ = twins(kind, seed)
     value = -1 if not below else 3
     got = np.arange(count, dtype=dtype)
@@ -261,8 +259,8 @@ def test_threshold_draws_match_numpy(kind, seed, p, count, dtype, below):
     want = np.arange(count, dtype=np.int64)
     want[(reference.random(count) < p) == below] = value
     np.testing.assert_array_equal(got, want)
-    on_helpers(set_where, helped, np.arange(count, dtype=dtype), p, below, value)
-    assert same_state(ours, helped)
+    on_twin(_set_where, twin, np.arange(count, dtype=dtype), p, below, value)
+    assert same_state(ours, twin)
     assert_streams_agree(ours, reference)
 
 
@@ -283,16 +281,14 @@ def test_threshold_is_strict_and_rounds_up(below):
     index = int(np.flatnonzero(chosen)[0])
     at = float(int(words[index]) >> 11) / 2**53
     for p in (at, np.nextafter(at, 1.0), np.nextafter(at, 0.0)):
-        ours, theirs = twins("pcg64", 2)
-        got = mask_of(ours, index + 1, p)
-        np.testing.assert_array_equal(got, theirs.random(index + 1) < p)
-        assert got[index] == (p > at)
+        want = np.random.Generator(np.random.PCG64(2)).random(index + 9) < p
+        assert want[index] == (p > at)
         for dtype in DTYPES:
             ours, _ = twins("pcg64", 2)
             hit = np.zeros(index + 9, dtype=dtype)
-            set_where(ours, hit, p, below, 1)
+            _set_where(ours, hit, p, below, 1)
             assert hit[index] == ((p > at) == below)
-            np.testing.assert_array_equal(hit[:index + 1] == 1, got == below)
+            np.testing.assert_array_equal(hit == 1, want == below)
 
 
 def test_mixed_draws_keep_one_stream():
@@ -302,10 +298,45 @@ def test_mixed_draws_keep_one_stream():
         np.testing.assert_array_equal(
             _integers(ours, 256, count), theirs.integers(0, 256, count, dtype=np.int64)
         )
-        np.testing.assert_array_equal(mask_of(ours, count, 0.3), theirs.random(count) < 0.3)
+        np.testing.assert_array_equal(ours.integers(0, 5, 3), theirs.integers(0, 5, 3))
         hot = np.zeros(count, dtype=np.int16)
-        set_where(ours, hot, 0.3, True, 1)
+        _set_where(ours, hot, 0.3, True, 1)
         np.testing.assert_array_equal(hot == 1, theirs.random(count) < 0.3)
+    assert_streams_agree(ours, theirs)
+
+
+def test_cycles_and_chunks_share_one_stream_at_the_real_threshold():
+    """One-cycle draws at N = 64 and 32 x 4096 int16 chunks on one stream.
+
+    The one-cycle draws are NumPy's calls; an odd count leaves a pending
+    32-bit half, so the chunk after it is NumPy's call too, and the chunk
+    after an even count is drawn in C.  The thresholds follow the same
+    size rule: NumPy's per cycle, C per chunk.
+    """
+    cycle_spec, chunk_spec = "hotspot:0.25,out=5,rate=0.5", "hotspot:0.25,out=5"
+    cycle = make_traffic(cycle_spec, 64, 64)
+    chunks = make_traffic(chunk_spec, 4096, 4096)
+    ours, theirs = twins("pcg64", 43)
+    drawn = []
+    real = models._CDraws.labels
+
+    def labels(self, rng, flat, shift):
+        drawn.append(real(self, rng, flat, shift))
+        return drawn[-1]
+
+    with mock.patch.object(models, "_C_MIN_WORDS", _C_MIN_WORDS), mock.patch.object(
+        models._CDraws, "labels", labels
+    ):
+        for count in (63, 1, 64, 63):
+            np.testing.assert_array_equal(
+                _integers(ours, 64, count), theirs.integers(0, 64, count, dtype=np.int64)
+            )
+            np.testing.assert_array_equal(
+                cycle.generate(ours), reference_chunk(cycle_spec, theirs, 1, 64)[0]
+            )
+            got = chunks.generate_batch(ours, 32, np.int16)
+            np.testing.assert_array_equal(got, reference_chunk(chunk_spec, theirs, 32, 4096))
+    assert drawn == ([False, True, True, False] if models._c_draws() is not None else [])
     assert_streams_agree(ours, theirs)
 
 
@@ -340,7 +371,7 @@ _MODEL_SPECS = (
 @pytest.mark.parametrize("kind", GENERATORS)
 @pytest.mark.parametrize("spec", _MODEL_SPECS)
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_models_match_numpy_and_the_helpers(spec, dtype, kind):
+def test_models_match_numpy(spec, dtype, kind):
     """Hot output 5, and rate 0.5 on uniform, hot-spot and a fixed pattern.
 
     Chunk and single-cycle draws both; 64 x 64 chunks are 2,048 words of
@@ -350,22 +381,22 @@ def test_models_match_numpy_and_the_helpers(spec, dtype, kind):
     pattern = None
     if spec.startswith("bitrev"):
         pattern = make_traffic("bitrev", 64, 64).dests
-    ours, helped = twins(kind, 29)
+    ours, twin = twins(kind, 29)
     reference, _ = twins(kind, 29)
     for batch in (64, 3, 0):
         got = gen.generate_batch(ours, batch, dtype)
         assert got.dtype == dtype and got.shape == (batch, 64)
         np.testing.assert_array_equal(got, reference_chunk(spec, reference, batch, 64, pattern))
-        np.testing.assert_array_equal(got, on_helpers(gen.generate_batch, helped, batch, dtype))
-        assert same_state(ours, helped)
+        np.testing.assert_array_equal(got, on_twin(gen.generate_batch, twin, batch, dtype))
+        assert same_state(ours, twin)
     one = gen.generate(ours)
     np.testing.assert_array_equal(one, reference_chunk(spec, reference, 1, 64, pattern)[0])
-    on_helpers(gen.generate, helped)
-    assert same_state(ours, helped)
+    on_twin(gen.generate, twin)
+    assert same_state(ours, twin)
     assert_streams_agree(ours, reference)
 
 
-def test_int8_chunks_stay_on_the_helpers():
+def test_int8_chunks_take_numpy():
     gen = make_traffic("hotspot:0.25,out=5,rate=0.5", 64, 64)
     ours, theirs = twins("pcg64", 31)
     with mock.patch.object(models._CDraws, "set_where") as thresholds, mock.patch.object(
@@ -379,8 +410,10 @@ def test_int8_chunks_stay_on_the_helpers():
 
 
 @pytest.mark.parametrize("spec", ["uniform", "hotspot:0.1", "hotspot:0.1,rate=0.5"])
-def test_int16_chunk_peaks_below_one_mib(spec):
-    """No transient of the chunk's size (int64 NumPy draws peak at 2.2 MiB)."""
+def test_int16_chunk_peaks_below_one_mib(spec, draws):
+    """No transient of the chunk's size in C (NumPy's draws peak at 2.1-2.3 MiB)."""
+    if draws is None:
+        pytest.skip("NumPy's own calls allocate chunk-sized int64 and float64 draws")
     gen = make_traffic(spec, 4096, 4096)
     rng = np.random.default_rng(0)
     gen.generate_batch(rng, 32, dtype=np.int16)
@@ -398,8 +431,8 @@ def test_int16_chunk_peaks_below_one_mib(spec):
 # ----------------------------------------------------------------------
 
 
-def test_small_draws_stay_on_the_helpers(draws):
-    """Below ``_C_MIN_WORDS`` words a draw takes ``random_raw``; from it on, C."""
+def test_small_draws_take_numpy(draws):
+    """Below ``_C_MIN_WORDS`` words a draw is NumPy's call; from it on, C."""
     if draws is None:
         pytest.skip("the C draws are off")
     words = 64
@@ -412,7 +445,7 @@ def test_small_draws_stay_on_the_helpers(draws):
                 draws, "labels", labels
             ):
                 hot = np.zeros(count, dtype=np.int16)
-                set_where(ours, hot, 0.5, True, 1)
+                _set_where(ours, hot, 0.5, True, 1)
                 got = _integers(ours, 64, 2 * count)
             assert thresholds.called == in_c and labels.called == in_c
             np.testing.assert_array_equal(hot == 1, theirs.random(count) < 0.5)
@@ -420,7 +453,7 @@ def test_small_draws_stay_on_the_helpers(draws):
 
 
 def test_load_check_turns_wrong_draws_off(draws):
-    """A wrong word fails the check at load, and the helpers draw instead."""
+    """A wrong word fails the check at load, and NumPy's calls draw instead."""
     if draws is None:
         pytest.skip("the C draws are off")
     real = native.draw_library()
