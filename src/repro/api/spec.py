@@ -20,6 +20,7 @@ can key caches.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 from repro.core.config import EDNParams
@@ -273,19 +274,11 @@ class NetworkSpec:
 
         Available for every unidirectional multistage kind (``edn``,
         ``delta``, ``omega``, ``dilated``) — the descriptor the batched
-        backend compiles and caches a plan for.
+        backend compiles and caches a plan for.  Specs of one
+        ``(kind, shape)`` share one graph object: priority and faults are
+        not part of the graph (see :func:`_stage_graph`).
         """
-        from repro.sim import stagegraph
-
-        if self.kind == "edn":
-            return stagegraph.edn_graph(self.edn_params)
-        if self.kind == "delta":
-            return stagegraph.delta_graph(*self.delta_shape)
-        if self.kind == "omega":
-            return stagegraph.omega_graph(self.shape[0])
-        if self.kind == "dilated":
-            return stagegraph.dilated_graph(*self.dilated_shape)
-        raise ConfigurationError(f"{self.kind} networks have no stage graph")
+        return _stage_graph(self.kind, self.shape)
 
     @property
     def n_inputs(self) -> int:
@@ -320,6 +313,32 @@ class NetworkSpec:
 
     def __str__(self) -> str:
         return self.label
+
+
+@lru_cache(maxsize=64)
+def _stage_graph(kind: str, shape: tuple[int, ...]):
+    """The stage graph of ``kind:shape``, built once while it stays cached.
+
+    A Monte-Carlo sweep builds one router per cell, mostly for a shape it
+    has built before, and building a graph costs up to about 120 µs
+    (``omega:1024``).  Graphs are frozen, so one object serves every
+    spec of the shape; the plan cache then finds it by identity.  The
+    cache is module-level, never on a spec, so nothing extra travels in
+    pickles or the serve protocol.  It keeps 64 shapes, twice the plan
+    cache's 32 plans.
+    """
+    from repro.sim import stagegraph
+
+    spec = NetworkSpec(kind, shape)
+    if kind == "edn":
+        return stagegraph.edn_graph(spec.edn_params)
+    if kind == "delta":
+        return stagegraph.delta_graph(*spec.delta_shape)
+    if kind == "omega":
+        return stagegraph.omega_graph(shape[0])
+    if kind == "dilated":
+        return stagegraph.dilated_graph(*spec.dilated_shape)
+    raise ConfigurationError(f"{kind} networks have no stage graph")
 
 
 @dataclass(frozen=True)

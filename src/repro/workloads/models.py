@@ -273,13 +273,20 @@ def _integer_labels(values, what: str) -> np.ndarray:
     """``values`` as int64 labels; ``ConfigurationError`` unless integer-typed.
 
     An int64 cast would truncate a float silently (1.9 to label 1, and
-    -0.5 to label 0 instead of idle) and read a bool as labels 0 and 1.
+    -0.5 to label 0 instead of idle), read a bool as labels 0 and 1, and
+    wrap an unsigned label past the int64 range (2**64 - 1 to idle), so
+    that range is checked in the array's own dtype first.
     """
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ConfigurationError(
             f"{what} must have an integer dtype (output labels, with -1 marking "
             f"idle inputs); got dtype {values.dtype}"
+        )
+    top = int(values.max()) if values.size else 0
+    if top > np.iinfo(np.int64).max:
+        raise ConfigurationError(
+            f"{what}: out-of-range destination {top} (labels must fit int64)"
         )
     return values.astype(np.int64, copy=False)
 

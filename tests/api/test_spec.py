@@ -107,6 +107,68 @@ class TestNetworkSpecParse:
                 NetworkSpec.parse(text)
 
 
+class TestStageGraphMemo:
+    """``NetworkSpec.stage_graph()`` builds one graph per ``(kind, shape)``."""
+
+    FAULTS = (WireFault(1, 0, 0), WireFault(2, 1, 3))
+
+    def test_equal_shapes_share_one_graph(self):
+        graph = NetworkSpec.edn(16, 4, 4, 2).stage_graph()
+        for spec in (
+            NetworkSpec.parse("edn:16,4,4,2"),
+            NetworkSpec.edn(16, 4, 4, 2, priority="random"),
+            NetworkSpec.edn(16, 4, 4, 2, faults=self.FAULTS),
+            NetworkSpec.edn(16, 4, 4, 2, priority="random", faults=self.FAULTS[:1]),
+        ):
+            assert spec.stage_graph() is graph
+
+    def test_different_shapes_never_share_a_graph(self):
+        specs = [
+            NetworkSpec.edn(16, 4, 4, 2), NetworkSpec.edn(16, 4, 4, 3),
+            NetworkSpec.delta(4, 4, 3), NetworkSpec.delta(4, 4, 2),
+            NetworkSpec.omega(64), NetworkSpec.omega(16),
+            NetworkSpec.dilated(2, 2, 4, 2), NetworkSpec.dilated(2, 2, 3, 2),
+        ]
+        graphs = [spec.stage_graph() for spec in specs]
+        assert len({id(graph) for graph in graphs}) == len(specs)
+        assert len(set(graphs)) == len(specs)
+        assert [graph.label for graph in graphs] == [spec.label for spec in specs]
+
+    def test_faults_still_key_the_plans(self):
+        from repro.api import build_router
+        from repro.sim.rng import make_rng
+        from repro.sim.stagegraph import StageGraphReference
+
+        clean = NetworkSpec.edn(16, 4, 4, 2)
+        faulted = NetworkSpec.edn(16, 4, 4, 2, faults=self.FAULTS)
+        routers = [build_router(spec, "batched") for spec in (clean, faulted)]
+        assert routers[0]._plan is not routers[1]._plan
+        assert routers[0]._plan.graph is routers[1]._plan.graph
+        dests = make_rng(4).integers(-1, 64, size=(6, 64))
+        for spec, router in zip((clean, faulted), routers):
+            reference = StageGraphReference(spec.stage_graph(), faults=spec.faults)
+            got = router.route_batch_counts(dests)
+            want = [reference.route(row) for row in dests]
+            assert got.delivered_per_cycle.tolist() == [r.num_delivered for r in want]
+        assert (
+            routers[0].route_batch_counts(dests).delivered_per_cycle.sum()
+            > routers[1].route_batch_counts(dests).delivered_per_cycle.sum()
+        )
+
+    def test_no_graph_rides_on_the_spec(self):
+        # Specs travel in pickles and the serve protocol: the memo lives in
+        # the module, never on the instance.
+        spec = NetworkSpec.omega(64, faults=(WireFault(1, 0, 1),))
+        before = pickle.dumps(spec)
+        spec.stage_graph()
+        assert pickle.dumps(spec) == before
+        assert set(vars(spec)) == {"kind", "shape", "priority", "wire_policy", "faults"}
+
+    def test_kinds_without_a_stage_graph_still_raise(self):
+        with pytest.raises(ConfigurationError, match="no stage graph"):
+            NetworkSpec.crossbar(8).stage_graph()
+
+
 class TestRunConfig:
     def test_defaults_unset(self):
         cfg = RunConfig()

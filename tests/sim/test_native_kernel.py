@@ -18,6 +18,7 @@ and run everywhere.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import signal
 import subprocess
@@ -349,6 +350,110 @@ class TestLaneKernelBoundaries:
         assert_counts_equal(got, reference_counts(graph, dests, faults))
 
 
+#: -march settings that build the lane kernel's entry and stages on each
+#: vector width of an x86-64 host: 64-byte vectors with AVX-512BW, 32 with
+#: AVX2 (x86-64-v3), 16 on the base ISA.
+MARCHES = ("native", "x86-64-v3", "x86-64")
+
+#: Plans whose first column is narrower than a vector (N of 2, 8 and 16),
+#: an input permutation, faulted plans, and an int32 plan.
+WIDTH_CASES = {
+    "delta:2,2,1": lambda: (delta_graph(2, 2, 1), ()),
+    "edn:4,4,2,2": lambda: (edn_graph(EDNParams(4, 4, 2, 2)), ()),
+    "omega:16": lambda: (omega_graph(16), ()),
+    "omega:64": lambda: (omega_graph(64), ()),
+    "edn:16,4,4,2+faults": lambda: (GRAPHS["edn"](), FAULTS["edn"]),
+    "dilated:2,2,4,2+faults": lambda: (GRAPHS["dilated"](), FAULTS["dilated"]),
+    "delta:2,8,5 (int32)": lambda: (delta_graph(2, 8, 5), ()),
+}
+
+
+@functools.cache
+def cannot_run(march: str):
+    """Why a ``-march=march`` build cannot run on this host, or ``None``."""
+    if march == "native":
+        return None
+    proc = subprocess.run(
+        [native._compiler(), "-march=native", "-dM", "-E", "-"],
+        input="", capture_output=True, text=True,
+    )
+    needs = ("__x86_64__", "__AVX2__") if march == "x86-64-v3" else ("__x86_64__",)
+    missing = [macro for macro in needs if f"#define {macro} " not in proc.stdout]
+    return f"the host lacks {', '.join(missing)}" if missing else None
+
+
+@needs_cc
+class TestEntryTranspose:
+    """The lane kernel's entry (a block transpose by SIMD shuffles in the
+    probe library) on every vector width this host runs, alone and inside
+    whole kernels."""
+
+    @pytest.fixture(scope="class")
+    def width_caches(self, tmp_path_factory):
+        return {march: tmp_path_factory.mktemp(f"native-{march}") for march in MARCHES}
+
+    @pytest.fixture(params=MARCHES)
+    def vector_width(self, request, monkeypatch, width_caches):
+        """The probe library and the lane kernels built with ``-march=param``."""
+        march = request.param
+        reason = cannot_run(march)
+        if reason is not None:
+            pytest.skip(reason)
+        monkeypatch.setattr(native, "_FLAG_LADDER", ((f"-march={march}",),))
+        for name, value in (
+            ("_spec_fns", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
+        ):
+            monkeypatch.setattr(native, name, value)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(width_caches[march]))
+        if native._probe_cc() is not None:
+            pytest.skip(f"-march={march} does not build here: {native._cc_error}")
+        return march
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 64])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_entry_transposes_every_block(self, vector_width, dtype, n):
+        # Two whole lane blocks and three cycles of a third, labels across
+        # the dtype's range and idle, through no permutation and a drawn one.
+        batch = 2 * L + 3
+        rng = make_rng(n)
+        dests = rng.integers(-1, np.iinfo(dtype).max, size=(batch, n), endpoint=True)
+        dests[rng.random(dests.shape) < 0.25] = -1
+        dests = dests.astype(dtype)
+        enter = ctypes.CFUNCTYPE(
+            None, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        )(native._entry_address(dtype))
+        for perm in (None, rng.permutation(n)):
+            rows = np.arange(n) if perm is None else perm
+            for c0 in range(0, batch, L):
+                nb = min(L, batch - c0)
+                frontier = np.full((n, L), 7, dtype=dtype)  # stale scratch
+                live = np.full(L, 7, dtype=dtype)
+                enter(
+                    dests.ctypes.data, n, c0, nb,
+                    None if perm is None else perm.ctypes.data,
+                    frontier.ctypes.data, live.ctypes.data,
+                )
+                want = np.full((n, L), -1, dtype=dtype)
+                want[rows, :nb] = dests[c0 : c0 + nb].T
+                np.testing.assert_array_equal(frontier, want)
+                np.testing.assert_array_equal(
+                    live, np.r_[(dests[c0 : c0 + nb] >= 0).sum(axis=1), [0] * (L - nb)]
+                )
+
+    @pytest.mark.parametrize("batch", [1, L - 1, L + 1, 2 * L + 3])
+    @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+    def test_kernel_matches_both_engines(self, vector_width, case, batch):
+        graph, faults = WIDTH_CASES[case]()
+        plan = compile_stage_plan(graph, faults=faults)
+        dests = demands(graph, batch, batch)
+        got = native.NativeKernel(plan).counts(dests, plan.workspace())
+        want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
+        assert_counts_equal(got, want)
+        assert_counts_equal(got, reference_counts(graph, dests, faults))
+        assert got.offered_per_cycle.tolist() == (dests >= 0).sum(axis=1).tolist()
+
+
 @needs_cc
 class TestTierReport:
     def test_router_reports_the_cc_tier(self):
@@ -448,18 +553,20 @@ class TestParallelSweepAgreement:
 
 @needs_cc
 class TestToolchainProbe:
+    @pytest.mark.parametrize("feature", ["vector_size", "__builtin_shuffle"])
     def test_compiler_without_vector_types_reports_native_unavailable(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, feature
     ):
         # A compiler that builds plain C but rejects the vector extension
-        # (the lane kernel's) must fail the probe, so ``auto`` picks
-        # ``batched`` instead of raising on the first cell.
+        # or the entry transpose's shuffle builtin (the lane kernel's) must
+        # fail the probe, so ``auto`` picks ``batched`` instead of raising
+        # on the first cell.
         fake = tmp_path / "cc"
         fake.write_text(
             "#!/bin/sh\n"
             'for arg; do case "$arg" in *.c)\n'
-            '  if grep -q vector_size "$arg"; then\n'
-            '    echo "vector_size unsupported" >&2; exit 1\n'
+            f'  if grep -q {feature} "$arg"; then\n'
+            f'    echo "{feature} unsupported" >&2; exit 1\n'
             "  fi;;\n"
             "esac; done\n"
             f'exec {native._compiler()} "$@"\n'
@@ -472,7 +579,7 @@ class TestToolchainProbe:
         plain = native._build_shared_object("long plain(void) { return 1; }\n", "plain")
         assert plain.exists()
         assert native.available_tiers() == ()
-        assert "vector_size unsupported" in native.unavailable_reason()
+        assert f"{feature} unsupported" in native.unavailable_reason()
         assert resolve_backend(NetworkSpec.delta(4, 4, 2)).name == "batched"
 
     def test_kernel_cache_is_keyed_by_isa_fingerprint(self, monkeypatch, tmp_path):

@@ -154,6 +154,22 @@ class TestTraceTraffic:
         with pytest.raises(ConfigurationError, match="integer dtype"):
             TraceTraffic.from_file(str(path))
 
+    @pytest.mark.parametrize("label", [2**64 - 1, 2**63])
+    def test_rejects_unsigned_labels_past_int64(self, tmp_path, label):
+        # An int64 cast wraps 2**64 - 1 to -1 (an idle input) and 2**63 to
+        # a negative label; the range is checked before the cast.
+        demands = np.array([[label, 1]], dtype=np.uint64)
+        with pytest.raises(ConfigurationError, match="out-of-range"):
+            TraceTraffic(demands, 4)
+        path = tmp_path / "demands.npy"
+        np.save(path, demands)
+        with pytest.raises(ConfigurationError, match="out-of-range"):
+            TraceTraffic.from_file(str(path))
+
+    def test_accepts_unsigned_labels_in_range(self, rng):
+        gen = TraceTraffic(np.array([[3, 1]], dtype=np.uint64), 4)
+        assert gen.generate(rng).tolist() == [3, 1]
+
     def test_accepts_narrow_integer_demands(self, rng):
         trace = np.array([[3, -1], [0, 2]], dtype=np.int32)
         gen = TraceTraffic(trace, 4)
@@ -191,6 +207,11 @@ class TestNewPatterns:
     def test_fixed_pattern_rejects_non_integer_dests(self, dests):
         with pytest.raises(ConfigurationError, match="integer dtype"):
             FixedPattern(dests, 4)
+
+    @pytest.mark.parametrize("label", [2**64 - 1, 2**63])
+    def test_fixed_pattern_rejects_unsigned_labels_past_int64(self, label):
+        with pytest.raises(ConfigurationError, match="out-of-range"):
+            FixedPattern(np.array([label, 1], dtype=np.uint64), 4)
 
     def test_fixed_pattern_rate(self, rng):
         gen = FixedPattern(np.arange(2048), 2048, rate=0.5)
