@@ -12,14 +12,14 @@ one compiled engine and one independent interpreter:
 name           engine                                   kinds
 =============  =======================================  =================
 ``native``     :class:`NativeStageRouter`: label        edn, delta,
-               counts on a plan-specialized C lane      omega, dilated
-               kernel, random-priority counts and
-               buffered cycles on one
-               plan-independent C source, each
-               compiled at first use with the host
-               C toolchain; drops out of the
-               registry when no working C compiler
-               is present
+               counts on one C lane kernel per wire     omega, dilated
+               dtype that takes stage shapes as
+               data, random-priority counts and
+               buffered cycles on one C source of
+               contended kernels, each compiled at
+               first use with the host C toolchain;
+               drops out of the registry when no
+               working C compiler is present
 ``batched``    the compiled stage-graph router          edn, delta,
                (:class:`CompiledStageRouter`) every     omega, dilated,
                stage-graph kind compiles to, and the    crossbar

@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--backend", default="auto", metavar="NAME",
         help="router backend: auto, native, batched, vectorized, reference, "
-             "matching, looping (native is the plan-specialized C kernel and "
-             "needs a C compiler; auto uses batched without one)",
+             "matching, looping (native is the C lane kernel, built once per "
+             "wire dtype, and needs a C compiler; auto uses batched without "
+             "one)",
     )
     route.add_argument(
         "--traffic", action="append", metavar="SPEC", default=None,

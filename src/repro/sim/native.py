@@ -1,7 +1,8 @@
 """Native kernel backend: each :class:`~repro.sim.plan.StagePlan` lowered to
-C — label-priority counts on a plan-specialized kernel that routes a block
-of cycles per SIMD vector, random-priority counts and buffered stepping on
-one plan-independent source of contended kernels.
+C — label-priority counts on a lane kernel that routes a block of cycles
+per SIMD vector, random-priority counts and buffered stepping on a source
+of contended kernels.  Both take every stage shape as data, so no source
+is generated per plan.
 
 The batched NumPy kernels stream ~10 chunk-sized array passes per stage;
 at Monte-Carlo scale that is memory traffic, not arithmetic.  The native
@@ -9,12 +10,11 @@ kernel routes ``_LANES`` cycles at once, one cycle per SIMD lane: the
 frontier is wire-major (``frontier[wire][lane]``), so every switch
 operation is one vector operation over the whole block, and one pass per
 stage resolves contention, acceptance, fault refinement and the link
-permutation.  It is C source *specialized to the plan's stage shapes*
-(constants baked in, one block per stage), written with the GCC/Clang
-``vector_size`` extension, compiled at first use with the host toolchain
-(``cc``/``gcc``/``clang``), cached on disk by generated source, compile
-command and host ISA, and called through :mod:`ctypes` (the GIL is
-released for the duration of the call).
+permutation.  It is one fixed C source per wire dtype (``_LANE_SOURCE``),
+written with the GCC/Clang ``vector_size`` extension, compiled at first
+use with the host toolchain (``cc``/``gcc``/``clang``), cached on disk by
+source, compile command and host ISA, and called through :mod:`ctypes`
+(the GIL is released for the duration of the call).
 
 The kernel runs **serially**.  Parallelism comes from one layer only:
 the process layer (:class:`~repro.experiments.parallel.ParallelSweep`
@@ -36,21 +36,20 @@ identical counts) and constructing a :class:`NativeStageRouter` raises
 The kernel consumes the existing plan data — per-stage shapes, link
 permutation tables (pre-composed with the fault remap for faulted
 stages), rank-space fault liveness, and the input permutation — packed
-once per plan into flat arrays (:func:`_lower`) and cached on the plan
-itself, so the warm path allocates nothing chunk-sized and forked sweep
-workers inherit both the lowered tables and the on-disk kernel cache.
+once per plan into flat arrays (:class:`_PlanTables`) and cached on the
+plan itself, so the warm path allocates nothing chunk-sized and forked
+sweep workers inherit both the lowered tables and the loaded libraries.
 
 The contended disciplines draw tie-breaks cycle after cycle, so they do
 not fit SIMD lanes: their kernels (``_CONTENDED_SOURCE``) are scalar C
-that takes every stage shape as data (:func:`contended_for`), built once
-per host through the same cache, and draw each tie permutation in place
-on the caller's own NumPy generator.  Random-priority counts go through
-:meth:`NativeKernel.counts`; a buffered cycle is the core that
-:meth:`~repro.sim.batched.CompiledStageRouter.step` hands it to.
+(:func:`contended_for`), built once per host through the same cache, and
+draw each tie permutation in place on the caller's own NumPy generator.
+Random-priority counts go through :meth:`NativeKernel.counts`; a buffered
+cycle is the core that :meth:`~repro.sim.batched.CompiledStageRouter.step`
+hands it to.
 
-The toolchain probe's source (``_C_PROBE``) also carries the lane
-kernel's entry transpose, which every kernel calls, and the PCG64 traffic
-draws of :mod:`repro.workloads.models`, handed over by
+The toolchain probe's source (``_C_PROBE``) also carries the PCG64
+traffic draws of :mod:`repro.workloads.models`, handed over by
 :func:`draw_library`.
 """
 
@@ -88,13 +87,12 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Kernel source (plan-specialized, runtime-compiled, ctypes-loaded)
+# Lane kernel (one source per wire dtype, runtime-compiled, ctypes-loaded)
 # ----------------------------------------------------------------------
-# Every per-stage scalar (width, fan-in, digit shift, radix, capacity,
-# table offsets) is a compile-time constant and each stage is one block
-# of the generated function.  Only the table *data* stays runtime — two
-# plans with the same stage shapes share one shared object, while their
-# link tables and fault masks ride in as pointers.
+# One fixed C source routes every plan: each stage is a descriptor row of
+# ``_L_FIELDS`` (the C names them ``S_*``), and the link tables and fault
+# masks ride in as pointers, so a new stage shape is new data and never a
+# new build.  The source is compiled once per host and wire dtype.
 #
 # Lanes.  A call routes its batch in blocks of ``_LANES`` cycles.  A
 # frontier row holds one wire's destination in every cycle of the block
@@ -110,10 +108,7 @@ __all__ = [
 # two constant index lists) leave vector ``j`` holding label ``t + j`` of
 # every cycle, stored whole to frontier row ``input_perm[t + j]``.  A load
 # past the batch, or past a row shorter than ``LV``, reads idle, so no
-# lane ever reads stale scratch.  The entry (``_ENTRY_SOURCE``) is
-# compiled once per process into the toolchain probe's library, and each
-# kernel calls it through a pointer argument: inlined into every kernel it
-# made each build about 8% slower.
+# lane ever reads stale scratch.
 #
 # Pull resolution.  Label priority grants bucket ``j`` of a switch to
 # its live inputs in wire order, so output slot ``(j, r)`` holds the
@@ -131,14 +126,26 @@ __all__ = [
 # ``fan_in x radix x capacity`` selects, so very wide buckets route
 # slower than a scalar counting kernel would (see docs/PERFORMANCE.md).
 #
+# Routines.  Only the register file is compile-time: ``STAGE(CAP, GROUP)``
+# makes one routine per ``_ROUTINES`` pair, and each stage picks its own
+# from a table by capacity and radix, with group = min(radix,
+# _GROUP_SLOTS / capacity).  When capacity x group is below
+# ``_GROUP_SLOTS`` the group is the whole radix, so the routine makes one
+# pass on a constant digit mask; only a full register file loops over
+# bucket groups under the stage's radix mask (a runtime mask on every
+# routine made omega plans 1.2-1.6x slower on 16- and 32-byte vectors).
+# The last stage and a faulted stage are runtime conditions (a NULL link
+# table, a NULL fault mask), not variants.  No routine holds a capacity
+# above ``_GROUP_SLOTS``; such plans route on NumPy (see
+# :class:`NativeKernel`).
+#
 # Counts.  Per lane, a stage blocks the live rows it reads minus the live
 # slots it writes; ``offered`` counts the live entry rows and
 # ``delivered`` the live slots of the last column.  They stay in
 # ``wire_t`` lanes: no count exceeds the widest column, which the plan's
-# wire dtype already holds.  Each block adds its lanes' blocked counts to
-# the per-stage totals; idle lanes add nothing.  An exit column that is
-# pure delivery (fan-in 1, radix 1, no faults) delivers every live row and
-# emits no code.
+# wire dtype already holds.  Each stage adds its lanes' blocked counts to
+# its total; idle lanes add nothing.  An exit column that is pure delivery
+# (fan-in 1, radix 1, no faults) delivers every live row and is skipped.
 
 #: Cycles per kernel block, one per SIMD lane.  32 int16 lanes fill one
 #: 512-bit vector (a row must fill at least one ``vec_t``), and the
@@ -151,149 +158,271 @@ _LANES = 32
 #: are independent, so a wide switch is not bound by one chain's latency.
 _GROUP_SLOTS = 8
 
+#: The lane kernel's routines, ``(capacity, group)`` in table order: every
+#: power-of-two register file of at most ``_GROUP_SLOTS`` slots.
+_ROUTINES = tuple(
+    (1 << c, 1 << g)
+    for c in range(_GROUP_SLOTS.bit_length())
+    for g in range(_GROUP_SLOTS.bit_length() - c)
+)
 
-def _stage_block(i, stage, nstages) -> str:
-    """One stage of the lane kernel: pull every slot, store it, count it."""
-    width, fib, shift, rmask, cap, bw, loff, foff = stage
-    fan_in = 1 << fib
-    last = i == nstages - 1
-    faulted = foff >= 0
-    if last and fan_in == 1 and rmask == 0 and not faulted:
-        return f"""
-        /* stage {i}: pure exit column -- every live row delivers */
-        for (int h = 0; h < NV; h++) blk[{i}][h] = zero;"""
-    group = min(rmask + 1, max(1, _GROUP_SLOTS // cap))
-    slots = ", ".join(f"s{g}_{r} = idle" for g in range(group) for r in range(cap))
-    push = [f"vec_t m{g} = dig[k] == (wire_t)(j + {g});" for g in range(group)]
-    for g in range(group):
-        # A matching input pushes the register up one rank and enters at 0.
-        push += [
-            f"s{g}_{r} = (m{g} & s{g}_{r - 1}) | (~m{g} & s{g}_{r});"
-            for r in range(cap - 1, 0, -1)
-        ]
-        push.append(f"s{g}_0 = (m{g} & in[k * NV]) | (~m{g} & s{g}_0);")
-    emit = [] if last and not faulted else [f"int64_t y = sw * {bw} + j * {cap};"]
-    for g in range(group):
-        for r in range(cap):
-            slot, q = f"s{g}_{r}", g * cap + r
-            if faulted:
-                emit.append(f"{slot} |= (wire_t)(fal[y + {q}] - 1);")
-            emit.append(f"out -= {slot} >= 0;")
-            if not last:
-                emit.append(f"nxt[ltab[y + {q}] * NV + h] = {slot};")
-    decls = []
-    if not last:
-        decls.append(f"const wire_t *ltab = links + {loff};")
-    if faulted:
-        decls.append(f"const uint8_t *fal = falive + {foff};")
-    swap = "" if last else "vec_t *tmp_ = cur; cur = nxt; nxt = tmp_;"
-    return f"""
-        /* stage {i}: {width >> fib} x {fan_in}-wide switches, radix {rmask + 1}, capacity {cap} */
-        {{
-            {" ".join(decls)}
-            for (int h = 0; h < NV; h++) {{
-                vec_t out = zero;
-                for (int64_t sw = 0; sw < {width >> fib}; sw++) {{
-                    const vec_t *in = cur + sw * {fan_in} * NV + h;
-                    vec_t dig[{fan_in}];
-                    for (int k = 0; k < {fan_in}; k++)
-                        dig[k] = (in[k * NV] >> {shift}) & (wire_t)(WIRE_MIN | {rmask});
-                    for (int j = 0; j <= {rmask}; j += {group}) {{
-                        vec_t {slots};
-                        for (int k = {fan_in - 1}; k >= 0; k--) {{
-                            {_indent(push, 28)}
-                        }}
-                        {_indent(emit, 24)}
-                    }}
-                }}
-                blk[{i}][h] = live[h] - out;
-                live[h] = out;
-            }}
-            {swap}
-        }}"""
+#: A lane stage descriptor: fan-in bits, digit shift, radix - 1, capacity,
+#: entering wires, and the offsets of its link table (``links``, in the
+#: wire dtype; ``-1`` on the last stage) and rank-space fault mask
+#: (``falive``; ``-1`` = no faults).  The contended kernels' descriptor
+#: (``_S_FIELDS``) extends it.
+_L_FIELDS = ("FIB", "SHIFT", "RMASK", "CAP", "WIDTH", "LINK", "ALIVE")
 
-
-def _indent(lines, width) -> str:
-    return ("\n" + " " * width).join(lines)
-
-
-def _spec_source(tables, ctype) -> str:
-    """The lane kernel's C source for one plan shape x wire dtype."""
-    stages = tables.stages
-    nstages = len(stages)
-    n = stages[0][0]
-    blocks = "\n".join(
-        _stage_block(i, stage, nstages) for i, stage in enumerate(stages)
-    )
-    return f"""#include <stdint.h>
-
-/* Plan-specialized lane kernel: {nstages} stages, wire type {ctype},
- * {_LANES} cycles per block.  Generated by repro.sim.native; every stage
- * shape is a constant, so the arguments carry only the demand matrix,
- * the entry transpose, the plan's tables, the frontier scratch and the
- * results. */
-typedef {ctype} wire_t;
-#define WIRE_MIN {ctype[:-2].upper()}_MIN
-
-/* A frontier row (one wire, {_LANES} lanes) is NV vectors of the widest
- * width the target computes on natively: wider generic vectors are
- * lowered through memory. */
-#if defined(__AVX512BW__)
-#define VBYTES 64
-#elif defined(__AVX2__)
-#define VBYTES 32
+#: The two-vector shuffle with constant indices (``a``'s lanes, then
+#: ``b``'s) that the lane kernel's entry transpose is made of.  GCC has had
+#: ``__builtin_shuffle`` (indices as a mask vector of type ``T``) since 4.7,
+#: ``__builtin_shufflevector`` only since 12; clang has only the latter.
+#: ``_C_PROBE`` uses it too, so a compiler without it reports ``native``
+#: unavailable instead of failing a cell.
+_SHUFFLE_MACRO = """#if defined(__clang__)
+#define SHUFFLE(T, a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
 #else
-#define VBYTES 16
+#define SHUFFLE(T, a, b, ...) __builtin_shuffle(a, b, (T){__VA_ARGS__})
 #endif
-#define NV ({_LANES} * (int)sizeof(wire_t) / VBYTES)
+"""
+
+
+def _interleave(lanes: int, high: bool) -> str:
+    """Indices interleaving the low (or high) halves of two ``lanes``-lane
+    vectors ``a`` and ``b``: ``a0, b0, a1, b1, ...``."""
+    base = lanes // 2 if high else 0
+    return ", ".join(f"{base + i}, {lanes + base + i}" for i in range(lanes // 2))
+
+
+def _vector_macros(ctype) -> str:
+    """``VBYTES``, ``LV``, ``LOG_LV`` and the interleave indices per target."""
+    size = int(ctype[3:-2]) // 8
+    branches = []
+    for test, vbytes in (("#if defined(__AVX512BW__)", 64),
+                         ("#elif defined(__AVX2__)", 32), ("#else", 16)):
+        lanes = vbytes // size
+        branches.append(
+            f"{test}\n#define VBYTES {vbytes}\n#define LV {lanes}\n"
+            f"#define LOG_LV {lanes.bit_length() - 1}\n"
+            f"#define LO_HALVES {_interleave(lanes, False)}\n"
+            f"#define HI_HALVES {_interleave(lanes, True)}"
+        )
+    return "\n".join(branches) + "\n#endif"
+
+
+def _c_enum(names) -> str:
+    """The C enumerators ``S_<name>`` of descriptor fields, in order."""
+    return ", ".join(f"S_{name}" for name in names)
+
+
+_LANE_SOURCE = r"""#include <stdint.h>
+#include <string.h>
+
+/* The lane kernel for %(ctype)s wires (see repro.sim.native): one source
+ * for every plan, each stage a descriptor row. */
+%(shuffle)stypedef %(ctype)s wire_t;
+#define WIRE_MIN %(wire_min)s
+%(macros)s
+/* A frontier row (one wire, LANES lanes) is NV vectors of the widest width
+ * the target computes on natively: wider generic vectors are lowered
+ * through memory. */
 typedef wire_t vec_t __attribute__((vector_size(VBYTES), aligned(sizeof(wire_t))));
+enum { LANES = %(lanes)d, NV = LANES / LV, GROUP_SLOTS = %(slots)d, LOG_SLOTS = %(log_slots)d };
+enum { %(fields)s, L_FIELDS };
+#define UNROLL _Pragma("GCC unroll 8")
 
-/* The entry, repro_enter_{ctype[3:-2]} of the toolchain probe's library:
- * cycles c0 .. c0 + nb - 1 of the demand matrix into the frontier's entry
- * rows, through the input permutation (NULL = none), and each lane's live
- * labels into live. */
-typedef void enter_t(const wire_t *, int64_t, int64_t, int64_t, const int64_t *,
-                     wire_t *, wire_t *);
+/* One round: the low and the high halves of a[i] and a[i + LV/2]
+ * interleaved into b[2i] and b[2i + 1].  Each round rotates the bits of
+ * (vector, lane) by one, so after log2(LV) rounds vector j holds lane j
+ * of every vector. */
+static inline __attribute__((always_inline)) void interleave(
+    vec_t *restrict b, const vec_t *restrict a)
+{
+    for (int i = 0; i < LV / 2; i++) {
+        b[2 * i] = SHUFFLE(vec_t, a[i], a[i + LV / 2], LO_HALVES);
+        b[2 * i + 1] = SHUFFLE(vec_t, a[i], a[i + LV / 2], HI_HALVES);
+    }
+}
 
-void repro_counts_spec(
-    const wire_t *restrict dests, int64_t batch, enter_t *enter,
+/* The entry: cycles c0 .. c0 + nb - 1 of the (batch, n) demand matrix into
+ * the frontier's entry rows, through the input permutation (NULL = none),
+ * and each lane's live labels into live. */
+void repro_enter(const wire_t *restrict dests, int64_t n, int64_t c0, int64_t nb,
+                 const int64_t *restrict perm, wire_t *restrict frontier,
+                 wire_t *restrict live)
+{
+    const int64_t chunk = n < LV ? n : LV;
+    const vec_t idle = ~(vec_t){0};
+    vec_t *rows = (vec_t *)frontier, acc[NV], a[LV], b[LV];
+    for (int h = 0; h < NV; h++)
+        acc[h] = (vec_t){0};
+    for (int64_t t = 0; t < n; t += LV) {
+        for (int h = 0; h < NV; h++) {
+            vec_t *v = a, *w = b, *swap;
+            int64_t have = nb - h * LV, l = 0;
+            for (; l < LV && l < have; l++) {
+                const wire_t *src = dests + (c0 + h * LV + l) * n + t;
+                if (chunk == LV) {
+                    memcpy(&v[l], src, sizeof(vec_t));
+                } else {
+                    v[l] = idle;
+                    memcpy(&v[l], src, chunk * sizeof(wire_t));
+                }
+            }
+            for (; l < LV; l++)
+                v[l] = idle;
+            for (int r = 0; r < LOG_LV; r++) {
+                interleave(w, v);
+                swap = v;
+                v = w;
+                w = swap;
+            }
+            for (int j = 0; j < chunk; j++) {
+                rows[(perm ? perm[t + j] : t + j) * NV + h] = v[j];
+                acc[h] -= v[j] >= 0;
+            }
+        }
+    }
+    memcpy(live, acc, sizeof acc);
+}
+
+/* One input X into the register file: where its digit is bucket j + g, it
+ * enters register g at rank 0 and pushes the others up one rank. */
+#define PUSH(CAP, GROUP, X)                                                        \
+    do {                                                                           \
+        const vec_t x = (X), d = (x >> shift) & mask;                              \
+        UNROLL for (int g = 0; g < GROUP; g++) {                                   \
+            const vec_t m = d == (wire_t)(j + g);                                  \
+            vec_t *r = reg + g * CAP;                                              \
+            UNROLL for (int q = CAP - 1; q > 0; q--)                               \
+                r[q] = (m & r[q - 1]) | (~m & r[q]);                               \
+            r[0] = (m & x) | (~m & r[0]);                                          \
+        }                                                                          \
+    } while (0)
+
+/* One stage over the block: every slot of every switch pulled through a
+ * register file of CAP x GROUP vectors, counted, and stored to its
+ * next-stage row through ltab (NULL on the last stage), idle where fal
+ * marks it dead (NULL = no faults).  Slot y + q of a pass is bucket wire
+ * y + q of the column.  A scan takes the switch's last input alone, then
+ * the ones between it and the first in pairs (fan-ins are powers of two),
+ * then the first: one input per loop step made 2x2 switches about 1.2x
+ * slower. */
+#define STAGE(CAP, GROUP)                                                          \
+static void stage_##CAP##_##GROUP(const int64_t *s, const vec_t *cur, vec_t *nxt,   \
+                                  const wire_t *ltab, const uint8_t *fal,          \
+                                  vec_t *live, vec_t *blk)                         \
+{                                                                                  \
+    const int64_t top = CAP * GROUP < GROUP_SLOTS ? GROUP - 1 : s[S_RMASK];        \
+    const int64_t fan_in = (int64_t)1 << s[S_FIB], switches = s[S_WIDTH] >> s[S_FIB]; \
+    const int64_t shift = s[S_SHIFT];                                              \
+    const wire_t mask = (wire_t)(WIRE_MIN | top);                                  \
+    for (int h = 0; h < NV; h++) {                                                 \
+        const vec_t *in = cur + h;                                                 \
+        vec_t out = {0};                                                           \
+        int64_t y = 0;                                                             \
+        for (int64_t sw = 0; sw < switches; sw++, in += fan_in * NV) {             \
+            for (int64_t j = 0; j <= top; j += GROUP, y += CAP * GROUP) {          \
+                vec_t reg[CAP * GROUP];                                            \
+                {   /* into idle registers: rank 0 where it matches */             \
+                    const vec_t x = in[(fan_in - 1) * NV], d = (x >> shift) & mask; \
+                    UNROLL for (int q = 0; q < CAP * GROUP; q++)                   \
+                        reg[q] = ~(vec_t){0};                                      \
+                    UNROLL for (int g = 0; g < GROUP; g++)                         \
+                        reg[g * CAP] = x | ~(vec_t)(d == (wire_t)(j + g));         \
+                }                                                                  \
+                for (int64_t k = fan_in - 2; k > 0; k -= 2) {                      \
+                    PUSH(CAP, GROUP, in[k * NV]);                                  \
+                    PUSH(CAP, GROUP, in[(k - 1) * NV]);                            \
+                }                                                                  \
+                if (fan_in > 1)                                                    \
+                    PUSH(CAP, GROUP, in[0]);                                       \
+                UNROLL for (int q = 0; q < CAP * GROUP; q++) {                     \
+                    vec_t slot = reg[q];                                           \
+                    if (fal)                                                       \
+                        slot |= (wire_t)(fal[y + q] - 1);                          \
+                    out -= slot >= 0;                                              \
+                    if (ltab)                                                      \
+                        nxt[ltab[y + q] * NV + h] = slot;                          \
+                }                                                                  \
+            }                                                                      \
+        }                                                                          \
+        blk[h] = live[h] - out;                                                    \
+        live[h] = out;                                                             \
+    }                                                                              \
+}
+
+typedef void stage_t(const int64_t *, const vec_t *, vec_t *, const wire_t *,
+                     const uint8_t *, vec_t *, vec_t *);
+%(stages)s
+/* routine[log2 capacity][log2 group] */
+static stage_t *const routine[LOG_SLOTS + 1][LOG_SLOTS + 1] = {
+    %(table)s
+};
+
+/* Label-priority counts of `batch` cycles of the (batch, n) demand matrix
+ * over the plan's nstages descriptor rows; frontier holds two columns of
+ * maxw rows. */
+void repro_lane_counts(
+    const wire_t *restrict dests, int64_t n, int64_t batch,
+    const int64_t *restrict stages, int64_t nstages, int64_t maxw,
     const wire_t *restrict links, const uint8_t *restrict falive,
     const int64_t *restrict input_perm, wire_t *restrict frontier,
     int64_t *restrict offered, int64_t *restrict delivered,
     int64_t *restrict blocked)
-{{
-    (void)links; (void)falive;
-    const vec_t zero = {{0}};
-    const vec_t idle = ~zero;
-    vec_t off[NV], live[NV], blk[{nstages}][NV];
-    for (int i = 0; i < {nstages}; i++) blocked[i] = 0;
-    for (int64_t c0 = 0; c0 < batch; c0 += {_LANES}) {{
-        int64_t nb = batch - c0 < {_LANES} ? batch - c0 : {_LANES};
-        vec_t *cur = (vec_t *)frontier;
-        vec_t *nxt = cur + {tables.maxw} * NV;
-        (void)nxt;
-        enter(dests, {n}, c0, nb, input_perm, frontier, (wire_t *)live);
-        for (int h = 0; h < NV; h++) off[h] = live[h];
-{blocks}
-        for (int64_t l = 0; l < nb; l++) {{
+{
+    vec_t off[NV], live[NV], blk[NV];
+    for (int64_t i = 0; i < nstages; i++)
+        blocked[i] = 0;
+    for (int64_t c0 = 0; c0 < batch; c0 += LANES) {
+        const int64_t nb = batch - c0 < LANES ? batch - c0 : LANES;
+        vec_t *cur = (vec_t *)frontier, *nxt = cur + maxw * NV, *swap;
+        repro_enter(dests, n, c0, nb, input_perm, frontier, (wire_t *)live);
+        memcpy(off, live, sizeof off);
+        for (int64_t i = 0; i < nstages; i++) {
+            const int64_t *s = stages + i * L_FIELDS;
+            const int last = i == nstages - 1;
+            if (last && s[S_FIB] == 0 && s[S_RMASK] == 0 && s[S_ALIVE] < 0)
+                continue;   /* a pure exit column: every live row delivers */
+            const int cb = __builtin_ctzll((unsigned long long)s[S_CAP]);
+            const int rb = __builtin_popcountll((unsigned long long)s[S_RMASK]);
+            routine[cb][rb < LOG_SLOTS - cb ? rb : LOG_SLOTS - cb](
+                s, cur, nxt, last ? 0 : links + s[S_LINK],
+                s[S_ALIVE] < 0 ? 0 : falive + s[S_ALIVE], live, blk);
+            swap = cur;
+            cur = nxt;
+            nxt = swap;
+            /* Idle lanes block nothing, so every lane adds to the total. */
+            for (int l = 0; l < LANES; l++)
+                blocked[i] += ((const wire_t *)blk)[l];
+        }
+        for (int64_t l = 0; l < nb; l++) {
             offered[c0 + l] = ((const wire_t *)off)[l];
             delivered[c0 + l] = ((const wire_t *)live)[l];
-        }}
-        /* Idle lanes block nothing, so every lane adds to the totals. */
-        for (int i = 0; i < {nstages}; i++)
-            for (int l = 0; l < {_LANES}; l++)
-                blocked[i] += ((const wire_t *)blk[i])[l];
-    }}
-}}
+        }
+    }
+}
 """
 
 
-_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p,     # dests, batch, enter
-    ctypes.c_void_p, ctypes.c_void_p,                        # links, falive
-    ctypes.c_void_p, ctypes.c_void_p,                        # input_perm, frontier
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,       # offered, delivered, blocked
-]
+def _lane_source(ctype) -> str:
+    """The lane kernel's C source for one wire type (``"int16_t"``, ...)."""
+    return _LANE_SOURCE % {
+        "ctype": ctype,
+        "wire_min": ctype[:-2].upper() + "_MIN",
+        "shuffle": _SHUFFLE_MACRO,
+        "macros": _vector_macros(ctype),
+        "lanes": _LANES,
+        "slots": _GROUP_SLOTS,
+        "log_slots": _GROUP_SLOTS.bit_length() - 1,
+        "fields": _c_enum(_L_FIELDS),
+        "stages": "".join(f"STAGE({c}, {g})\n" for c, g in _ROUTINES),
+        "table": ", ".join(
+            f"[{c.bit_length() - 1}][{g.bit_length() - 1}] = stage_{c}_{g}"
+            for c, g in _ROUTINES
+        ),
+    }
+
 
 _CTYPE = {np.dtype(np.int16).char: "int16_t",
           np.dtype(np.int32).char: "int32_t",
@@ -402,21 +531,31 @@ def _build_shared_object(source: str, stem: str) -> Path:
     )
 
 
-_spec_fns: dict = {}
+_lane_libs: dict = {}
 
 
-def _spec_kernel(tables, wire_dtype):
-    """The plan-specialized compiled kernel entry point (ctypes function)."""
-    source = _spec_source(tables, _CTYPE[np.dtype(wire_dtype).char])
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
-    fn = _spec_fns.get(digest)
-    if fn is None:
-        lib = ctypes.CDLL(str(_build_shared_object(source, "repro_spec")))
-        fn = lib.repro_counts_spec
-        fn.restype = None
-        fn.argtypes = _ARGTYPES
-        _spec_fns[digest] = fn
-    return fn
+def _lane_library(wire) -> ctypes.CDLL:
+    """The lane kernel's library for wire dtype ``wire``, built at first use.
+
+    It exports ``repro_lane_counts`` and, for tests, its entry
+    ``repro_enter``.
+    """
+    char = np.dtype(wire).char
+    lib = _lane_libs.get(char)
+    if lib is None:
+        ctype = _CTYPE[char]
+        path = _build_shared_object(_lane_source(ctype), f"repro_lanes{ctype[3:-2]}")
+        lib = ctypes.CDLL(str(path))
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.repro_lane_counts.restype = None
+        lib.repro_lane_counts.argtypes = [
+            ptr, i64, i64,               # dests, n, batch
+            ptr, i64, i64,               # stages, nstages, maxw
+            ptr, ptr, ptr,               # links, falive, input_perm
+            ptr, ptr, ptr, ptr,          # frontier, offered, delivered, blocked
+        ]
+        _lane_libs[char] = lib
+    return lib
 
 
 # ----------------------------------------------------------------------
@@ -433,16 +572,15 @@ def _spec_kernel(tables, wire_dtype):
 # any pending 32-bit half stay in step with NumPy.
 #
 # A stage descriptor is one int64 row, fields in ``_S_FIELDS`` order (the
-# C names them ``S_*``); offset fields index the concatenated ``tables``
-# (int64) and ``masks`` (uint8) arrays, ``-1`` = none (identity link, no
-# faults).  Counts use the rank-space fault view (``ALIVE``, and ``LINK``
-# pre-composed with the live remap); the FIFO step grants physical slots
-# (``DEAD``, plain ``PLINK``).  ``QOFF`` is the stage's first queue in the
-# flat :class:`~repro.sim.plan.BufferedState` arrays.
+# C names them ``S_*``): the lane kernel's ``_L_FIELDS``, then three more.
+# Offset fields index the concatenated ``tables`` (int64) and ``masks``
+# (uint8) arrays, ``-1`` = none (identity link, no faults).  Counts use
+# the rank-space fault view (``ALIVE``, and ``LINK`` pre-composed with the
+# live remap); the FIFO step grants physical slots (``DEAD``, plain
+# ``PLINK``).  ``QOFF`` is the stage's first queue in the flat
+# :class:`~repro.sim.plan.BufferedState` arrays.
 
-_S_FIELDS = (
-    "FIB", "SHIFT", "RMASK", "CAP", "WIDTH", "LINK", "ALIVE", "PLINK", "DEAD", "QOFF",
-)
+_S_FIELDS = _L_FIELDS + ("PLINK", "DEAD", "QOFF")
 
 _CONTENDED_SOURCE = """#include <stdint.h>
 #include <string.h>
@@ -743,7 +881,7 @@ int64_t repro_buffered_step(const step_t *run, int64_t t, bitgen_t *gen)
     }
     return nd;
 }
-""" % {"enum": ", ".join(f"S_{name}" for name in _S_FIELDS)}
+""" % {"enum": _c_enum(_S_FIELDS)}
 
 class _StepRun(ctypes.Structure):
     """``step_t``: everything one buffered run steps on, bound once per state."""
@@ -790,129 +928,10 @@ def _contended_lib():
 # Toolchain discovery
 # ----------------------------------------------------------------------
 
-#: The two-vector shuffle with constant indices (``a``'s lanes, then
-#: ``b``'s) that the lane kernel's entry transpose is made of.  GCC has had
-#: ``__builtin_shuffle`` (indices as a mask vector of type ``T``) since 4.7,
-#: ``__builtin_shufflevector`` only since 12; clang has only the latter.
-#: ``_C_PROBE`` uses it too, so a compiler without it reports ``native``
-#: unavailable instead of failing a cell.
-_SHUFFLE_MACRO = """#if defined(__clang__)
-#define SHUFFLE(T, a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
-#else
-#define SHUFFLE(T, a, b, ...) __builtin_shuffle(a, b, (T){__VA_ARGS__})
-#endif
-"""
-
-
-def _interleave(lanes: int, high: bool) -> str:
-    """Indices interleaving the low (or high) halves of two ``lanes``-lane
-    vectors ``a`` and ``b``: ``a0, b0, a1, b1, ...``."""
-    base = lanes // 2 if high else 0
-    return ", ".join(f"{base + i}, {lanes + base + i}" for i in range(lanes // 2))
-
-
-def _vector_macros(ctype) -> str:
-    """``VBYTES``, ``LV``, ``LOG_LV`` and the interleave indices per target."""
-    size = int(ctype[3:-2]) // 8
-    branches = []
-    for test, vbytes in (("#if defined(__AVX512BW__)", 64),
-                         ("#elif defined(__AVX2__)", 32), ("#else", 16)):
-        lanes = vbytes // size
-        branches.append(
-            f"{test}\n#define VBYTES {vbytes}\n#define LV {lanes}\n"
-            f"#define LOG_LV {lanes.bit_length() - 1}\n"
-            f"#define LO_HALVES {_interleave(lanes, False)}\n"
-            f"#define HI_HALVES {_interleave(lanes, True)}"
-        )
-    return "\n".join(branches) + "\n#endif"
-
-
-#: The lane kernel's entry (see ``_spec_source``), built into the probe's
-#: library once per label width: ``repro_enter_16``, ``_32`` and ``_64``.
-#: ``LV`` consecutive labels of each of ``LV`` cycles load as ``LV``
-#: vectors, ``log2(LV)`` interleave rounds transpose the block, and vector
-#: ``j`` is stored whole to frontier row ``perm[t + j]``.  Cycles past the
-#: batch, and labels past a row shorter than ``LV``, load idle.
-_ENTRY_SOURCE = """
-%(macros)s
-typedef %(ctype)s lanes%(bits)s_t
-    __attribute__((vector_size(VBYTES), aligned(sizeof(%(ctype)s))));
-
-/* One round: the low and the high halves of a[i] and a[i + LV/2]
- * interleaved into b[2i] and b[2i + 1].  Each round rotates the bits of
- * (vector, lane) by one, so after log2(LV) rounds vector j holds lane j
- * of every vector. */
-static inline __attribute__((always_inline)) void interleave%(bits)s(
-    lanes%(bits)s_t *restrict b, const lanes%(bits)s_t *restrict a)
-{
-    for (int i = 0; i < LV / 2; i++) {
-        b[2 * i] = SHUFFLE(lanes%(bits)s_t, a[i], a[i + LV / 2], LO_HALVES);
-        b[2 * i + 1] = SHUFFLE(lanes%(bits)s_t, a[i], a[i + LV / 2], HI_HALVES);
-    }
-}
-
-void repro_enter_%(bits)s(const %(ctype)s *restrict dests, int64_t n, int64_t c0,
-                        int64_t nb, const int64_t *restrict perm,
-                        %(ctype)s *restrict frontier, %(ctype)s *restrict live)
-{
-    typedef lanes%(bits)s_t vec_t;
-    enum { NV = %(lanes)d / LV };
-    const int64_t chunk = n < LV ? n : LV;
-    const vec_t idle = ~(vec_t){0};
-    vec_t *rows = (vec_t *)frontier, acc[NV], a[LV], b[LV];
-    for (int h = 0; h < NV; h++)
-        acc[h] = (vec_t){0};
-    for (int64_t t = 0; t < n; t += LV) {
-        for (int h = 0; h < NV; h++) {
-            vec_t *v = a, *w = b, *swap;
-            int64_t have = nb - h * LV, l = 0;
-            for (; l < LV && l < have; l++) {
-                const %(ctype)s *src = dests + (c0 + h * LV + l) * n + t;
-                if (chunk == LV) {
-                    memcpy(&v[l], src, sizeof(vec_t));
-                } else {
-                    v[l] = idle;
-                    memcpy(&v[l], src, chunk * sizeof(%(ctype)s));
-                }
-            }
-            for (; l < LV; l++)
-                v[l] = idle;
-            for (int r = 0; r < LOG_LV; r++) {
-                interleave%(bits)s(w, v);
-                swap = v;
-                v = w;
-                w = swap;
-            }
-            for (int j = 0; j < chunk; j++) {
-                rows[(perm ? perm[t + j] : t + j) * NV + h] = v[j];
-                acc[h] -= v[j] >= 0;
-            }
-        }
-    }
-    memcpy(live, acc, sizeof acc);
-}
-#undef VBYTES
-#undef LV
-#undef LOG_LV
-#undef LO_HALVES
-#undef HI_HALVES
-"""
-
-
-def _entry_sources() -> str:
-    """The lane kernel's entries for 2-, 4- and 8-byte labels."""
-    return "".join(
-        _ENTRY_SOURCE % {"ctype": ctype, "bits": ctype[3:-2], "lanes": _LANES,
-                         "macros": _vector_macros(ctype)}
-        for ctype in _CTYPE.values()
-    )
-
-
 #: Compiled and called once per process.  It uses the vector extension
 #: and ``SHUFFLE`` the way the lane kernel does, so a compiler that builds
 #: plain C but not the kernel reports ``native`` unavailable instead of
-#: failing a cell.  It ends with the lane kernel's entries
-#: (``_ENTRY_SOURCE``).
+#: failing a cell.
 #:
 #: The same translation unit carries the traffic draws of
 #: :mod:`repro.workloads.models` (see :func:`draw_library`), so no process
@@ -1174,7 +1193,7 @@ void repro_draw_set(uint64_t *st, void *out, int64_t size, int64_t count,
     st[1] = (uint64_t)g.s;
 }
 #endif
-""" + _entry_sources()
+"""
 
 _cc_error: Optional[str] = None
 _cc_probed = False
@@ -1209,15 +1228,6 @@ def draw_library() -> Optional[ctypes.CDLL]:
     return _probe_lib if hasattr(_probe_lib, "repro_draw_lanes") else None
 
 
-def _entry_address(wire) -> int:
-    """The address of the probe library's lane-kernel entry for ``wire``."""
-    error = _probe_cc()
-    if error is not None:
-        raise ConfigurationError(error)
-    entry = getattr(_probe_lib, f"repro_enter_{8 * np.dtype(wire).itemsize}")
-    return ctypes.cast(entry, ctypes.c_void_p).value
-
-
 def available_tiers() -> tuple[str, ...]:
     """``("cc",)`` when the C kernel can be built here, else ``()``."""
     return ("cc",) if _probe_cc() is None else ()
@@ -1241,93 +1251,69 @@ def unavailable_reason() -> Optional[str]:
 # ----------------------------------------------------------------------
 
 
-class _PlanTables:
-    """The flat-array view of one plan the kernel consumes.
+def _put(parts, array) -> int:
+    """Append ``array`` to ``parts``; its offset in their concatenation,
+    or -1 for ``None``."""
+    if array is None:
+        return -1
+    parts.append(array)
+    return sum(part.size for part in parts[:-1])
 
-    ``stages`` holds one tuple of compile-time constants per stage —
-    ``(width, fan_in_bits, shift, radix - 1, capacity, bucket_wires,
-    link_offset, falive_offset)``, offset ``-1`` = none — and the arrays
-    are the runtime data: concatenated link tables, concatenated
-    rank-space liveness masks of faulted stages, and the source ->
-    entry-wire table (size 0 = identity, passed as ``NULL``).  The three
-    arrays' addresses are taken once.
+
+def _shape_fields(stage, width) -> dict:
+    """The descriptor fields of one stage's shape, by ``_L_FIELDS`` name."""
+    return {
+        "FIB": int(np.log2(stage.fan_in)),
+        "SHIFT": int(stage.shift),
+        "RMASK": int(stage.radix) - 1,
+        "CAP": int(stage.capacity),
+        "WIDTH": int(width),
+    }
+
+
+class _PlanTables:
+    """One label-priority plan lowered for the lane kernel (``_LANE_SOURCE``).
+
+    ``stages`` is the ``(nstages, len(_L_FIELDS))`` descriptor matrix;
+    ``links`` the concatenated link tables in the plan's wire dtype, each
+    pre-composed with the fault remap on a faulted stage and an identity
+    boundary materialized, so the kernel's slot store is unconditional;
+    ``falive`` the concatenated rank-space liveness masks of faulted
+    stages; ``input_perm`` the source -> entry-wire table (``None`` =
+    identity, passed as ``NULL``).  Addresses are taken once.
     """
 
     __slots__ = ("stages", "links", "falive", "input_perm", "maxw", "_ptrs")
 
-    def __init__(self, stages, links, falive, input_perm, maxw):
-        self.stages = stages
-        self.links = links
-        self.falive = falive
-        self.input_perm = input_perm
-        self.maxw = maxw
+    def __init__(self, plan):
+        g = plan.graph
+        wire = plan.wire_dtype
+        widths = plan.stage_widths
+        rows, links, masks = [], [], []
+        for i, stage in enumerate(g.stages):
+            link = None
+            if i < g.num_stages - 1:
+                link = plan.fault_link_table(i, wire)
+                if link is None:
+                    link = plan.perm_table(i, wire)
+                if link is None:
+                    link = np.arange(widths[i + 1], dtype=wire)
+            fields = _shape_fields(stage, widths[i])
+            fields["LINK"] = _put(links, link)
+            fields["ALIVE"] = _put(masks, plan.fault_alive(i))
+            rows.append([fields[name] for name in _L_FIELDS])
+        self.stages = np.array(rows, dtype=np.int64)
+        self.links = np.concatenate(links or [np.zeros(1)]).astype(wire)
+        self.falive = np.concatenate(masks or [np.zeros(1)]).astype(np.uint8)
+        perm = plan.input_perm_table(np.int64)
+        self.input_perm = None if perm is None else np.ascontiguousarray(perm)
+        self.maxw = int(max(widths))
         self._ptrs = (
-            links.ctypes.data,
-            falive.ctypes.data,
-            input_perm.ctypes.data if input_perm.size else None,
+            self.stages.ctypes.data,
+            self.links.ctypes.data,
+            self.falive.ctypes.data,
+            None if perm is None else self.input_perm.ctypes.data,
         )
-
-
-def _lower(plan) -> _PlanTables:
-    """Pack a plan's tables into the kernel layout."""
-    g = plan.graph
-    nstages = g.num_stages
-    wire = plan.wire_dtype
-    stages = []
-    link_parts, fal_parts = [], []
-    link_off = fal_off = 0
-    for i, stage in enumerate(g.stages):
-        loff = foff = -1
-        if i < nstages - 1:
-            table = plan.fault_link_table(i, wire)
-            if table is None:
-                table = plan.perm_table(i, wire)
-            if table is None:
-                # Identity boundary: materialize it so the kernel's slot
-                # store is unconditional (bucket-wire space == the next
-                # column's wire space).
-                table = np.arange(plan.stage_widths[i + 1], dtype=wire)
-            loff = link_off
-            link_parts.append(np.ascontiguousarray(table, dtype=wire))
-            link_off += table.size
-        fal = plan.fault_alive(i)
-        if fal is not None:
-            foff = fal_off
-            fal_parts.append(np.ascontiguousarray(fal, dtype=np.uint8))
-            fal_off += fal.size
-        stages.append((
-            int(plan.stage_widths[i]),
-            int(np.log2(stage.fan_in)),
-            int(stage.shift),
-            int(stage.radix) - 1,
-            int(stage.capacity),
-            int(stage.bucket_wires),
-            loff,
-            foff,
-        ))
-    links = (
-        np.concatenate(link_parts)
-        if link_parts
-        else np.zeros(1, dtype=wire)
-    )
-    falive = (
-        np.concatenate(fal_parts)
-        if fal_parts
-        else np.zeros(1, dtype=np.uint8)
-    )
-    perm = plan.input_perm_table(np.int64)
-    input_perm = (
-        np.ascontiguousarray(perm, dtype=np.int64)
-        if perm is not None
-        else np.zeros(0, dtype=np.int64)
-    )
-    return _PlanTables(
-        stages=tuple(stages),
-        links=links,
-        falive=falive,
-        input_perm=input_perm,
-        maxw=int(max(plan.stage_widths)),
-    )
 
 
 class _ContendedTables:
@@ -1349,30 +1335,16 @@ class _ContendedTables:
         g = plan.graph
         widths = plan.stage_widths
         rows, tables, masks = [], [], []
-
-        def put(parts, array):
-            """Append ``array`` to ``parts``; its offset, or -1 for none."""
-            if array is None:
-                return -1
-            parts.append(array)
-            return sum(part.size for part in parts[:-1])
-
         for i, stage in enumerate(g.stages):
             link = plan.fault_link_table(i, np.int64)
             if link is None:
                 link = plan.perm_table(i, np.int64)
-            fields = {
-                "FIB": int(np.log2(stage.fan_in)),
-                "SHIFT": int(stage.shift),
-                "RMASK": int(stage.radix) - 1,
-                "CAP": int(stage.capacity),
-                "WIDTH": int(widths[i]),
-                "LINK": put(tables, link),
-                "ALIVE": put(masks, plan.fault_alive(i)),
-                "PLINK": put(tables, plan.perm_table(i, np.int64)),
-                "DEAD": put(masks, plan.fault_dead_slots(i)),
-                "QOFF": int(sum(widths[:i])),
-            }
+            fields = _shape_fields(stage, widths[i])
+            fields["LINK"] = _put(tables, link)
+            fields["ALIVE"] = _put(masks, plan.fault_alive(i))
+            fields["PLINK"] = _put(tables, plan.perm_table(i, np.int64))
+            fields["DEAD"] = _put(masks, plan.fault_dead_slots(i))
+            fields["QOFF"] = int(sum(widths[:i]))
             rows.append([fields[name] for name in _S_FIELDS])
         self.stages = np.array(rows, dtype=np.int64)
         self.tables = np.concatenate(tables or [np.zeros(1)]).astype(np.int64)
@@ -1527,21 +1499,22 @@ class _BufferedRun:
 class NativeKernel:
     """One plan's native counts kernel.
 
-    Label priority runs the plan-specialized lane kernel; random priority
-    runs the shared contended kernel on the caller's generators.
+    Label priority runs the lane kernel of the plan's wire dtype; random
+    priority runs the shared contended kernel on the caller's generators.
+    ``tables`` is ``None`` for a label plan with a capacity above
+    ``_GROUP_SLOTS``, which no lane routine holds: NumPy routes it.
     """
 
-    __slots__ = ("tables", "wire", "_fn", "_enter")
+    __slots__ = ("tables", "wire", "_fn")
 
     def __init__(self, plan):
         self.wire = plan.wire_dtype
-        if plan.priority == "label":
-            self.tables = _lower(plan)
-            self._fn = _spec_kernel(self.tables, self.wire)
-            self._enter = _entry_address(self.wire)
-        else:
+        self.tables = self._fn = None
+        if plan.priority != "label":
             self.tables = contended_for(plan)
-            self._fn = self._enter = None
+        elif max(stage.capacity for stage in plan.graph.stages) <= _GROUP_SLOTS:
+            self.tables = _PlanTables(plan)
+            self._fn = _lane_library(self.wire).repro_lane_counts
 
     def counts(self, dests: np.ndarray, ws, rng=None) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
@@ -1559,15 +1532,16 @@ class NativeKernel:
         if self._fn is None:
             return t.random_counts(dests, ws, rng)
         dests = np.ascontiguousarray(dests, dtype=self.wire)
-        batch = dests.shape[0]
+        batch, n = dests.shape
+        nstages = len(t.stages)
         frontier = ws.array("native_frontier", 2 * t.maxw * _LANES, self.wire)
         # offered, delivered (per cycle) and blocked (per stage) in one array.
-        out = np.empty(2 * batch + len(t.stages), dtype=np.int64)
+        out = np.empty(2 * batch + nstages, dtype=np.int64)
         at = _address(out)
-        links, falive, input_perm = t._ptrs
+        stages, links, falive, input_perm = t._ptrs
         self._fn(
-            dests.ctypes.data, batch, self._enter, links, falive, input_perm,
-            _address(frontier), at, at + 8 * batch, at + 16 * batch,
+            dests.ctypes.data, n, batch, stages, nstages, t.maxw, links, falive,
+            input_perm, _address(frontier), at, at + 8 * batch, at + 16 * batch,
         )
         return BatchAcceptanceCounts(
             offered_per_cycle=out[:batch],
@@ -1609,13 +1583,14 @@ def kernel_for(plan) -> NativeKernel:
 class NativeStageRouter(CompiledStageRouter):
     """:class:`CompiledStageRouter` with its Monte-Carlo paths in native code.
 
-    Three paths run in C: label-priority counts on the plan-specialized
-    lane kernel, and random-priority counts and buffered stepping on the
-    plan-independent contended kernels, which draw every tie-break on the
-    caller's own generators exactly as the NumPy engine does.  Everything
-    else (per-message outcomes, fault hot-swapping) is inherited
-    unchanged, so the native backend has the full capability surface of
-    ``batched`` with identical results.
+    Three paths run in C: label-priority counts on the lane kernel, and
+    random-priority counts and buffered stepping on the contended
+    kernels, which draw every tie-break on the caller's own generators
+    exactly as the NumPy engine does.  Everything else (per-message
+    outcomes, fault hot-swapping, and label counts of a plan with a
+    capacity above ``_GROUP_SLOTS``) is inherited unchanged, so the
+    native backend has the full capability surface of ``batched`` with
+    identical results.
 
     Construction raises :class:`ConfigurationError` when no working C
     compiler is present (the message says why); keyword options are
@@ -1646,6 +1621,9 @@ class NativeStageRouter(CompiledStageRouter):
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
     ) -> BatchAcceptanceCounts:
+        kernel = kernel_for(self._plan)
+        if kernel.tables is None:
+            return super().route_batch_counts(dests, rng, workspace=workspace)
         g = self.graph
         # Bounds are checked in the dtype given, before the kernel's cast
         # to the wire dtype, so a too-wide label raises instead of wrapping.
@@ -1653,15 +1631,13 @@ class NativeStageRouter(CompiledStageRouter):
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
         if self.priority == "label":
             ws = workspace if workspace is not None else self._plan.workspace()
-            return kernel_for(self._plan).counts(dests, ws)
+            return kernel.counts(dests, ws)
         # The random kernel's scratch depends on the batch shape only, so
         # one per-thread workspace serves every plan (random cells with
         # drawn faults churn through many plans).
         ws = workspace if workspace is not None else _contended_workspace()
         cycle_rngs = self._cycle_rngs(rng, dests.shape[0])
-        return kernel_for(self._plan).counts(
-            dests, ws, rng if cycle_rngs is None else cycle_rngs
-        )
+        return kernel.counts(dests, ws, rng if cycle_rngs is None else cycle_rngs)
 
     def _step_cycle(self, dests: np.ndarray, rng) -> BufferedCycleOutcome:
         tables = contended_for(self._plan)

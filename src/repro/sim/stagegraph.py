@@ -56,7 +56,7 @@ dilated   ``l`` x ``H(a -> b x d)``    the base delta's gamma     log2(d)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -262,6 +262,22 @@ class StageGraph:
                 f"input permutation covers {1 << self.input_perm[1]} labels, "
                 f"network has {self.n_inputs} inputs"
             )
+
+    def __hash__(self) -> int:
+        # Kept once computed: a plan-cache hit hashes its key twice, and
+        # hashing every stage of a deep graph takes microseconds.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a graph sent to a
+        # worker rehashes there.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def stage_widths(self) -> tuple[int, ...]:

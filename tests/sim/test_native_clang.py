@@ -4,9 +4,9 @@ The shuffle the kernel's entry transpose is made of has one spelling per
 compiler (``SHUFFLE`` in :mod:`repro.sim.native`): GCC's
 ``__builtin_shuffle`` and clang's ``__builtin_shufflevector``.  A host
 whose ``cc`` is GCC never compiles the clang branch, so this module points
-the native backend at clang and runs the lane-kernel boundary examples and
-the entry-transpose cases again, against :class:`CompiledStageRouter` and
-:class:`StageGraphReference`.  It skips without clang; CI asserts clang is
+the native backend at clang and runs the lane-kernel boundary examples,
+the entry-transpose cases and every routine of the lane library again,
+against :class:`CompiledStageRouter` and :class:`StageGraphReference`.  It skips without clang; CI asserts clang is
 present before it runs this module, so there it cannot skip silently.
 """
 
@@ -29,10 +29,10 @@ pytestmark = pytest.mark.skipif(CLANG is None, reason="no clang on PATH")
 
 @pytest.fixture(autouse=True)
 def built_with_clang(monkeypatch, tmp_path_factory):
-    """Every probe library and kernel of the test built by clang, afresh."""
+    """Every probe and lane library of the test built by clang, afresh."""
     monkeypatch.setattr(native, "_compiler", lambda: CLANG)
     for name, value in (
-        ("_spec_fns", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
+        ("_lane_libs", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
     ):
         monkeypatch.setattr(native, name, value)
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path_factory.getbasetemp() / "clang"))

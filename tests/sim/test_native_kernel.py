@@ -7,12 +7,12 @@ kernels route: all four stage-graph families, both priorities, faulted
 and buffered plans.  The label-priority cases also run against
 :class:`~repro.sim.stagegraph.StageGraphReference`, the independent
 interpreter, so a plan error both compiled routers share still fails.
-The native backend is one plan-specialized C kernel that routes
-``native._LANES`` cycles per SIMD vector, so the boundary cases sit at the
-edges of a lane block, of the wire dtype and of the generated stage
-shapes.  These cases run wherever a working C compiler is present and
-skip otherwise; the registry-gating cases fake a failed compiler probe
-and run everywhere.
+The label-priority kernel is one C lane kernel per wire dtype that routes
+``native._LANES`` cycles per SIMD vector and takes stage shapes as data,
+so the boundary cases sit at the edges of a lane block, of the wire
+dtype and of its register-file routines.  These cases run wherever a
+working C compiler is present and skip otherwise; the registry-gating
+cases fake a failed compiler probe and run everywhere.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from repro.sim.native import (
 from repro.sim.plan import compile_stage_plan
 from repro.sim.rng import make_rng
 from repro.sim.stagegraph import (
+    GraphStage,
+    StageGraph,
     StageGraphReference,
     delta_graph,
     dilated_graph,
@@ -303,11 +305,14 @@ class TestLaneKernelBoundaries:
         check_native(delta, demands(delta, 6, L + 1), (WireFault(4, 7, 0),))
 
     def test_pure_exit_column(self):
+        # The kernel skips a last row of fan-in 1, radix 1 and no faults:
+        # every live row delivers.
         graph = delta_graph(4, 4, 3)
         last = graph.stages[-1]
         assert (last.fan_in, last.radix, last.capacity) == (1, 1, 1)
         tables = kernel_for(compile_stage_plan(graph)).tables
-        assert "pure exit column" in native._spec_source(tables, "int16_t")
+        row = dict(zip(native._L_FIELDS, tables.stages[-1].tolist()))
+        assert (row["FIB"], row["RMASK"], row["ALIVE"]) == (0, 0, -1)
         check_native(graph, demands(graph, 8, L + 1))
 
     @pytest.mark.parametrize(
@@ -337,12 +342,12 @@ class TestLaneKernelBoundaries:
         # Without -march=native an x86-64 build computes on 16-byte
         # vectors, so each 32-lane row is four of them.
         monkeypatch.setattr(native, "_FLAG_LADDER", ((),))
-        monkeypatch.setattr(native, "_spec_fns", {})
+        monkeypatch.setattr(native, "_lane_libs", {})
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         graph, faults = edn_graph(EDNParams(16, 4, 4, 2)), FAULTS["edn"]
         plan = compile_stage_plan(graph, faults=faults)
         kernel = native.NativeKernel(plan)
-        assert len(list(tmp_path.glob("repro_spec_*.so"))) == 1
+        assert len(list(tmp_path.glob("repro_lanes16_*.so"))) == 1
         dests = demands(graph, 13, 2 * L + 3)
         got = kernel.counts(dests, plan.workspace())
         want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
@@ -368,6 +373,37 @@ WIDTH_CASES = {
 }
 
 
+def routine_graph(cap: int, group: int):
+    """Two columns that both run lane routine ``(cap, group)``, with dead
+    wires on both: the first switch's last wire of column 1, and the
+    first and the last wire of column 2.
+
+    A full register file (``cap x group == _GROUP_SLOTS``) gets two groups
+    of buckets, so its routine loops over them; a smaller one gets exactly
+    ``group`` buckets, the whole radix.
+    """
+    radix = group if cap * group < native._GROUP_SLOTS else 2 * group
+    fan_in = max(4, 2 * cap)  # more inputs than slots, so buckets block
+    n = 64
+    width = n // fan_in * radix * cap
+    final = width // fan_in * radix * cap
+    bits, out_bits = width.bit_length() - 1, 2 * (radix.bit_length() - 1)
+    graph = StageGraph(
+        label=f"routine:{cap},{group}",
+        n_inputs=n,
+        n_outputs=1 << out_bits,
+        stages=(
+            GraphStage(fan_in, radix, cap, out_bits // 2, link_perm=("rotl", bits, 1)),
+            GraphStage(fan_in, radix, cap, 0),
+        ),
+        out_shift=final.bit_length() - 1 - out_bits,
+    )
+    bw = radix * cap
+    faults = (WireFault(1, 0, bw - 1), WireFault(2, 0, 0),
+              WireFault(2, width // fan_in - 1, bw - 1))
+    return graph, faults
+
+
 @functools.cache
 def cannot_run(march: str):
     """Why a ``-march=march`` build cannot run on this host, or ``None``."""
@@ -384,9 +420,9 @@ def cannot_run(march: str):
 
 @needs_cc
 class TestEntryTranspose:
-    """The lane kernel's entry (a block transpose by SIMD shuffles in the
-    probe library) on every vector width this host runs, alone and inside
-    whole kernels."""
+    """The lane library on every vector width this host runs: its entry (a
+    block transpose by SIMD shuffles) alone, every routine of its table,
+    and whole kernels."""
 
     @pytest.fixture(scope="class")
     def width_caches(self, tmp_path_factory):
@@ -401,7 +437,7 @@ class TestEntryTranspose:
             pytest.skip(reason)
         monkeypatch.setattr(native, "_FLAG_LADDER", ((f"-march={march}",),))
         for name, value in (
-            ("_spec_fns", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
+            ("_lane_libs", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
         ):
             monkeypatch.setattr(native, name, value)
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(width_caches[march]))
@@ -419,10 +455,9 @@ class TestEntryTranspose:
         dests = rng.integers(-1, np.iinfo(dtype).max, size=(batch, n), endpoint=True)
         dests[rng.random(dests.shape) < 0.25] = -1
         dests = dests.astype(dtype)
-        enter = ctypes.CFUNCTYPE(
-            None, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        )(native._entry_address(dtype))
+        enter = native._lane_library(dtype).repro_enter
+        enter.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         for perm in (None, rng.permutation(n)):
             rows = np.arange(n) if perm is None else perm
             for c0 in range(0, batch, L):
@@ -441,6 +476,27 @@ class TestEntryTranspose:
                     live, np.r_[(dests[c0 : c0 + nb] >= 0).sum(axis=1), [0] * (L - nb)]
                 )
 
+    def test_every_routine(self, vector_width):
+        # One graph per routine, each column of it faulted, against both
+        # engines; a routine added to the table without a graph fails here.
+        cases = {}
+        for cap, group in native._ROUTINES:
+            graph, faults = routine_graph(cap, group)
+            for stage in graph.stages:
+                slots = native._GROUP_SLOTS // stage.capacity
+                picked = (stage.capacity, min(stage.radix, slots))
+                cases.setdefault(picked, (graph, faults))
+        assert sorted(cases) == sorted(native._ROUTINES)
+        for graph, faults in cases.values():
+            plan = compile_stage_plan(graph, faults=faults)
+            for batch in (1, L + 1):
+                dests = demands(graph, batch, batch)
+                dests[::2, : graph.n_inputs // 2] = 0  # a hot output
+                got = native.NativeKernel(plan).counts(dests, plan.workspace())
+                want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
+                assert_counts_equal(got, want)
+                assert_counts_equal(got, reference_counts(graph, dests, faults))
+
     @pytest.mark.parametrize("batch", [1, L - 1, L + 1, 2 * L + 3])
     @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
     def test_kernel_matches_both_engines(self, vector_width, case, batch):
@@ -452,6 +508,58 @@ class TestEntryTranspose:
         assert_counts_equal(got, want)
         assert_counts_equal(got, reference_counts(graph, dests, faults))
         assert got.offered_per_cycle.tolist() == (dests >= 0).sum(axis=1).tolist()
+
+
+@needs_cc
+class TestShapesAsData:
+    """One lane library per wire dtype routes every stage shape."""
+
+    def test_new_shapes_build_nothing(self, monkeypatch):
+        first = delta_graph(4, 4, 3)
+        check_native(first, demands(first, 1, 5))
+        builds = []
+        original = native._build_shared_object
+
+        def counted(source, stem):
+            builds.append(stem)
+            return original(source, stem)
+
+        monkeypatch.setattr(native, "_build_shared_object", counted)
+        shapes = [
+            (edn_graph(EDNParams(16, 4, 4, 2)), FAULTS["edn"]),
+            (omega_graph(64), ()),
+            (omega_graph(256), FAULTS["omega"]),
+            (dilated_graph(2, 2, 4, 2), FAULTS["dilated"]),
+            (dilated_graph(4, 4, 2, 2), ()),
+            (delta_graph(2, 4, 3), ()),
+            (delta_graph(8, 8, 2), (WireFault(3, 1, 0),)),
+            (edn_graph(EDNParams(8, 2, 8, 2)), (WireFault(1, 0, 5),)),
+        ]
+        for graph, faults in shapes:
+            plan = compile_stage_plan(graph, faults=faults)
+            assert plan.wire_dtype == np.int16
+            dests = demands(graph, 3, L + 1)
+            got = native.NativeKernel(plan).counts(dests, plan.workspace())
+            want = CompiledStageRouter(graph, faults=faults).route_batch_counts(dests)
+            assert_counts_equal(got, want)
+        assert builds == []
+
+    def test_capacity_16_routes_on_numpy(self, monkeypatch):
+        # No lane routine holds 16 slots of one bucket: such a plan builds
+        # nothing and routes on the inherited NumPy kernels.
+        builds = []
+        monkeypatch.setattr(native, "_lane_libs", {})
+        monkeypatch.setattr(
+            native, "_build_shared_object", lambda source, stem: builds.append(stem)
+        )
+        graph = edn_graph(EDNParams(32, 2, 16, 2))
+        assert max(stage.capacity for stage in graph.stages) == 16
+        router = NativeStageRouter(graph)
+        dests = demands(graph, 12, L + 1)
+        dests[: L // 2, : graph.n_inputs // 2] = 5
+        check_native(graph, dests)
+        assert kernel_for(router._plan).tables is None
+        assert builds == [] and native._lane_libs == {}
 
 
 @needs_cc

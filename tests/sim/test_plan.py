@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import numpy as np
@@ -170,6 +171,18 @@ class TestPlanCache:
                 break
         assert count >= PLAN_CACHE_MAXSIZE + 4
         assert plan_cache_info()["size"] == PLAN_CACHE_MAXSIZE
+
+    def test_graph_hash_is_kept_but_never_pickled(self):
+        # String hashes differ between processes, so a graph sent to a
+        # worker must rehash there; in-process, one hash serves every hit.
+        graph = edn_graph(EDNParams(16, 4, 4, 2))
+        plan = stage_plan_for(graph)
+        assert vars(graph)["_hash"] == hash(graph)
+        copy = pickle.loads(pickle.dumps(graph))
+        assert "_hash" not in vars(copy)
+        assert copy == graph and copy is not graph
+        assert stage_plan_for(copy) is plan
+        assert plan_cache_info()["hits"] == 1
 
     def test_clear_resets(self):
         stage_plan_for(edn_graph(EDNParams(16, 4, 4, 2)))
