@@ -196,7 +196,9 @@ def measurement_to_payload(measurement) -> dict:
 
     Floats serialize via ``repr`` (Python's ``json``), which round-trips
     every finite double exactly — the payload is bit-identical to the
-    in-process numbers.  Buffered measurements
+    in-process numbers.  A latency histogram carries its bins and its six
+    exact integer sums (:meth:`~repro.sim.stats.LatencyStats.to_payload`),
+    so its bytes do not depend on the host's BLAS.  Buffered measurements
     (:class:`~repro.sim.buffered.BufferedMeasurement`, produced by cells
     with a ``buffer_depth``) serialize under a ``"buffered"`` envelope.
     """

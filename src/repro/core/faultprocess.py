@@ -247,7 +247,7 @@ def degradation_trajectory(
             dropped = buffered.apply_faults(faults)
             dests = traffic.generate_batch(rng, cycles_per_window)
             offered = delivered = 0
-            occupancy_total = 0.0
+            occupancy_total = 0
             latency = LatencyStats()
             for row in range(cycles_per_window):
                 outcome = buffered.step(dests[row], rng)

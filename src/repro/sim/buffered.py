@@ -140,7 +140,7 @@ def measure_buffered(
     rng = make_rng(seed)
 
     offered = injected = delivered = 0
-    occupancy_total = 0.0
+    occupancy_total = 0
     latency = LatencyStats(bound=latency_bound)
     for cycle in range(warmup + cycles):
         dests = gen.generate(rng)

@@ -174,8 +174,6 @@ def drive_closed_loop(
     ratio = RatioStats()
     retry_stats = RetryStats()
     blocked_hist: dict[int, int] = {}
-    offered_total = 0
-    delivered_total = 0
     floor = max(2, min(min_cycles, cycles))
     stopped = False
 
@@ -199,8 +197,6 @@ def drive_closed_loop(
         num_offered = int(eligible.sum())
         num_delivered = int(delivered_mask.sum())
         ratio.push(num_delivered, num_offered)
-        offered_total += num_offered
-        delivered_total += num_delivered
         histogram = getattr(result, "blocked_stage_histogram", None)
         if histogram is not None:
             for stage, count in histogram().items():
@@ -234,10 +230,11 @@ def drive_closed_loop(
                 stopped = True
                 break
 
+    routed, delivered, offered = ratio.sums[:3]
     return ClosedLoopMeasurement(
-        cycles=ratio.n,
-        offered=offered_total,
-        delivered=delivered_total,
+        cycles=routed,
+        offered=offered,
+        delivered=delivered,
         acceptance=ratio.confidence_interval(confidence),
         blocked_by_stage=dict(sorted(blocked_hist.items())),
         budget=cycles if rel_err is not None else None,

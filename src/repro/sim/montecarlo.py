@@ -28,8 +28,8 @@ agree exactly — provided the traffic model draws a chunk in one vectorized
 call per stream (all built-in single-draw models do at full rate).
 
 Adaptive early stopping: pass ``rel_err`` (or set ``RunConfig.rel_err``)
-to turn ``cycles`` into a *budget*.  The harness then accumulates
-streaming Welford moments per chunk and stops at the first chunk boundary
+to turn ``cycles`` into a *budget*.  The harness then adds each chunk's
+exact integer sums and stops at the first chunk boundary
 (after ``min_cycles``) where the delta-method confidence interval's
 half-width falls to ``rel_err * acceptance``, so sweeps spend cycles only
 where the estimator is still noisy — see ``docs/PERFORMANCE.md`` for the
@@ -269,8 +269,6 @@ def measure_acceptance(
     floor = max(2, min(floor, cycles))
     rng = make_rng(seed)
     ratio = RatioStats()
-    offered_total = 0
-    delivered_total = 0
     blocked: dict[int, int] = {}
 
     def _absorb_histogram(result: object) -> None:
@@ -297,8 +295,6 @@ def measure_acceptance(
             dests = traffic.generate(rng)
             result = router.route(dests, rng)
             ratio.push(result.num_delivered, result.num_offered)
-            offered_total += result.num_offered
-            delivered_total += result.num_delivered
             _absorb_histogram(result)
             _report()
             if _converged():
@@ -337,27 +333,22 @@ def measure_acceptance(
                 else:
                     result = router.route_batch(dests, chunk_rng)
                     _absorb_histogram(result)
-                offered = result.offered_per_cycle
-                delivered = result.delivered_per_cycle
-                ratio.push_many(delivered, offered)
-                offered_total += int(offered.sum())
-                delivered_total += int(delivered.sum())
+                ratio.push_many(result.delivered_per_cycle, result.offered_per_cycle)
             else:
                 for i in range(chunk):
                     cycle_rng = chunk_rng[i] if per_cycle_streams else rng
                     result = router.route(dests[i], cycle_rng)
                     ratio.push(result.num_delivered, result.num_offered)
-                    offered_total += result.num_offered
-                    delivered_total += result.num_delivered
                     _absorb_histogram(result)
             _report()
             if _converged():
                 stopped = True
 
+    routed, delivered, offered = ratio.sums[:3]
     return AcceptanceMeasurement(
-        cycles=ratio.n,
-        offered=offered_total,
-        delivered=delivered_total,
+        cycles=routed,
+        offered=offered,
+        delivered=delivered,
         acceptance=ratio.confidence_interval(confidence),
         blocked_by_stage=dict(sorted(blocked.items())),
         budget=cycles if adaptive else None,

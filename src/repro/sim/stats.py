@@ -5,7 +5,9 @@ Small, dependency-light estimators used by the Monte-Carlo harnesses:
 * :class:`RunningStats` — Welford's online mean/variance with Student-t
   confidence intervals;
 * :class:`RatioStats` — ratio-of-sums estimator (e.g. accepted/offered
-  across cycles, which is *not* the mean of per-cycle ratios);
+  across cycles, which is *not* the mean of per-cycle ratios) on six
+  exact integer sums, so pair-by-pair, chunked and merged streams give
+  the same bits in any order, on any host;
 * :class:`LatencyStats` — a fixed-bin streaming latency histogram on top
   of :class:`RatioStats`: exact mean via the ratio sums, p50/p95/p99 from
   integer-cycle bins, and an exact order-independent :meth:`~LatencyStats.merge`
@@ -20,10 +22,12 @@ Small, dependency-light estimators used by the Monte-Carlo harnesses:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import ceil, sqrt
 from collections.abc import Sequence
 
+import numpy as np
 from scipy.special import ndtri as _ndtri, stdtrit as _stdtrit
 
 __all__ = [
@@ -151,10 +155,6 @@ class RunningStats:
         return Interval(self._mean, self._mean - half, self._mean + half)
 
 
-class RunningStatsError(ValueError):
-    """Raised on queries against an empty accumulator."""
-
-
 class RatioStats:
     """Streaming ratio-of-sums estimator with a delta-method interval.
 
@@ -164,16 +164,23 @@ class RatioStats:
     ratio of the expected number of requests satisfied per cycle to the
     expected number of requests generated per cycle".
 
-    The accumulator is *streaming*: bivariate Welford co-moments (means,
-    second moments, and the numerator/denominator co-moment) replace the
-    stored pair list, so memory is O(1) and the confidence interval is
-    O(1) to evaluate at any point of the stream — which is what lets the
-    adaptive Monte-Carlo harness check its stopping rule every chunk
-    without quadratic rescans.  The interval is algebraically identical to
-    the historical pair-list implementation: the variance of the residuals
-    ``num_i - ratio * den_i`` (whose mean is exactly zero at the ratio of
-    sums) expands to ``Var(num) - 2 ratio Cov(num, den) + ratio^2
-    Var(den)``.
+    Every stream it absorbs is integer counts, so six exact integer sums
+    carry the whole estimator: ``n``, ``Σx``, ``Σy``, ``Σx²``, ``Σy²`` and
+    ``Σxy`` (``x`` the numerator, ``y`` the denominator).  :meth:`push`,
+    :meth:`push_many` and :meth:`merge` add them, so a stream pushed pair
+    by pair, in chunks, or as shards merged in any order holds the same
+    sums.  The ratio and its standard error are formed only when read,
+    each rounded once (Python's ``int / int`` is correctly rounded):
+
+    * ``ratio = Σx / Σy``;
+    * ``Q = (Σy)²·Σx² − 2·Σx·Σy·Σxy + (Σx)²·Σy²``, which equals
+      ``Σ(Σy·xᵢ − Σx·yᵢ)²`` and so is never negative;
+    * ``se = sqrt(Q·n / ((n − 1)·(Σy)⁴))``, the residual variance of
+      ``xᵢ − ratio·yᵢ`` over ``n``, divided by the mean denominator.
+
+    Memory is O(1) and the interval is O(1) to evaluate at any point of
+    the stream, which lets the adaptive Monte-Carlo harness check its
+    stopping rule every chunk.
 
     >>> acc = RatioStats()
     >>> acc.push(1, 2); acc.push(9, 10)
@@ -181,139 +188,80 @@ class RatioStats:
     0.833333
     """
 
-    __slots__ = (
-        "_n",
-        "_sum_num",
-        "_sum_den",
-        "_mean_num",
-        "_mean_den",
-        "_m2_num",
-        "_m2_den",
-        "_c_nd",
-    )
+    __slots__ = ("_n", "_sx", "_sy", "_sxx", "_syy", "_sxy")
 
     def __init__(self) -> None:
-        self._n = 0
-        # Plain sums carry the point estimate: for integer counts they are
-        # exact, so the ratio is bit-identical however the stream was
-        # chunked.  The Welford moments carry only the interval.
-        self._sum_num = 0.0
-        self._sum_den = 0.0
-        self._mean_num = 0.0
-        self._mean_den = 0.0
-        self._m2_num = 0.0
-        self._m2_den = 0.0
-        self._c_nd = 0.0
+        self._n = self._sx = self._sy = self._sxx = self._syy = self._sxy = 0
 
-    def push(self, numerator: float, denominator: float) -> None:
-        num, den = float(numerator), float(denominator)
-        self._n += 1
-        self._sum_num += num
-        self._sum_den += den
-        d_num = num - self._mean_num
-        d_den = den - self._mean_den
-        self._mean_num += d_num / self._n
-        self._mean_den += d_den / self._n
-        self._m2_num += d_num * (num - self._mean_num)
-        self._m2_den += d_den * (den - self._mean_den)
-        self._c_nd += d_num * (den - self._mean_den)
+    def _add(self, n: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> None:
+        """The one update rule: add another stream's six sums."""
+        self._n += n
+        self._sx += sx
+        self._sy += sy
+        self._sxx += sxx
+        self._syy += syy
+        self._sxy += sxy
+
+    def _add_unit_denominators(self, values: np.ndarray) -> None:
+        """Push ``(v, 1)`` for every ``v`` of an int64 array."""
+        m, total = values.size, int(values.sum())
+        self._add(m, total, m, int(values @ values), m, total)
+
+    def push(self, numerator: int, denominator: int) -> None:
+        x, y = operator.index(numerator), operator.index(denominator)
+        self._add(1, x, y, x * x, y * y, x * y)
 
     def push_many(self, numerators, denominators) -> None:
         """Absorb whole per-cycle count arrays (one chunk) at once.
 
-        Equivalent to pushing pair by pair; implemented as a Chan-style
-        parallel merge of the chunk's moments so a chunk costs a few
-        vectorized reductions instead of a Python loop.
+        Equal to pushing pair by pair: the chunk's six sums are formed
+        by int64 reductions, which are exact.  They cannot overflow: a
+        count is at most ``N`` per cycle, so a chunk of ``m`` cycles at
+        ``N`` inputs needs ``m·N² < 2**63``, and no demand array that
+        fits in memory gets near that.
         """
-        import numpy as np
-
-        nums = np.asarray(numerators, dtype=np.float64)
-        dens = np.asarray(denominators, dtype=np.float64)
+        nums = _int64_array(numerators)
+        dens = _int64_array(denominators)
         if nums.shape != dens.shape or nums.ndim != 1:
             raise ValueError("push_many needs two equal-length 1-D arrays")
-        m = nums.size
-        if m == 0:
-            return
-        self._sum_num += float(nums.sum())
-        self._sum_den += float(dens.sum())
-        mean_num = float(nums.mean())
-        mean_den = float(dens.mean())
-        d_nums = nums - mean_num
-        d_dens = dens - mean_den
-        m2_num = float(d_nums @ d_nums)
-        m2_den = float(d_dens @ d_dens)
-        c_nd = float(d_nums @ d_dens)
-        if self._n == 0:
-            self._n = m
-            self._mean_num, self._mean_den = mean_num, mean_den
-            self._m2_num, self._m2_den, self._c_nd = m2_num, m2_den, c_nd
-            return
-        n = self._n
-        total = n + m
-        delta_num = mean_num - self._mean_num
-        delta_den = mean_den - self._mean_den
-        scale = n * m / total
-        self._m2_num += m2_num + delta_num * delta_num * scale
-        self._m2_den += m2_den + delta_den * delta_den * scale
-        self._c_nd += c_nd + delta_num * delta_den * scale
-        self._mean_num += delta_num * m / total
-        self._mean_den += delta_den * m / total
-        self._n = total
+        sx, sy = int(nums.sum()), int(dens.sum())
+        self._add(
+            nums.size, sx, sy, int(nums @ nums), int(dens @ dens), int(nums @ dens)
+        )
 
     def merge(self, other: "RatioStats") -> None:
         """Absorb another accumulator's stream into this one.
 
-        Chan-style parallel combination of the Welford co-moments, the
-        same algebra :meth:`push_many` uses for a chunk — so merging two
-        shard accumulators is equivalent (up to float rounding of the
-        interval moments; the point estimate's plain sums are exact) to
-        having pushed both streams into one accumulator.  This is the
-        primitive ``ParallelSweep`` and ``repro.serve`` shards use to
-        combine per-shard latency statistics.
+        The sums add, so merging shard accumulators in any order equals
+        having pushed every stream into one accumulator, bit for bit.
+        This is the primitive ``ParallelSweep`` and ``repro.serve`` shards
+        use to combine per-shard latency statistics.
         """
-        if other._n == 0:
-            return
-        self._sum_num += other._sum_num
-        self._sum_den += other._sum_den
-        if self._n == 0:
-            self._n = other._n
-            self._mean_num, self._mean_den = other._mean_num, other._mean_den
-            self._m2_num, self._m2_den = other._m2_num, other._m2_den
-            self._c_nd = other._c_nd
-            return
-        n, m = self._n, other._n
-        total = n + m
-        delta_num = other._mean_num - self._mean_num
-        delta_den = other._mean_den - self._mean_den
-        scale = n * m / total
-        self._m2_num += other._m2_num + delta_num * delta_num * scale
-        self._m2_den += other._m2_den + delta_den * delta_den * scale
-        self._c_nd += other._c_nd + delta_num * delta_den * scale
-        self._mean_num += delta_num * m / total
-        self._mean_den += delta_den * m / total
-        self._n = total
+        self._add(*other.sums)
 
     @property
     def n(self) -> int:
         return self._n
 
     @property
+    def sums(self) -> tuple[int, int, int, int, int, int]:
+        """``(n, Σx, Σy, Σx², Σy², Σxy)``, exact."""
+        return (self._n, self._sx, self._sy, self._sxx, self._syy, self._sxy)
+
+    @property
     def ratio(self) -> float:
-        if self._n == 0 or self._sum_den == 0:
+        if self._n == 0 or self._sy == 0:
             return 1.0
-        return self._sum_num / self._sum_den
+        return self._sx / self._sy
 
     def standard_error(self) -> float:
         """Delta-method standard error of the ratio (0.0 when undefined)."""
-        n, point = self._n, self.ratio
-        if n < 2 or self._mean_den == 0:
+        n, sx, sy = self._n, self._sx, self._sy
+        if n < 2 or sy == 0:
             return 0.0
-        var_res = (
-            self._m2_num - 2.0 * point * self._c_nd + point * point * self._m2_den
-        ) / (n - 1)
-        # Co-moment cancellation can leave a tiny negative residue.
-        var_res = max(var_res, 0.0)
-        return sqrt(var_res / n) / self._mean_den
+        sy2 = sy * sy
+        q = sy2 * self._sxx - 2 * sx * sy * self._sxy + sx * sx * self._syy
+        return sqrt(q * n / ((n - 1) * sy2 * sy2))
 
     def confidence_interval(self, confidence: float = 0.95) -> Interval:
         """Delta-method interval on the ratio of means."""
@@ -322,11 +270,19 @@ class RatioStats:
         point = self.ratio
         if n < 2:
             return Interval(point, float("-inf"), float("inf"))
-        if self._mean_den == 0:
+        if self._sy == 0:
             return Interval(point, point, point)
         se = self.standard_error()
         t = _t_quantile(0.5 + confidence / 2.0, n - 1)
         return Interval(point, point - t * se, point + t * se)
+
+
+def _int64_array(values) -> np.ndarray:
+    """``values`` as an int64 array; a float or bool array raises ``TypeError``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise TypeError(f"counts must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
 
 class LatencyStats(RatioStats):
@@ -339,14 +295,11 @@ class LatencyStats(RatioStats):
     percentile at or past the overflow mass is reported as ``bound`` —
     a conservative floor, never an overstatement.
 
-    The inherited :class:`RatioStats` machinery (each latency pushed
-    against a unit denominator) supplies the exact mean — integer sums
-    stay exact in float64 far beyond any feasible run length — plus the
-    delta-method confidence interval.  :meth:`merge` adds histograms and
-    combines moments, making shard aggregation order-independent: counts
-    and therefore percentiles are exactly identical to single-stream
-    accumulation, and the mean is exact because the point estimate rides
-    on plain sums.
+    The inherited :class:`RatioStats` sums (each latency against a unit
+    denominator) supply the exact mean and the delta-method confidence
+    interval.  :meth:`merge` adds histograms and sums, so shard
+    aggregation is order-independent and equal to single-stream
+    accumulation, bit for bit.
 
     >>> acc = LatencyStats()
     >>> acc.record([3, 5, 5, 9])
@@ -368,30 +321,27 @@ class LatencyStats(RatioStats):
 
     def _ensure_counts(self):
         if self._counts is None:
-            import numpy as np
-
             self._counts = np.zeros(self.bound + 1, dtype=np.int64)
         return self._counts
 
     def record(self, latencies) -> None:
         """Absorb an array of integer delivery latencies (cycles)."""
-        import numpy as np
-
         lat = np.asarray(latencies)
         if lat.size == 0:
             return
         if lat.ndim != 1:
             raise ValueError("record needs a 1-D latency array")
-        clipped = np.minimum(lat.astype(np.int64, copy=False), self.bound)
+        lat = _int64_array(lat)
+        clipped = np.minimum(lat, self.bound)
         if clipped.min() < 0:
             raise ValueError("latencies must be non-negative")
         # Bin into the prefix the batch reaches: no bound-sized temporary.
         binned = np.bincount(clipped)
         self._ensure_counts()[: binned.size] += binned
-        self.push_many(lat.astype(np.float64, copy=False), np.ones(lat.size))
+        self._add_unit_denominators(lat)
 
     def record_one(self, latency: int) -> None:
-        lat = int(latency)
+        lat = operator.index(latency)
         if lat < 0:
             raise ValueError("latencies must be non-negative")
         self._ensure_counts()[min(lat, self.bound)] += 1
@@ -407,7 +357,7 @@ class LatencyStats(RatioStats):
         """Exact mean latency (0.0 when empty)."""
         if self._n == 0:
             return 0.0
-        return self._sum_num / self._n
+        return self._sx / self._n
 
     def percentile(self, q: float) -> int:
         """Smallest latency ``v`` with at least ``ceil(q * count)`` mass at or below it."""
@@ -415,8 +365,6 @@ class LatencyStats(RatioStats):
             raise ValueError(f"quantile must lie in (0, 1], got {q}")
         if self._n == 0:
             return 0
-        import numpy as np
-
         cum = np.cumsum(self._counts)
         target = ceil(q * self._n)
         return int(np.searchsorted(cum, target))
@@ -434,7 +382,7 @@ class LatencyStats(RatioStats):
         return self.percentile(0.99)
 
     def merge(self, other: "LatencyStats") -> None:
-        """Add another histogram's counts and combine the moment stream."""
+        """Add another histogram's counts and sums."""
         if not isinstance(other, LatencyStats):
             raise TypeError("can only merge another LatencyStats")
         if other.bound != self.bound:
@@ -447,7 +395,7 @@ class LatencyStats(RatioStats):
         super().merge(other)
 
     def __eq__(self, other) -> bool:
-        """Value equality: same bound, same bins, same moment stream.
+        """Value equality: same bound, same bins, same sums.
 
         Lets dataclasses carrying a histogram field (e.g.
         ``ClosedLoopMeasurement``) keep their generated ``==``, so
@@ -455,61 +403,38 @@ class LatencyStats(RatioStats):
         """
         if not isinstance(other, LatencyStats):
             return NotImplemented
-        import numpy as np
-
         a = self._counts if self._counts is not None else ()
         b = other._counts if other._counts is not None else ()
         return (
             self.bound == other.bound
-            and self._n == other._n
+            and self.sums == other.sums
             and bool(np.array_equal(a, b) or (np.sum(a) == 0 and np.sum(b) == 0))
-            and self.to_payload()["moments"] == other.to_payload()["moments"]
         )
 
     __hash__ = None  # mutable accumulator
 
     def to_payload(self) -> dict:
-        """JSON-safe snapshot: sparse non-zero bins plus the raw moments."""
+        """JSON-safe snapshot: sparse non-zero bins plus the six sums."""
         bins = {}
         if self._counts is not None:
-            import numpy as np
-
             nz = np.flatnonzero(self._counts)
             bins = {int(v): int(self._counts[v]) for v in nz}
-        return {
-            "bound": self.bound,
-            "bins": bins,
-            "moments": [
-                self._n,
-                self._sum_num,
-                self._sum_den,
-                self._mean_num,
-                self._mean_den,
-                self._m2_num,
-                self._m2_den,
-                self._c_nd,
-            ],
-        }
+        return {"bound": self.bound, "bins": bins, "sums": list(self.sums)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "LatencyStats":
+        if "sums" not in payload:
+            raise ValueError(
+                "latency payload has no integer 'sums' field; payloads with "
+                "float 'moments' are not read"
+            )
         acc = cls(bound=int(payload["bound"]))
         bins = payload.get("bins") or {}
         if bins:
             counts = acc._ensure_counts()
             for value, count in bins.items():
                 counts[int(value)] += int(count)
-        moments = payload["moments"]
-        acc._n = int(moments[0])
-        (
-            acc._sum_num,
-            acc._sum_den,
-            acc._mean_num,
-            acc._mean_den,
-            acc._m2_num,
-            acc._m2_den,
-            acc._c_nd,
-        ) = (float(v) for v in moments[1:])
+        acc._add(*map(operator.index, payload["sums"]))
         return acc
 
 
@@ -546,12 +471,8 @@ class RetryStats(RatioStats):
 
     def record_deliveries(self, attempts, latencies) -> None:
         """Absorb whole delivered-message arrays (one cycle) at once."""
-        import numpy as np
-
-        attempts = np.asarray(attempts, dtype=np.float64)
-        ones = np.ones_like(attempts)
-        self.push_many(attempts, ones)
-        self.latency.record(np.asarray(latencies))
+        self._add_unit_denominators(_int64_array(attempts))
+        self.latency.record(latencies)
 
     def record_abandoned(self, count: int = 1) -> None:
         self._abandoned += count

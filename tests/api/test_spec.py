@@ -136,9 +136,13 @@ class TestStageGraphMemo:
 
     def test_faults_still_key_the_plans(self):
         from repro.api import build_router
+        from repro.sim.plan import clear_plan_cache
         from repro.sim.rng import make_rng
         from repro.sim.stagegraph import StageGraphReference
 
+        # A plan another test cached for an equal graph would answer the
+        # clean spec's lookup with that other graph object.
+        clear_plan_cache()
         clean = NetworkSpec.edn(16, 4, 4, 2)
         faulted = NetworkSpec.edn(16, 4, 4, 2, faults=self.FAULTS)
         routers = [build_router(spec, "batched") for spec in (clean, faulted)]

@@ -185,8 +185,10 @@ class TestRetryStats:
         for a, t in zip(attempts, latencies):
             scalar.record_delivery(a, t)
         arrays.record_deliveries(np.array(attempts), np.array(latencies))
-        assert scalar.ratio == pytest.approx(arrays.ratio)
-        assert scalar.latency.ratio == pytest.approx(arrays.latency.ratio)
+        assert scalar.sums == arrays.sums
+        assert scalar.latency == arrays.latency
+        assert scalar.confidence_interval() == arrays.confidence_interval()
+        assert scalar.latency.confidence_interval() == arrays.latency.confidence_interval()
         assert scalar.delivered == arrays.delivered
 
     def test_abandoned_counter(self):

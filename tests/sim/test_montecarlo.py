@@ -195,7 +195,7 @@ class TestChunkSizeInvariantRandomPriority:
             for batch in (8, 16, 64)
         ]
         for other in results[1:]:
-            assert other.point == results[0].point
+            assert other.acceptance == results[0].acceptance
             assert other.blocked_by_stage == results[0].blocked_by_stage
             assert other.offered == results[0].offered
 
@@ -205,7 +205,7 @@ class TestChunkSizeInvariantRandomPriority:
         traffic = UniformTraffic(p.num_inputs, p.num_outputs, 1.0)
         a = measure_acceptance(net, traffic, cycles=50, seed=4, batch=16)
         b = measure_acceptance(net, traffic, cycles=50, seed=4, batch=50)
-        assert a.point == b.point
+        assert a.acceptance == b.acceptance
 
     def test_batched_and_per_cycle_router_agree(self):
         from repro.api.router import PerCycleRouter
@@ -222,7 +222,7 @@ class TestChunkSizeInvariantRandomPriority:
             seed=5,
             batch=8,
         )
-        assert batched.point == looped.point
+        assert batched.acceptance == looped.acceptance
         assert batched.blocked_by_stage == looped.blocked_by_stage
 
     def test_crossbar_random_priority_chunk_invariant(self):
@@ -231,7 +231,7 @@ class TestChunkSizeInvariantRandomPriority:
         traffic = UniformTraffic(n, n, 1.0)
         a = measure_acceptance(net, traffic, cycles=48, seed=9, batch=12)
         b = measure_acceptance(net, traffic, cycles=48, seed=9, batch=48)
-        assert a.point == b.point
+        assert a.acceptance == b.acceptance
         assert a.blocked_by_stage == b.blocked_by_stage
 
     def test_label_priority_streams_untouched_by_fix(self):

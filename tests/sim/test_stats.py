@@ -6,15 +6,20 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.sim import stats as stats_module
 from repro.sim.stats import (
     Interval,
+    LatencyStats,
     RatioStats,
     RunningStats,
     _t_quantile,
@@ -104,6 +109,98 @@ class TestRatioStats:
         acc.push(1, 1)
         acc.push(1, 1)
         assert acc.n == 2
+
+    def test_edge_intervals(self):
+        one = RatioStats()
+        one.push(3, 4)
+        assert one.confidence_interval() == Interval(0.75, -math.inf, math.inf)
+        idle = RatioStats()
+        idle.push(0, 0)
+        idle.push(0, 0)
+        assert idle.confidence_interval() == Interval(1.0, 1.0, 1.0)
+
+    def test_floats_rejected(self):
+        acc = RatioStats()
+        with pytest.raises(TypeError):
+            acc.push(0.5, 1)
+        with pytest.raises(TypeError):
+            acc.push(1, 2.0)
+        with pytest.raises(TypeError):
+            acc.push_many(np.array([0.5, 1.0]), np.array([1, 2]))
+        with pytest.raises(TypeError):
+            acc.push_many(np.array([1, 2]), np.array([1.0, 2.0]))
+        with pytest.raises(TypeError):
+            LatencyStats().record(np.array([3.0, 4.0]))
+        with pytest.raises(TypeError):
+            LatencyStats().record_one(2.5)
+        assert acc.sums == (0, 0, 0, 0, 0, 0)
+
+
+def _reference_se(nums, dens) -> float:
+    """The standard error from the raw pairs in exact rationals.
+
+    ``Σ(xᵢ − r·yᵢ)² / (n − 1)`` is the residual variance at ``r = Σx / Σy``;
+    over ``n`` and the squared mean denominator it is ``se²``, which is
+    rounded once, to a float, before the square root.
+    """
+    n, r = len(nums), Fraction(sum(nums), sum(dens))
+    residual = sum((x - r * y) ** 2 for x, y in zip(nums, dens))
+    mean_den = Fraction(sum(dens), n)
+    return math.sqrt(float(residual / (n - 1) / n / mean_den**2))
+
+
+class TestExactSums:
+    """Six integer sums: every way of feeding a stream gives the same bits."""
+
+    def test_standard_error_equals_fraction_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            m = int(rng.integers(2, 200))
+            dens = rng.integers(0, 4097, size=m)
+            nums = rng.binomial(dens, rng.uniform(0.05, 0.95))
+            acc = RatioStats()
+            for lo in range(0, m, 36):  # chunks that are not powers of two
+                acc.push_many(nums[lo : lo + 36], dens[lo : lo + 36])
+            want = _reference_se(nums.tolist(), dens.tolist())
+            assert acc.standard_error() == want
+            t = _t_quantile(0.975, m - 1)
+            point = float(Fraction(int(nums.sum()), int(dens.sum())))
+            assert acc.confidence_interval() == Interval(
+                point, point - t * want, point + t * want
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.integers(0, 4096).flatmap(
+                lambda y: st.tuples(st.integers(0, y), st.just(y))
+            ),
+            min_size=2,
+            max_size=150,
+        ),
+        data=st.data(),
+    )
+    def test_stream_order_does_not_matter(self, pairs, data):
+        nums = np.array([x for x, _ in pairs], dtype=np.int64)
+        dens = np.array([y for _, y in pairs], dtype=np.int64)
+        m = len(pairs)
+        cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), max_size=8), "cuts"))
+        spans = list(zip([0, *cuts], [*cuts, m]))
+        paired = RatioStats()
+        for x, y in pairs:
+            paired.push(x, y)
+        chunked = RatioStats()
+        for lo, hi in spans:
+            chunked.push_many(nums[lo:hi], dens[lo:hi])
+        merged = RatioStats()
+        for lo, hi in data.draw(st.permutations(spans), "merge order"):
+            shard = RatioStats()
+            shard.push_many(nums[lo:hi], dens[lo:hi])
+            merged.merge(shard)
+        want = _bits(astuple(paired.confidence_interval()))
+        for acc in (chunked, merged):
+            np.testing.assert_array_equal(_bits(astuple(acc.confidence_interval())), want)
+            assert acc.sums == paired.sums
 
 
 class TestBatchMeans:
