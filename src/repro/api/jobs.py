@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -191,12 +192,36 @@ class SweepCell:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def interval_to_payload(interval) -> list:
+    """``[point, low, high]`` of an interval, strict JSON.
+
+    RFC 8259 has no infinity, so an unbounded side (a stream of fewer than
+    two samples has the interval ``(-inf, inf)``) is written ``null``.
+    """
+    return [
+        interval.point,
+        interval.low if math.isfinite(interval.low) else None,
+        interval.high if math.isfinite(interval.high) else None,
+    ]
+
+
+def interval_from_payload(values):
+    """Invert :func:`interval_to_payload`: a ``null`` bound is unbounded."""
+    from repro.sim.stats import Interval
+
+    point, low, high = values
+    return Interval(
+        point, -math.inf if low is None else low, math.inf if high is None else high
+    )
+
+
 def measurement_to_payload(measurement) -> dict:
     """A JSON-safe dict of a measurement (closed-loop fields included).
 
     Floats serialize via ``repr`` (Python's ``json``), which round-trips
     every finite double exactly — the payload is bit-identical to the
-    in-process numbers.  A latency histogram carries its bins and its six
+    in-process numbers.  Intervals go through :func:`interval_to_payload`,
+    so an unbounded side is ``null``.  A latency histogram carries its bins and its six
     exact integer sums (:meth:`~repro.sim.stats.LatencyStats.to_payload`),
     so its bytes do not depend on the host's BLAS.  Buffered measurements
     (:class:`~repro.sim.buffered.BufferedMeasurement`, produced by cells
@@ -232,12 +257,11 @@ def measurement_to_payload(measurement) -> dict:
                 "dropped": measurement.dropped,
             }
         }
-    acceptance = measurement.acceptance
     payload = {
         "cycles": measurement.cycles,
         "offered": measurement.offered,
         "delivered": measurement.delivered,
-        "acceptance": [acceptance.point, acceptance.low, acceptance.high],
+        "acceptance": interval_to_payload(measurement.acceptance),
         "blocked_by_stage": {
             str(stage): count
             for stage, count in measurement.blocked_by_stage.items()
@@ -248,16 +272,8 @@ def measurement_to_payload(measurement) -> dict:
     }
     if getattr(measurement, "policy", None) is not None:
         payload["closed_loop"] = {
-            "attempts": [
-                measurement.attempts.point,
-                measurement.attempts.low,
-                measurement.attempts.high,
-            ],
-            "latency": [
-                measurement.latency.point,
-                measurement.latency.low,
-                measurement.latency.high,
-            ],
+            "attempts": interval_to_payload(measurement.attempts),
+            "latency": interval_to_payload(measurement.latency),
             "delivered_messages": measurement.delivered_messages,
             "abandoned": measurement.abandoned,
             "policy": measurement.policy.label,
@@ -270,8 +286,6 @@ def measurement_to_payload(measurement) -> dict:
 
 def measurement_from_payload(payload: dict):
     """Invert :func:`measurement_to_payload`."""
-    from repro.sim.stats import Interval
-
     buffered = payload.get("buffered")
     if buffered is not None:
         from repro.sim.buffered import BufferedMeasurement
@@ -304,7 +318,7 @@ def measurement_from_payload(payload: dict):
         "cycles": payload["cycles"],
         "offered": payload["offered"],
         "delivered": payload["delivered"],
-        "acceptance": Interval(*payload["acceptance"]),
+        "acceptance": interval_from_payload(payload["acceptance"]),
         "blocked_by_stage": {
             int(stage): count
             for stage, count in payload["blocked_by_stage"].items()
@@ -316,14 +330,13 @@ def measurement_from_payload(payload: dict):
     closed = payload.get("closed_loop")
     if closed is not None:
         from repro.sim.closedloop import ClosedLoopMeasurement, RetryPolicy
-        from repro.sim.stats import Interval as _I
         from repro.sim.stats import LatencyStats
 
         histogram = closed.get("latency_histogram")
         return ClosedLoopMeasurement(
             **common,
-            attempts=_I(*closed["attempts"]),
-            latency=_I(*closed["latency"]),
+            attempts=interval_from_payload(closed["attempts"]),
+            latency=interval_from_payload(closed["latency"]),
             delivered_messages=closed["delivered_messages"],
             abandoned=closed["abandoned"],
             policy=RetryPolicy.parse(closed["policy"]),

@@ -27,6 +27,7 @@ Server -> client messages:
     ``{"type": "partial", "job_id", "key", "indices", "cycles",
     "acceptance": [point, low, high]}`` — a streaming checkpoint from a
     still-running cell, emitted at adaptive-stopping chunk boundaries.
+    An unbounded side of an interval, here and in payloads, is ``null``.
 ``result``
     ``{"type": "result", "job_id", "key", "indices", "cached",
     "worker", "payload"}`` — one cell finished; ``indices`` are the
@@ -124,17 +125,26 @@ def parse_address(text: str) -> Address:
 
 
 def encode_message(message: dict) -> bytes:
-    """One message -> one canonical JSON line (sorted keys, compact)."""
-    return (json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    """One message -> one canonical JSON line (sorted keys, compact).
+
+    Strict RFC 8259 JSON: a ``NaN`` or infinite float raises ``ValueError``
+    instead of being written as a token no other JSON parser reads.
+    """
+    return (
+        json.dumps(message, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        + "\n"
+    ).encode("utf-8")
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"not strict JSON: {token}")
 
 
 def decode_message(line: "bytes | str") -> dict:
     """One received line -> the message dict (raises on malformed input)."""
     if isinstance(line, bytes):
         line = line.decode("utf-8")
-    message = json.loads(line)
+    message = json.loads(line, parse_constant=_refuse_constant)
     if not isinstance(message, dict) or "type" not in message:
         raise ValueError("protocol messages are JSON objects with a 'type' field")
     return message

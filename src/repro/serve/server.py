@@ -45,7 +45,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api.jobs import SweepCell, measure_cell, measurement_to_payload
+from repro.api.jobs import (
+    SweepCell,
+    interval_to_payload,
+    measure_cell,
+    measurement_to_payload,
+)
 from repro.core.exceptions import EDNError
 from repro.serve.cache import DEFAULT_CACHE_SIZE, ResultCache
 from repro.serve.protocol import (
@@ -102,7 +107,7 @@ def _run_cell(item: tuple[str, dict]) -> tuple[str, dict, int, dict]:
             last[0] = now
             try:
                 _PROGRESS_QUEUE.put_nowait(
-                    (key, cycles, (interval.point, interval.low, interval.high))
+                    (key, cycles, interval_to_payload(interval))
                 )
             except Exception:
                 pass  # a full/closed queue must never fail the measurement
@@ -340,7 +345,7 @@ class SimulationServer:
                 "key": key,
                 "indices": indices,
                 "cycles": cycles,
-                "acceptance": list(acceptance),
+                "acceptance": acceptance,
             })
 
     # ------------------------------------------------------------------

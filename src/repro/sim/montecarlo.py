@@ -313,33 +313,39 @@ def measure_acceptance(
         # A router that reads narrow labels (the native label kernel) gets
         # its chunks generated in that dtype; the values are the same.
         dtype = getattr(router, "demand_dtype", np.int64)
+        # One that draws chunks itself (the native lane kernel) is asked
+        # first; it declines, drawing nothing, where it cannot.
+        drawn = getattr(router, "draw_batch_counts", None)
         remaining = cycles
         while remaining > 0 and not stopped:
             chunk = min(batch, remaining)
             remaining -= chunk
-            dests = traffic.generate_batch(rng, chunk, dtype)
-            chunk_rng = (
-                [make_rng(key) for key in spawner.spawn(chunk)]
-                if per_cycle_streams
-                else rng
-            )
-            if counting or batched:
+            counts = None if drawn is None else drawn(traffic, rng, chunk)
+            if counts is None:
+                dests = traffic.generate_batch(rng, chunk, dtype)
+                chunk_rng = (
+                    [make_rng(key) for key in spawner.spawn(chunk)]
+                    if per_cycle_streams
+                    else rng
+                )
                 if counting:
                     # Counts-only kernel: identical routing decisions,
                     # no per-message outcome arrays to materialize.
-                    result = router.route_batch_counts(dests, chunk_rng)
-                    for stage, count in result.blocked_by_stage.items():
-                        blocked[stage] = blocked.get(stage, 0) + count
-                else:
+                    counts = router.route_batch_counts(dests, chunk_rng)
+                elif batched:
                     result = router.route_batch(dests, chunk_rng)
                     _absorb_histogram(result)
-                ratio.push_many(result.delivered_per_cycle, result.offered_per_cycle)
-            else:
-                for i in range(chunk):
-                    cycle_rng = chunk_rng[i] if per_cycle_streams else rng
-                    result = router.route(dests[i], cycle_rng)
-                    ratio.push(result.num_delivered, result.num_offered)
-                    _absorb_histogram(result)
+                    ratio.push_many(result.delivered_per_cycle, result.offered_per_cycle)
+                else:
+                    for i in range(chunk):
+                        cycle_rng = chunk_rng[i] if per_cycle_streams else rng
+                        result = router.route(dests[i], cycle_rng)
+                        ratio.push(result.num_delivered, result.num_offered)
+                        _absorb_histogram(result)
+            if counts is not None:
+                for stage, count in counts.blocked_by_stage.items():
+                    blocked[stage] = blocked.get(stage, 0) + count
+                ratio.push_many(counts.delivered_per_cycle, counts.offered_per_cycle)
             _report()
             if _converged():
                 stopped = True

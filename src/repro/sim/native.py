@@ -50,7 +50,9 @@ hands it to.
 
 The toolchain probe's source (``_C_PROBE``) also carries the PCG64
 traffic draws of :mod:`repro.workloads.models`, handed over by
-:func:`draw_library`.
+:func:`draw_library`.  The lane kernel can draw a chunk's label traffic
+itself (:meth:`NativeStageRouter.draw_batch_counts`), on the same PCG64
+primitives (``_PCG_SOURCE``).
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -74,8 +77,9 @@ from repro.sim.batched import (
     _check_demand_shape,
     _check_destination_bounds,
 )
-from repro.sim.plan import ChunkWorkspace
+from repro.sim.plan import ChunkWorkspace, compile_stage_plan
 from repro.sim.stagegraph import BufferedCycleOutcome
+from repro.workloads.models import DrawDescriptor, advance_pcg64
 
 __all__ = [
     "NativeStageRouter",
@@ -109,6 +113,17 @@ __all__ = [
 # every cycle, stored whole to frontier row ``input_perm[t + j]``.  A load
 # past the batch, or past a row shorter than ``LV``, reads idle, so no
 # lane ever reads stale scratch.
+#
+# Drawn entry.  For the traffic models with a
+# :class:`~repro.workloads.models.DrawDescriptor` the kernel takes a
+# ``traffic_t`` instead of a demand matrix (``NULL`` = the matrix) and
+# computes the chunk's PCG64 words itself, in ``generate_batch``'s stream
+# order.  Lane ``c`` is one cycle: its state is jumped to the cycle's first
+# word of each region (labels, hot-spot, rate).  On AVX-512DQ eight lanes
+# step together and each step yields an entry row of all eight; elsewhere
+# each row is filled lane after lane.  Rows are stored through the input
+# permutation, so nothing is transposed.  Lanes past the batch are idle;
+# ``state`` comes back as that of the chunk's last word.
 #
 # Pull resolution.  Label priority grants bucket ``j`` of a switch to
 # its live inputs in wire order, so output slot ``(j, r)`` holds the
@@ -286,6 +301,179 @@ void repro_enter(const wire_t *restrict dests, int64_t n, int64_t c0, int64_t nb
     memcpy(live, acc, sizeof acc);
 }
 
+/* A chunk's traffic drawn in place from one PCG64 stream (see
+ * repro.workloads.models.DrawDescriptor): label words (shift >= 0) or the
+ * pattern, then hot-spot words (hot) and rate words (rate), which set an
+ * entry where (word >= bound) == ge.  NULL = a demand matrix. */
+typedef struct {
+    uint64_t *state;            /* state high, low (on return, the last word's); increment */
+    int64_t shift;
+    const int64_t *pattern;
+    int64_t hot, hot_ge, hot_value;
+    uint64_t hot_bound;
+    int64_t rate, rate_ge;
+    uint64_t rate_bound;
+} traffic_t;
+
+%(pcg)s
+#if defined(__SIZEOF_INT128__)
+long repro_lane_draws(void)
+{
+    return DRAW_LANES;
+}
+
+enum { LABELS, HOT, RATE, REGIONS };
+
+/* Per region: the state of the next cycle's first word, one cycle's stride. */
+typedef struct {
+    u128 next[REGIONS], mul[REGIONS], add[REGIONS], inc;
+} streams_t;
+
+/* The chunk's streams: cycle c of a region starts c strides past the
+ * region's first word.  t->state becomes the chunk's last word's. */
+static void streams_begin(const traffic_t *t, int64_t n, int64_t batch, streams_t *z)
+{
+    uint64_t *st = t->state;
+    const u128 s = ((u128)st[0] << 64) | st[1];
+    const uint64_t per[REGIONS] = {t->shift >= 0 ? n / 2 : 0, t->hot ? n : 0, t->rate ? n : 0};
+    uint64_t used = 0;
+    u128 mul, add;
+    z->inc = ((u128)st[2] << 64) | st[3];
+    for (int r = 0; r < REGIONS; r++) {
+        pcg_stride(z->inc, used + 1, &mul, &add);
+        z->next[r] = s * mul + add;
+        pcg_stride(z->inc, per[r], &z->mul[r], &z->add[r]);
+        used += per[r] * (uint64_t)batch;
+    }
+    pcg_stride(z->inc, used, &mul, &add);
+    const u128 last = s * mul + add;
+    st[0] = (uint64_t)(last >> 64);
+    st[1] = (uint64_t)last;
+}
+
+/* The state of region r's next cycle; the region moves one cycle on. */
+static inline u128 next_cycle(streams_t *z, int r)
+{
+    const u128 s = z->next[r];
+    z->next[r] = s * z->mul[r] + z->add[r];
+    return s;
+}
+
+/* The entry rows' live labels, per lane. */
+static void count_live(int64_t n, const wire_t *frontier, wire_t *live)
+{
+    const vec_t *rows = (const vec_t *)frontier;
+    vec_t acc[NV];
+    for (int h = 0; h < NV; h++)
+        acc[h] = (vec_t){0};
+    for (int64_t i = 0; i < n * NV; i += NV)
+        for (int h = 0; h < NV; h++)
+            acc[h] -= rows[i + h] >= 0;
+    memcpy(live, acc, sizeof acc);
+}
+
+#if DRAW_LANES == 8
+typedef wire_t wire8_v __attribute__((vector_size(8 * sizeof(wire_t)), aligned(sizeof(wire_t))));
+
+static inline lanes_t lanes_of(streams_t *z, int r)
+{
+    lanes_t v;
+    for (int j = 0; j < 8; j++) {
+        const u128 s = next_cycle(z, r);
+        v.hi[j] = (uint64_t)(s >> 64);
+        v.lo[j] = (uint64_t)s;
+    }
+    return v;
+}
+
+/* The drawn entry: the nb cycles of a block drawn into the frontier's entry
+ * rows through the input permutation (NULL = none), eight lanes (cycles)
+ * per PCG64 step, one group of eight after another, and each lane's live
+ * labels into live. */
+static void draw_enter(const traffic_t *restrict t, streams_t *restrict z, int64_t n,
+                       int64_t nb, const int64_t *restrict perm, wire_t *restrict frontier,
+                       wire_t *restrict live)
+{
+    const stride_t one = stride_of(PCG_MULT, z->inc);
+    const mask_v hot_flip = (mask_v){0} - !t->hot_ge, rate_flip = (mask_v){0} - !t->rate_ge;
+    for (int g = 0; g < LANES; g += 8) {
+        if (g >= nb) {  /* the rest of the block is past the batch */
+            for (int64_t i = 0; i < n; i++)
+                memset(frontier + i * LANES + g, 0xff, (LANES - g) * sizeof(wire_t));
+            break;
+        }
+        lanes_t lab = lanes_of(z, LABELS), hot = lanes_of(z, HOT), rate = lanes_of(z, RATE);
+        mask_v idle;
+        word_v w = {0};
+        for (int j = 0; j < 8; j++)
+            idle[j] = -(int64_t)(g + j >= nb);
+        for (int64_t i = 0; i < n; i++) {
+            mask_v v;
+            if (t->shift >= 0) {
+                if (!(i & 1))
+                    w = lanes_step(&lab, &one);
+                v = (mask_v)(((i & 1) ? w >> 32 : w & 0xffffffffULL) >> t->shift);
+            } else {
+                v = (mask_v){0} + t->pattern[i];
+            }
+            if (t->hot) {
+                const mask_v m = (mask_v)(lanes_step(&hot, &one) >= t->hot_bound) ^ hot_flip;
+                v = (m & t->hot_value) | (~m & v);
+            }
+            if (t->rate)
+                v |= (mask_v)(lanes_step(&rate, &one) >= t->rate_bound) ^ rate_flip;
+            const wire8_v out = __builtin_convertvector(v | idle, wire8_v);
+            memcpy(frontier + (perm ? perm[i] : i) * LANES + g, &out, sizeof out);
+        }
+    }
+    count_live(n, frontier, live);
+}
+#else
+/* The drawn entry, one 128-bit lane (cycle) after another in each row. */
+static void draw_enter(const traffic_t *restrict t, streams_t *restrict z, int64_t n,
+                       int64_t nb, const int64_t *restrict perm, wire_t *restrict frontier,
+                       wire_t *restrict live)
+{
+    const u128 mul = PCG_MULT, inc = z->inc;
+    u128 lane[REGIONS][LANES];
+    uint64_t w[LANES];
+    for (int g = 0; g < nb; g++)
+        for (int r = 0; r < REGIONS; r++)
+            lane[r][g] = next_cycle(z, r);
+    for (int64_t i = 0; i < n; i++) {
+        wire_t *row = frontier + (perm ? perm[i] : i) * LANES;
+        if (t->shift >= 0) {
+            if (!(i & 1))
+                for (int g = 0; g < nb; g++) {
+                    w[g] = pcg_output(lane[LABELS][g]);
+                    lane[LABELS][g] = lane[LABELS][g] * mul + inc;
+                }
+            for (int g = 0; g < nb; g++)
+                row[g] = (wire_t)((uint32_t)(w[g] >> (32 * (i & 1))) >> t->shift);
+        } else {
+            const vec_t v = (vec_t){0} + (wire_t)t->pattern[i];
+            for (int h = 0; h < NV; h++)
+                memcpy(row + h * LV, &v, sizeof v);
+        }
+        /* Branch-free: `set` is all ones where the entry is set. */
+        if (t->hot)
+            for (int g = 0; g < nb; g++) {
+                const wire_t set = -(wire_t)((pcg_output(lane[HOT][g]) >= t->hot_bound) == t->hot_ge);
+                row[g] = (row[g] & ~set) | ((wire_t)t->hot_value & set);
+                lane[HOT][g] = lane[HOT][g] * mul + inc;
+            }
+        if (t->rate)
+            for (int g = 0; g < nb; g++) {
+                row[g] |= -(wire_t)((pcg_output(lane[RATE][g]) >= t->rate_bound) == t->rate_ge);
+                lane[RATE][g] = lane[RATE][g] * mul + inc;
+            }
+        memset(row + nb, 0xff, (LANES - nb) * sizeof(wire_t));
+    }
+    count_live(n, frontier, live);
+}
+#endif
+#endif
+
 /* One input X into the register file: where its digit is bucket j + g, it
  * enters register g at rank 0 and pushes the others up one rank. */
 #define PUSH(CAP, GROUP, X)                                                        \
@@ -360,11 +548,11 @@ static stage_t *const routine[LOG_SLOTS + 1][LOG_SLOTS + 1] = {
     %(table)s
 };
 
-/* Label-priority counts of `batch` cycles of the (batch, n) demand matrix
- * over the plan's nstages descriptor rows; frontier holds two columns of
- * maxw rows. */
+/* Label-priority counts of `batch` cycles of the (batch, n) demand matrix,
+ * or of the traffic drawn in place, over the plan's nstages descriptor
+ * rows; frontier holds two columns of maxw rows. */
 void repro_lane_counts(
-    const wire_t *restrict dests, int64_t n, int64_t batch,
+    const wire_t *restrict dests, const traffic_t *restrict traffic, int64_t n, int64_t batch,
     const int64_t *restrict stages, int64_t nstages, int64_t maxw,
     const wire_t *restrict links, const uint8_t *restrict falive,
     const int64_t *restrict input_perm, wire_t *restrict frontier,
@@ -372,12 +560,22 @@ void repro_lane_counts(
     int64_t *restrict blocked)
 {
     vec_t off[NV], live[NV], blk[NV];
+#if defined(__SIZEOF_INT128__)
+    streams_t z;
+    if (traffic)
+        streams_begin(traffic, n, batch, &z);
+#endif
     for (int64_t i = 0; i < nstages; i++)
         blocked[i] = 0;
     for (int64_t c0 = 0; c0 < batch; c0 += LANES) {
         const int64_t nb = batch - c0 < LANES ? batch - c0 : LANES;
         vec_t *cur = (vec_t *)frontier, *nxt = cur + maxw * NV, *swap;
-        repro_enter(dests, n, c0, nb, input_perm, frontier, (wire_t *)live);
+#if defined(__SIZEOF_INT128__)
+        if (traffic)
+            draw_enter(traffic, &z, n, nb, input_perm, frontier, (wire_t *)live);
+        else
+#endif
+            repro_enter(dests, n, c0, nb, input_perm, frontier, (wire_t *)live);
         memcpy(off, live, sizeof off);
         for (int64_t i = 0; i < nstages; i++) {
             const int64_t *s = stages + i * L_FIELDS;
@@ -411,6 +609,7 @@ def _lane_source(ctype) -> str:
         "ctype": ctype,
         "wire_min": ctype[:-2].upper() + "_MIN",
         "shuffle": _SHUFFLE_MACRO,
+        "pcg": _PCG_SOURCE,
         "macros": _vector_macros(ctype),
         "lanes": _LANES,
         "slots": _GROUP_SLOTS,
@@ -549,13 +748,107 @@ def _lane_library(wire) -> ctypes.CDLL:
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.repro_lane_counts.restype = None
         lib.repro_lane_counts.argtypes = [
-            ptr, i64, i64,               # dests, n, batch
+            ptr, ptr, i64, i64,          # dests, traffic, n, batch
             ptr, i64, i64,               # stages, nstages, maxw
             ptr, ptr, ptr,               # links, falive, input_perm
             ptr, ptr, ptr, ptr,          # frontier, offered, delivered, blocked
         ]
         _lane_libs[char] = lib
     return lib
+
+
+class _Traffic(ctypes.Structure):
+    """``traffic_t``: a chunk's draws as the lane kernel takes them."""
+
+    _fields_ = [
+        (name, {"p": ctypes.c_void_p, "i": ctypes.c_int64, "u": ctypes.c_uint64}[kind])
+        for name, kind in (
+            ("state", "p"), ("shift", "i"), ("pattern", "p"), ("hot", "i"),
+            ("hot_ge", "i"), ("hot_value", "i"), ("hot_bound", "u"), ("rate", "i"),
+            ("rate_ge", "i"), ("rate_bound", "u"),
+        )
+    ]
+
+
+#: Per wire dtype: whether its lane library draws traffic in place here.
+_lane_draw_checks: dict = {}
+
+
+def _lane_draws(wire) -> bool:
+    """Whether the lane kernel of ``wire`` draws label traffic in place.
+
+    True where a C compiler works, its library has the drawn entry (it
+    needs 128-bit integers), on a little-endian host, and its load-time
+    check (:func:`_lane_draws_agree`) passed; decided once per process and
+    dtype.  Else every chunk takes the demand matrix.
+    """
+    char = np.dtype(wire).char
+    ok = _lane_draw_checks.get(char)
+    if ok is None:
+        ok = (
+            _probe_cc() is None
+            and sys.byteorder == "little"
+            and hasattr(_lane_library(wire), "repro_lane_draws")
+            and _lane_draws_agree(wire)
+        )
+        _lane_draw_checks[char] = ok
+    return ok
+
+
+#: The stream the load-time check draws from.
+_CHECK_SEED = 0x1A7E
+
+
+def _lane_draws_agree(wire) -> bool:
+    """Whether drawn chunks match ``generate_batch`` + the matrix entry.
+
+    Two small plans (one with an input permutation), lowered in ``wire``,
+    route uniform, hot-spot with rate, and pattern-with-rate chunks of 37
+    and 5 cycles both ways on fixed-seed twin streams; counts, blocked
+    totals and the streams' states must agree.  ``uinteger`` is compared
+    only while ``has_uint32`` is set: NumPy's own ``integers`` (the matrix
+    path's small draws) leaves it at the last high half it used, where
+    nothing reads it.
+    """
+    from repro.core.config import EDNParams
+    from repro.sim.stagegraph import edn_graph, omega_graph
+    from repro.workloads.models import (
+        HotspotTraffic,
+        UniformTraffic,
+        structured_permutation,
+    )
+
+    for graph in (omega_graph(16), edn_graph(EDNParams(16, 4, 4, 2))):
+        plan = compile_stage_plan(graph)
+        plan.wire_dtype = np.dtype(wire)  # a private plan, lowered in `wire`
+        kernel, ws = NativeKernel(plan), ChunkWorkspace()
+        n = graph.n_inputs
+        for model in (
+            UniformTraffic(n, n),
+            HotspotTraffic(n, n, rate=0.5, hot_fraction=0.25, hot_output=3),
+            structured_permutation("bit_reversal", n, rate=0.75),
+        ):
+            ours = np.random.Generator(np.random.PCG64(_CHECK_SEED))
+            theirs = np.random.Generator(np.random.PCG64(_CHECK_SEED))
+            for batch in (37, 5):
+                got = kernel.drawn_counts(model.draw_descriptor(), ours, batch, ws)
+                want = kernel.counts(model.generate_batch(theirs, batch, wire), ws)
+                if not (
+                    np.array_equal(got.offered_per_cycle, want.offered_per_cycle)
+                    and np.array_equal(got.delivered_per_cycle, want.delivered_per_cycle)
+                    and got.blocked_by_stage == want.blocked_by_stage
+                    and _stream_state(ours) == _stream_state(theirs)
+                ):
+                    return False
+    return True
+
+
+def _stream_state(rng: np.random.Generator) -> dict:
+    """``rng``'s state dict without ``uinteger`` while no half is pending."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -928,6 +1221,116 @@ def _contended_lib():
 # Toolchain discovery
 # ----------------------------------------------------------------------
 
+#: The PCG64 primitives, shared by the probe's contiguous draws and the
+#: lane kernel's drawn entry: the XSL-RR output, the ``k``-step jump, and
+#: (where the target has AVX-512DQ, ``DRAW_LANES`` 8) eight streams stepped
+#: together on 512-bit vectors.  Elsewhere each stream is one ``unsigned
+#: __int128`` (``DRAW_LANES`` 1).  Guarded on ``__SIZEOF_INT128__``: without
+#: it the draws compile out of both libraries.
+_PCG_SOURCE = """#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+
+#ifndef DRAW_LANES
+#if defined(__AVX512DQ__)
+#define DRAW_LANES 8
+#else
+#define DRAW_LANES 1
+#endif
+#endif
+
+#define INLINE static inline __attribute__((always_inline))
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* XSL-RR: the word of state s. */
+INLINE uint64_t pcg_output(u128 s)
+{
+    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned r = (unsigned)(s >> 122);
+    return (x >> r) | (x << (-r & 63));
+}
+
+/* k steps of the stream with increment inc as one, s -> s * mul + add:
+ * mul = a^k, add = inc * (a^(k-1) + ... + a + 1). */
+INLINE void pcg_stride(u128 inc, uint64_t k, u128 *mul, u128 *add)
+{
+    u128 m = 1, c = 0, am = PCG_MULT, ac = inc;
+    for (; k; k >>= 1) {
+        if (k & 1) {
+            m *= am;
+            c = c * am + ac;
+        }
+        ac *= am + 1;
+        am *= am;
+    }
+    *mul = m;
+    *add = c;
+}
+
+#if DRAW_LANES == 8
+typedef uint64_t word_v __attribute__((vector_size(64)));
+typedef int64_t mask_v __attribute__((vector_size(64)));
+
+/* Eight streams, each lane the state of its next word. */
+typedef struct {
+    word_v hi, lo;
+} lanes_t;
+
+/* A step of every lane, s -> s * mul + add, in 64-bit words. */
+typedef struct {
+    word_v mul_hi, mul_lo, add_hi, add_lo;
+} stride_t;
+
+INLINE stride_t stride_of(u128 mul, u128 add)
+{
+    stride_t t;
+    t.mul_hi = (word_v){0} + (uint64_t)(mul >> 64);
+    t.mul_lo = (word_v){0} + (uint64_t)mul;
+    t.add_hi = (word_v){0} + (uint64_t)(add >> 64);
+    t.add_lo = (word_v){0} + (uint64_t)add;
+    return t;
+}
+
+/* Two AVX-512 instructions the vector extension does not emit, in inline
+ * assembly: including <immintrin.h> would cost more to compile than the
+ * rest of the probe. */
+
+/* The low 32 bits of each lane times those of the other. */
+INLINE word_v mul32(word_v a, word_v b)
+{
+    word_v r;
+    __asm__("vpmuludq %2, %1, %0" : "=v"(r) : "v"(a), "v"(b));
+    return r;
+}
+
+/* Each lane of x rotated right by that lane of r. */
+INLINE word_v rotr(word_v x, word_v r)
+{
+    word_v y;
+    __asm__("vprorvq %2, %1, %0" : "=v"(y) : "v"(x), "v"(r));
+    return y;
+}
+
+/* The lanes' words; then every lane takes one step of t. */
+INLINE word_v lanes_step(lanes_t *v, const stride_t *t)
+{
+    word_v h = v->hi, l = v->lo;
+    word_v w = rotr(h ^ l, h >> 58);
+    /* (h, l) * (mul_hi, mul_lo): the high word of l * mul_lo from 32-bit
+     * products, the two cross terms from 64-bit ones. */
+    const word_v low = (word_v){0} + 0xffffffffULL;
+    word_v l1 = l >> 32, m0 = t->mul_lo, m1 = t->mul_lo >> 32;
+    word_v p00 = mul32(l, m0), p01 = mul32(l, m1), p10 = mul32(l1, m0);
+    word_v mid = (p00 >> 32) + (p01 & low) + (p10 & low);
+    word_v lo = ((mid << 32) | (p00 & low)) + t->add_lo;
+    v->hi = mul32(l1, m1) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        + l * t->mul_hi + h * t->mul_lo + t->add_hi - (word_v)(lo < t->add_lo);
+    v->lo = lo;
+    return w;
+}
+#endif
+#endif
+"""
+
 #: Compiled and called once per process.  It uses the vector extension
 #: and ``SHUFFLE`` the way the lane kernel does, so a compiler that builds
 #: plain C but not the kernel reports ``native`` unavailable instead of
@@ -965,20 +1368,8 @@ long repro_probe(void)
     return (long)w[0] + (long)w[1] + (long)v[31];   /* 21 + 0 + 21 */
 }
 
+""" + _PCG_SOURCE + """
 #if defined(__SIZEOF_INT128__)
-typedef unsigned __int128 u128;
-
-#ifndef DRAW_LANES
-#if defined(__AVX512DQ__)
-#define DRAW_LANES 8
-#else
-#define DRAW_LANES 1
-#endif
-#endif
-
-#define INLINE static inline __attribute__((always_inline))
-#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
-
 long repro_draw_lanes(void)
 {
     return DRAW_LANES;
@@ -988,13 +1379,6 @@ long repro_draw_lanes(void)
 typedef struct {
     u128 s, inc;
 } pcg_t;
-
-INLINE uint64_t pcg_output(u128 s)
-{
-    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
-    unsigned r = (unsigned)(s >> 122);
-    return (x >> r) | (x << (-r & 63));
-}
 
 INLINE uint64_t pcg_next(pcg_t *g)
 {
@@ -1022,72 +1406,30 @@ INLINE void put_entry(void *a, int size, int64_t i, int64_t v)
 }
 
 #if DRAW_LANES == 8
-typedef uint64_t word_v __attribute__((vector_size(64)));
 typedef uint32_t half_v __attribute__((vector_size(64)));
-typedef int64_t mask_v __attribute__((vector_size(64)));
 
-/* Lane j holds the state of the (j+1)-th word not yet drawn; a step is
- * eight LCG steps at once, s -> s * mul + add. */
-typedef struct {
-    word_v hi, lo, mul_hi, mul_lo, add_hi, add_lo;
-} lanes_t;
-
-INLINE lanes_t lanes_start(const pcg_t *g)
+/* Lane j holds the state of the (j+1)-th word not yet drawn; a step of
+ * `eight` is eight words. */
+INLINE lanes_t lanes_start(const pcg_t *g, stride_t *eight)
 {
     lanes_t v;
-    u128 s = g->s, mul = 1, add = 0;
+    u128 s = g->s, mul, add;
     for (int j = 0; j < 8; j++) {
         s = s * PCG_MULT + g->inc;
         v.hi[j] = (uint64_t)(s >> 64);
         v.lo[j] = (uint64_t)s;
-        mul *= PCG_MULT;
-        add = add * PCG_MULT + g->inc;
     }
-    v.mul_hi = (word_v){0} + (uint64_t)(mul >> 64);
-    v.mul_lo = (word_v){0} + (uint64_t)mul;
-    v.add_hi = (word_v){0} + (uint64_t)(add >> 64);
-    v.add_lo = (word_v){0} + (uint64_t)add;
+    pcg_stride(g->inc, 8, &mul, &add);
+    *eight = stride_of(mul, add);
     return v;
-}
-
-/* Two AVX-512 instructions the vector extension does not emit, in inline
- * assembly: including <immintrin.h> would cost more to compile than the
- * rest of the probe. */
-
-/* The low 32 bits of each lane times those of the other. */
-INLINE word_v mul32(word_v a, word_v b)
-{
-    word_v r;
-    __asm__("vpmuludq %2, %1, %0" : "=v"(r) : "v"(a), "v"(b));
-    return r;
-}
-
-/* Each lane of x rotated right by that lane of r. */
-INLINE word_v rotr(word_v x, word_v r)
-{
-    word_v y;
-    __asm__("vprorvq %2, %1, %0" : "=v"(y) : "v"(x), "v"(r));
-    return y;
 }
 
 /* The lanes' eight words; then every lane steps eight words on, and g->s
  * becomes the state of the last word returned. */
-INLINE word_v lanes_next(lanes_t *v, pcg_t *g)
+INLINE word_v lanes_next(lanes_t *v, const stride_t *eight, pcg_t *g)
 {
-    word_v h = v->hi, l = v->lo;
-    word_v w = rotr(h ^ l, h >> 58);
-    /* (h, l) * (mul_hi, mul_lo): the high word of l * mul_lo from 32-bit
-     * products, the two cross terms from 64-bit ones. */
-    const word_v low = (word_v){0} + 0xffffffffULL;
-    word_v l1 = l >> 32, m0 = v->mul_lo, m1 = v->mul_lo >> 32;
-    word_v p00 = mul32(l, m0), p01 = mul32(l, m1), p10 = mul32(l1, m0);
-    word_v mid = (p00 >> 32) + (p01 & low) + (p10 & low);
-    word_v lo = ((mid << 32) | (p00 & low)) + v->add_lo;
-    v->hi = mul32(l1, m1) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-        + l * v->mul_hi + h * v->mul_lo + v->add_hi - (word_v)(lo < v->add_lo);
-    v->lo = lo;
-    g->s = ((u128)h[7] << 64) | l[7];
-    return w;
+    g->s = ((u128)v->hi[7] << 64) | v->lo[7];
+    return lanes_step(v, eight);
 }
 
 INLINE void store_halves(void *out, int size, int64_t at, half_v h)
@@ -1152,9 +1494,10 @@ void repro_draw_labels(uint64_t *st, void *out, int64_t size, int64_t words, int
     int64_t i = 0;
 #if DRAW_LANES == 8
     if (words >= 8) {
-        lanes_t v = lanes_start(&g);
+        stride_t eight;
+        lanes_t v = lanes_start(&g, &eight);
         for (; i + 8 <= words; i += 8)
-            store_halves(out, (int)size, 2 * i, (half_v)lanes_next(&v, &g) >> shift);
+            store_halves(out, (int)size, 2 * i, (half_v)lanes_next(&v, &eight, &g) >> shift);
     }
 #endif
     if (size == 2)
@@ -1177,10 +1520,11 @@ void repro_draw_set(uint64_t *st, void *out, int64_t size, int64_t count,
     int64_t i = 0;
 #if DRAW_LANES == 8
     if (count >= 8) {
-        lanes_t v = lanes_start(&g);
+        stride_t eight;
+        lanes_t v = lanes_start(&g, &eight);
         mask_v flip = (mask_v){0} - !ge;
         for (; i + 8 <= count; i += 8)
-            blend_entries(out, (int)size, i, (mask_v)(lanes_next(&v, &g) >= bound) ^ flip, value);
+            blend_entries(out, (int)size, i, (mask_v)(lanes_next(&v, &eight, &g) >= bound) ^ flip, value);
     }
 #endif
     if (size == 2)
@@ -1528,11 +1872,49 @@ class NativeKernel:
         generator or one per cycle, drawn exactly as
         :meth:`CompiledStageRouter.route_batch_counts` draws them.
         """
-        t = self.tables
         if self._fn is None:
-            return t.random_counts(dests, ws, rng)
+            return self.tables.random_counts(dests, ws, rng)
         dests = np.ascontiguousarray(dests, dtype=self.wire)
         batch, n = dests.shape
+        return self._lanes(dests.ctypes.data, None, n, batch, ws)
+
+    def drawn_counts(
+        self, draws: DrawDescriptor, rng: np.random.Generator, batch: int, ws
+    ) -> Optional[BatchAcceptanceCounts]:
+        """Label counts of ``batch`` cycles drawn inside the lane kernel.
+
+        The words are ``rng``'s (a ``PCG64`` generator), consumed as
+        ``generate_batch`` of the model behind ``draws`` consumes them
+        (:func:`~repro.workloads.models.advance_pcg64`), and the counts are
+        those of routing that chunk.  ``None``, with nothing drawn, when a
+        32-bit half is pending before label draws.  Callers check that the
+        library draws (:func:`_lane_draws`) and that ``draws`` fits the plan.
+        """
+        traffic = _Traffic()
+        if draws.shift is None:
+            traffic.shift = -1
+            traffic.pattern = draws.pattern.ctypes.data
+        else:
+            traffic.shift = draws.shift
+        if draws.hot is not None:
+            traffic.hot = 1
+            traffic.hot_bound, traffic.hot_ge, traffic.hot_value = draws.hot
+        if draws.rate is not None:
+            traffic.rate = 1
+            traffic.rate_bound, traffic.rate_ge = draws.rate
+        result = []
+
+        def draw(words):
+            traffic.state = ctypes.addressof(words)
+            result.append(self._lanes(None, ctypes.byref(traffic), draws.n_inputs, batch, ws))
+
+        if not advance_pcg64(rng, draw, pending_ok=draws.shift is None):
+            return None
+        return result[0]
+
+    def _lanes(self, dests, traffic, n, batch, ws) -> BatchAcceptanceCounts:
+        """One lane-kernel call on a demand matrix's address or a traffic_t."""
+        t = self.tables
         nstages = len(t.stages)
         frontier = ws.array("native_frontier", 2 * t.maxw * _LANES, self.wire)
         # offered, delivered (per cycle) and blocked (per stage) in one array.
@@ -1540,7 +1922,7 @@ class NativeKernel:
         at = _address(out)
         stages, links, falive, input_perm = t._ptrs
         self._fn(
-            dests.ctypes.data, n, batch, stages, nstages, t.maxw, links, falive,
+            dests, traffic, n, batch, stages, nstages, t.maxw, links, falive,
             input_perm, _address(frontier), at, at + 8 * batch, at + 16 * batch,
         )
         return BatchAcceptanceCounts(
@@ -1617,6 +1999,36 @@ class NativeStageRouter(CompiledStageRouter):
         int64 matrix is ever built.
         """
         return self._plan.wire_dtype
+
+    def draw_batch_counts(self, traffic, rng, batch: int) -> Optional[BatchAcceptanceCounts]:
+        """Draw ``batch`` cycles of ``traffic`` on ``rng`` and count them, in
+        one lane-kernel call, or return ``None`` with nothing drawn.
+
+        The counts, and ``rng``'s state afterwards, are those of
+        ``route_batch_counts(traffic.generate_batch(rng, batch,
+        self.demand_dtype))``, with no demand matrix in between: each lane
+        of the kernel computes its own cycle's ``PCG64`` words.  ``None``
+        for random priority, a plan that routes on NumPy, a model without a
+        :class:`~repro.workloads.models.DrawDescriptor` or with other
+        terminal counts than the graph's, a generator other than
+        ``PCG64``, a pending 32-bit half before label draws, and where the
+        library cannot draw (:func:`_lane_draws`): the caller then takes
+        the demand matrix, whose bounds scan reports mismatched labels.
+        """
+        if self.priority != "label":
+            return None
+        kernel = kernel_for(self._plan)
+        draws = traffic.draw_descriptor()
+        g = self.graph
+        if (
+            kernel._fn is None
+            or draws is None
+            or (draws.n_inputs, draws.n_outputs) != (g.n_inputs, g.n_outputs)
+            or type(getattr(rng, "bit_generator", None)) is not np.random.PCG64
+            or not _lane_draws(kernel.wire)
+        ):
+            return None
+        return kernel.drawn_counts(draws, rng, batch, self._plan.workspace())
 
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None

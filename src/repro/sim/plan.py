@@ -98,6 +98,19 @@ _LANE_BITS = 8
 _LANE_MASK = (1 << _LANE_BITS) - 1
 
 
+#: The boundary every workspace buffer starts on: one cache line.
+_ALIGN = 64
+
+
+def _aligned_empty(size: int, dtype) -> np.ndarray:
+    """An uninitialized ``size``-element array starting on an ``_ALIGN`` boundary."""
+    dtype = np.dtype(dtype)
+    nbytes = size * dtype.itemsize
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    skip = -raw.ctypes.data % _ALIGN
+    return raw[skip : skip + nbytes].view(dtype)
+
+
 class ChunkWorkspace:
     """Named scratch buffers, grown monotonically and reused across calls.
 
@@ -119,11 +132,16 @@ class ChunkWorkspace:
         self._buffers: dict[tuple[str, str], np.ndarray] = {}
 
     def array(self, name: str, size: int, dtype) -> np.ndarray:
-        """An uninitialized ``size``-element view of the named buffer."""
+        """An uninitialized ``size``-element view of the named buffer.
+
+        Every buffer starts on a 64-byte boundary, so a kernel's 64-byte
+        rows (the native lane kernel's frontier) never straddle two cache
+        lines.
+        """
         key = (name, np.dtype(dtype).char)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            buf = np.empty(size, dtype=dtype)
+            buf = _aligned_empty(size, dtype)
             self._buffers[key] = buf
         return buf[:size]
 

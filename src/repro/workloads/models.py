@@ -41,6 +41,12 @@ buffered 32-bit half (integer draws), a big-endian host, and every draw on
 a host without a working C compiler.  Streams, and with them every
 measurement and content key, are the same on both paths.
 
+The models whose chunks are fixed functions of raw ``PCG64`` words
+(uniform, hot-spot, fixed patterns) also describe how they use them
+(:class:`DrawDescriptor`), so a consumer that computes the words itself,
+the native lane kernel, reproduces ``generate_batch`` with no demand
+matrix in between.
+
 Models are rarely constructed by hand; the string-spec registry in
 :mod:`repro.workloads.registry` is the canonical front door
 (``make_traffic("hotspot:0.1", 64, 64)``), and every registry-built model
@@ -61,6 +67,7 @@ import functools
 import math
 import sys
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,6 +85,7 @@ __all__ = [
     "BurstyTraffic",
     "MixtureTraffic",
     "TraceTraffic",
+    "DrawDescriptor",
     "structured_permutation",
     "STRUCTURED_PATTERNS",
 ]
@@ -101,6 +109,54 @@ _CHECK_SEED = 0x5EED
 #: ``bit_generator.state`` costs more than the C loop saves on them (a
 #: per-cycle draw is a few hundred words).
 _C_MIN_WORDS = 1 << 10
+
+
+def _threshold(p: float, below: bool) -> tuple[int, bool]:
+    """``(bound, ge)`` such that ``(random() < p) == below`` holds on a word
+    exactly when ``(word >= bound) == ge``.
+
+    ``random()`` is ``(word >> 11) * 2**-53``, so it is below ``p`` exactly
+    when ``word < ceil(p * 2**53) << 11``.  Every word is below a ``p >=
+    1``, so that case asks for ``word >= 0`` (always) or its negation.
+    """
+    if p >= 1.0:
+        return 0, below
+    return (math.ceil(p * 2**53) << 11 if p > 0.0 else 0), not below
+
+
+def _label_shift(n: int) -> Optional[int]:
+    """The shift that makes a 32-bit half a draw in ``range(n)``, or ``None``.
+
+    For a power-of-two ``n`` in ``[2, 2**32]`` NumPy's Lemire draw never
+    rejects, so each value is the top ``log2(n)`` bits of one half.
+    """
+    if 2 <= n <= 1 << 32 and not n & (n - 1):
+        return 33 - n.bit_length()
+    return None
+
+
+def advance_pcg64(rng: np.random.Generator, draw, pending_ok: bool) -> bool:
+    """Run ``draw(words)`` on ``rng``'s ``PCG64`` stream, ``words`` being a
+    ``uint64[4]`` of state high, low, increment high, low; ``draw`` leaves
+    the state of the last word it drew in the first two.
+
+    Holds the bit generator's lock, reads ``bit_generator.state`` once and
+    writes the advanced state back with ``has_uint32`` and ``uinteger`` as
+    read.  False, with nothing drawn, when a 32-bit half is pending and
+    ``pending_ok`` is not set (NumPy would hand that half out first).
+    """
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        state = bitgen.state
+        if state["has_uint32"] and not pending_ok:
+            return False
+        inner = state["state"]
+        s, inc = inner["state"], inner["inc"]
+        words = _STATE(s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
+        draw(words)
+        inner["state"] = words[0] << 64 | words[1]
+        bitgen.state = state
+    return True
 
 
 class _CDraws:
@@ -133,18 +189,8 @@ class _CDraws:
         a half is pending and ``pending_ok`` is not set (nothing drawn)."""
         if not flat.size:
             return True  # nothing to draw (and no buffer to point at)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            state = bitgen.state
-            if state["has_uint32"] and not pending_ok:
-                return False
-            inner = state["state"]
-            s, inc = inner["state"], inner["inc"]
-            words = _STATE(s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
-            draw(words, ctypes.addressof(ctypes.c_char.from_buffer(flat)), *args)
-            inner["state"] = words[0] << 64 | words[1]
-            bitgen.state = state
-        return True
+        address = ctypes.addressof(ctypes.c_char.from_buffer(flat))
+        return advance_pcg64(rng, lambda words: draw(words, address, *args), pending_ok)
 
     def labels(self, rng: np.random.Generator, flat: np.ndarray, shift: int) -> bool:
         """Fill ``flat`` (even size) with each next 32-bit half ``>> shift``.
@@ -159,14 +205,10 @@ class _CDraws:
     def set_where(self, rng, flat: np.ndarray, p: float, below: bool, value: int) -> None:
         """``flat[i] = value`` wherever ``(random() < p) == below`` on word ``i``.
 
-        The C sets entries whose word is ``>= bound`` (``ge``) or ``<``
-        it.  Every word is below a ``p >= 1``, so that case asks for
-        ``word >= 0`` (always) or ``word < 0`` (never).
+        The C sets entries whose word is ``>= bound`` (``ge``) or ``<`` it
+        (:func:`_threshold`).
         """
-        if p >= 1.0:
-            bound, ge = 0, below
-        else:
-            bound, ge = (math.ceil(p * 2**53) << 11 if p > 0.0 else 0), not below
+        bound, ge = _threshold(p, below)
         self._advance(
             rng, self._set, flat, flat.itemsize, flat.size, bound, ge, value, pending_ok=True
         )
@@ -241,12 +283,13 @@ def _integers(rng: np.random.Generator, n: int, size, dtype=np.int64) -> np.ndar
     out first.
     """
     n = int(n)
-    if 2 <= n <= 1 << 32 and not n & (n - 1):
+    shift = _label_shift(n)
+    if shift is not None:
         out = np.empty(size, dtype=dtype)
         flat = out.reshape(-1)
         pairs = flat.size // 2
         draws = _c_serving(rng, flat, pairs)
-        if draws is not None and draws.labels(rng, flat[: 2 * pairs], 33 - n.bit_length()):
+        if draws is not None and draws.labels(rng, flat[: 2 * pairs], shift):
             if flat.size % 2:
                 flat[-1] = rng.integers(0, n, size=1, dtype=np.int64)[0]
             return out
@@ -291,8 +334,43 @@ def _integer_labels(values, what: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+@dataclass(frozen=True, eq=False)
+class DrawDescriptor:
+    """A chunk of a model as raw ``PCG64`` words: what a consumer that draws
+    the words itself (the native lane kernel) needs to reproduce
+    :meth:`TrafficGenerator.generate_batch` bit for bit.
+
+    A chunk of ``m`` cycles consumes, in order: ``m * n_inputs / 2`` label
+    words (entry ``(c, i)`` is half ``i % 2`` of word ``(c * n_inputs + i)
+    // 2``, low half first, ``>> shift``), or none where ``pattern`` gives
+    every cycle's destinations; then, if ``hot`` is set, ``m * n_inputs``
+    words, entry ``(c, i)`` becoming ``value`` where ``(word >= bound) ==
+    ge`` on word ``c * n_inputs + i``; then, if ``rate`` is set, as many
+    words again, which set ``IDLE`` the same way.
+    """
+
+    n_inputs: int
+    n_outputs: int
+    #: Label draws: each 32-bit half ``>> shift``; ``None`` with a pattern.
+    shift: Optional[int] = None
+    #: The fixed destinations (read-only int64), or ``None``.
+    pattern: Optional[np.ndarray] = None
+    #: ``(bound, ge, value)`` of the hot-spot draws, or ``None``.
+    hot: Optional[tuple[int, bool, int]] = None
+    #: ``(bound, ge)`` of the rate draws, or ``None`` at full rate.
+    rate: Optional[tuple[int, bool]] = None
+
+
+def _rate_draws(rate: float) -> Optional[tuple[int, bool]]:
+    """The rate draws of :meth:`TrafficGenerator._apply_rate`, as a threshold."""
+    return None if rate >= 1.0 else _threshold(rate, False)
+
+
 class TrafficGenerator:
     """Base class: a callable source of per-cycle destination vectors."""
+
+    #: See :meth:`draw_descriptor`.
+    _draws: Optional[DrawDescriptor] = None
 
     def __init__(self, n_inputs: int, n_outputs: int):
         if n_inputs < 1 or n_outputs < 1:
@@ -347,6 +425,16 @@ class TrafficGenerator:
             )
         return dtype
 
+    def draw_descriptor(self) -> Optional[DrawDescriptor]:
+        """How :meth:`generate_batch` uses its words, or ``None``.
+
+        Set by the models whose chunks are fixed functions of raw ``PCG64``
+        words (:class:`UniformTraffic` and :class:`HotspotTraffic` with a
+        power-of-two output count and an even input count, and
+        :class:`FixedPattern`); every other model returns ``None``.
+        """
+        return self._draws
+
     def describe(self) -> str:
         """The canonical workload spec string this model round-trips through.
 
@@ -375,6 +463,18 @@ class TrafficGenerator:
         return flat.reshape(dests.shape)
 
 
+def _label_draws(model, hot=None) -> Optional[DrawDescriptor]:
+    """The descriptor of a uniform (or hot-spot) model's chunks, where its
+    labels are whole 32-bit halves: a power-of-two output count, and an
+    even input count, so every cycle starts on a whole word."""
+    shift = _label_shift(model.n_outputs)
+    if shift is None or model.n_inputs % 2:
+        return None
+    return DrawDescriptor(
+        model.n_inputs, model.n_outputs, shift=shift, hot=hot, rate=_rate_draws(model.rate)
+    )
+
+
 def _check_rate(rate: float) -> float:
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"rate must lie in [0, 1], got {rate}")
@@ -396,6 +496,7 @@ class UniformTraffic(TrafficGenerator):
     def __init__(self, n_inputs: int, n_outputs: int, rate: float = 1.0):
         super().__init__(n_inputs, n_outputs)
         self.rate = _check_rate(rate)
+        self._draws = _label_draws(self)
 
     def generate(self, rng: np.random.Generator) -> np.ndarray:
         dests = _integers(rng, self.n_outputs, self.n_inputs)
@@ -470,6 +571,11 @@ class FixedPattern(TrafficGenerator):
         self.dests = dests
         self.rate = _check_rate(rate)
         self.label = label
+        pattern = np.ascontiguousarray(dests).view()
+        pattern.flags.writeable = False
+        self._draws = DrawDescriptor(
+            self.n_inputs, n_outputs, pattern=pattern, rate=_rate_draws(self.rate)
+        )
 
     def generate(self, rng: np.random.Generator) -> np.ndarray:
         return self._apply_rate(self.dests.copy(), self.rate, rng)
@@ -514,6 +620,7 @@ class HotspotTraffic(TrafficGenerator):
         self.rate = _check_rate(rate)
         self.hot_fraction = hot_fraction
         self.hot_output = hot_output
+        self._draws = _label_draws(self, (*_threshold(hot_fraction, True), hot_output))
 
     def generate(self, rng: np.random.Generator) -> np.ndarray:
         return self._draw(rng, self.n_inputs, np.int64)

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
+from repro.api import NetworkSpec, RunConfig
+from repro.api.jobs import (
+    SweepCell,
+    measure_cell,
+    measurement_from_payload,
+    measurement_to_payload,
+)
 from repro.core.exceptions import ConfigurationError
 from repro.serve.protocol import (
     TcpAddress,
@@ -63,3 +73,43 @@ class TestFraming:
     def test_decode_rejects_non_messages(self, bad):
         with pytest.raises(ValueError):
             decode_message(bad)
+
+
+def _strict(token: str):
+    raise AssertionError(f"not strict JSON: {token}")
+
+
+class TestStrictJson:
+    """Every line is RFC 8259 JSON: an unbounded interval side is ``null``."""
+
+    CELLS = (
+        # One cycle: the acceptance interval is (-inf, inf).
+        ("delta:4,4,2", RunConfig(cycles=1, seed=0)),
+        # A closed loop that delivers nothing: attempts and latency too.
+        ("edn:16,4,4,2", RunConfig(cycles=20, seed=0, retry="4", traffic="uniform:0")),
+    )
+
+    @pytest.mark.parametrize("spec, config", CELLS)
+    def test_unbounded_intervals_encode_as_null(self, spec, config):
+        measurement = measure_cell(SweepCell(NetworkSpec.parse(spec), config))
+        line = encode_message({"type": "result", "payload": measurement_to_payload(measurement)})
+        message = json.loads(line, parse_constant=_strict)
+        back = measurement_from_payload(message["payload"])
+        assert back.acceptance == measurement.acceptance
+        if config.retry is None:
+            unbounded = message["payload"]["acceptance"]
+        else:
+            assert back.attempts == measurement.attempts
+            assert back.latency == measurement.latency
+            unbounded = message["payload"]["closed_loop"]["latency"]
+        assert unbounded[1:] == [None, None]
+
+    def test_encoding_refuses_non_finite_floats(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                encode_message({"type": "x", "value": value})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_decoding_refuses_non_finite_tokens(self, token):
+        with pytest.raises(ValueError):
+            decode_message('{"type": "x", "value": %s}' % token)

@@ -21,7 +21,12 @@ hotspot rows and all-to-one rows, at batches around the native kernel's
 * buffered stepping under both priorities, with a mid-run fault swap:
   native ``step`` vs :class:`CompiledStageRouter` ``step`` vs
   :class:`BufferedStageReference`, cycle by cycle, and conservation
-  ``injected == delivered + in_flight + dropped``.
+  ``injected == delivered + in_flight + dropped``;
+* label traffic drawn inside the lane kernel, in every wire dtype of the
+  lane library: counts vs ``generate_batch`` + the matrix entry,
+  :class:`CompiledStageRouter` and the reference interpreter, and the
+  generator's state after every chunk; every fallback takes the matrix
+  path and agrees.
 
 Examples are derandomized and their number fixed, so a run costs the
 same few seconds every time.  Native cases need a working C compiler;
@@ -31,16 +36,21 @@ without one the NumPy engines are still checked against the references.
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.exceptions import LabelError
 from repro.core.faults import WireFault
 from repro.sim import native
 from repro.sim.batched import BatchAcceptanceCounts, CompiledStageRouter
+from repro.sim.montecarlo import measure_acceptance
 from repro.sim.plan import compile_stage_plan
+from repro.workloads import make_traffic, models
+from repro.workloads.models import STRUCTURED_PATTERNS, FixedPattern
 from repro.sim.stagegraph import (
     BufferedStageReference,
     GraphStage,
@@ -329,3 +339,163 @@ def test_buffered_steps_agree(case):
         )
     for rng in rngs[1:]:
         assert rng.bit_generator.state == rngs[0].bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Label traffic drawn inside the lane kernel
+# ----------------------------------------------------------------------
+
+DRAWS = HAS_CC and native._lane_draws(np.int16)
+needs_draws = pytest.mark.skipif(not DRAWS, reason="the lane kernel does not draw here")
+
+#: Traffic the lane kernel draws: rates 0, 0.37 and 1, hot fractions 0,
+#: 0.1 and 1, another hot output, and patterns thinned by a rate.
+DRAWN_TRAFFIC = (
+    "uniform", "uniform:0", "uniform:0.37", "hotspot:0", "hotspot:0.1", "hotspot:1",
+    "hotspot:0.1,out=last,rate=0.37", "bitrev:0.37", "identity:0.37",
+)
+DRAWN_BATCHES = (1, 31, 33, 64, 67)
+#: The lane library's wire dtypes; a plan is lowered in its own or a wider one.
+WIRES = ("int16", "int32", "int64")
+
+
+def traffic_for(spec: str, graph: StageGraph):
+    """``spec`` sized to ``graph``; a pattern of a non-square graph wraps
+    its labels into the outputs."""
+    n, m = graph.n_inputs, graph.n_outputs
+    name, _, rate = spec.partition(":")
+    if name in ("bitrev", "identity") and n != m:
+        pattern = STRUCTURED_PATTERNS["bit_reversal" if name == "bitrev" else name](n)
+        return FixedPattern(pattern % m, m, rate=float(rate or 1))
+    return make_traffic(spec.replace("last", str(m - 1)), n, m)
+
+
+def lowered(graph, faults, wire):
+    """A private plan of ``graph`` whose lane kernel runs on ``wire`` wires
+    (the plan's own dtype, or a wider one)."""
+    plan = compile_stage_plan(graph, faults=faults)
+    if np.dtype(wire).itemsize > plan.wire_dtype.itemsize:
+        plan.wire_dtype = np.dtype(wire)
+    return plan
+
+
+@needs_draws
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    stage_graphs(),
+    st.data(),
+    st.sampled_from(DRAWN_TRAFFIC),
+    st.sampled_from(DRAWN_BATCHES),
+    st.sampled_from(WIRES),
+    st.integers(0, 2**31 - 1),
+)
+def test_drawn_chunks_match_the_matrix_path(graph, data, spec, batch, wire, seed):
+    # The matrix path's draws run in C at every size here, so the two state
+    # dicts agree whole (NumPy's own small draws leave ``uinteger`` at
+    # their last high half; see test_the_real_size_threshold_agrees).
+    faults = data.draw(fault_sets(graph))
+    plan = lowered(graph, faults, wire)
+    kernel, ws = native.NativeKernel(plan), plan.workspace()
+    assume(kernel.tables is not None)  # a capacity above 8 routes on NumPy
+    traffic = traffic_for(spec, graph)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    compiled = CompiledStageRouter(graph, faults=faults)
+    reference = StageGraphReference(graph, faults=faults)
+    with mock.patch.object(models, "_C_MIN_WORDS", 0):
+        for _ in range(2):  # the state must be right after every chunk
+            got = kernel.drawn_counts(traffic.draw_descriptor(), ours, batch, ws)
+            dests = traffic.generate_batch(theirs, batch)
+            assert_counts_equal(got, kernel.counts(dests.astype(plan.wire_dtype), ws))
+            assert_counts_equal(got, compiled.route_batch_counts(dests))
+            assert_counts_equal(got, counts_of([reference.route(row) for row in dests]))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+    assert_same_stream(ours, theirs)
+
+
+@needs_draws
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(stage_graphs(), st.sampled_from(DRAWN_TRAFFIC), st.integers(0, 2**31 - 1))
+def test_measurements_are_those_of_the_matrix_path(graph, spec, seed):
+    # The router's own selection, over chunks of 32 and a short last one.
+    assume(max(stage.capacity for stage in graph.stages) <= native._GROUP_SLOTS)
+    router = native.NativeStageRouter(graph)
+    traffic = traffic_for(spec, graph)
+    drawn = []
+    real = native.NativeStageRouter.draw_batch_counts
+
+    def spy(self, *args):
+        drawn.append(real(self, *args))
+        return drawn[-1]
+
+    with mock.patch.object(native.NativeStageRouter, "draw_batch_counts", spy):
+        got = measure_acceptance(router, traffic, cycles=70, batch=32, seed=seed)
+    assert len(drawn) == 3 and None not in drawn
+    with mock.patch.object(native.NativeStageRouter, "draw_batch_counts", lambda *a: None):
+        want = measure_acceptance(router, traffic, cycles=70, batch=32, seed=seed)
+    assert got == want
+
+
+def square64() -> StageGraph:
+    """Two columns of 8x8 switches over 64 terminals."""
+    return StageGraph(
+        label="square:64", n_inputs=64, n_outputs=64,
+        stages=(GraphStage(8, 8, 1, 3, link_perm=("rotl", 6, 3)), GraphStage(8, 8, 1, 0)),
+    )
+
+
+@needs_draws
+@pytest.mark.parametrize("spec", ["uniform:0.37", "hotspot:0.1,rate=0.5", "bitrev:0.37"])
+def test_the_real_size_threshold_agrees(spec):
+    """With NumPy's own calls drawing small matrix chunks, only the dead
+    ``uinteger`` (no half pending) may differ from the drawn path's."""
+    graph = square64()
+    router = native.NativeStageRouter(graph)
+    traffic = make_traffic(spec, 64, 64)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for batch in (1, 33, 64):  # 32 to 2,048 label words
+        got = router.draw_batch_counts(traffic, ours, batch)
+        assert_counts_equal(got, router.route_batch_counts(
+            traffic.generate_batch(theirs, batch, router.demand_dtype)
+        ))
+        assert native._stream_state(ours) == native._stream_state(theirs)
+    assert_same_stream(ours, theirs)
+
+
+FALLBACKS = ("philox", "mt19937", "pending", "fewer-outputs", "permutation")
+
+
+@needs_draws
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_fallbacks_take_the_matrix_path_and_agree(case):
+    graph = square64()
+    router = native.NativeStageRouter(graph)
+    kind = case if case in ("philox", "mt19937") else "pcg64"
+    traffic = {
+        "fewer-outputs": lambda: make_traffic("uniform:0.5", 64, 32),
+        "permutation": lambda: make_traffic("permutation:0.5", 64, 64),
+    }.get(case, lambda: make_traffic("hotspot:0.1,rate=0.5", 64, 64))()
+
+    def stream():
+        return generator(kind, 9, pending=case == "pending")
+
+    probe = stream()
+    assert router.draw_batch_counts(traffic, probe, 33) is None
+    assert_same_stream(probe, stream())  # nothing drawn
+    ours, theirs = stream(), stream()
+    got = measure_acceptance(router, traffic, cycles=70, batch=33, seed=ours)
+    with mock.patch.object(native.NativeStageRouter, "draw_batch_counts", lambda *a: None):
+        want = measure_acceptance(router, traffic, cycles=70, batch=33, seed=theirs)
+    assert got == want
+    assert_same_stream(ours, theirs)
+
+
+@needs_draws
+def test_labels_past_the_outputs_still_raise():
+    # A model with more outputs than the graph: the drawn path declines, and
+    # the matrix path's bounds scan rejects the chunk as it always has.
+    graph = square64()
+    router = native.NativeStageRouter(graph)
+    traffic = make_traffic("uniform", 64, 128)
+    assert router.draw_batch_counts(traffic, np.random.default_rng(1), 32) is None
+    with pytest.raises(LabelError):
+        measure_acceptance(router, traffic, cycles=64, batch=32, seed=1)

@@ -32,7 +32,8 @@ def built_with_clang(monkeypatch, tmp_path_factory):
     """Every probe and lane library of the test built by clang, afresh."""
     monkeypatch.setattr(native, "_compiler", lambda: CLANG)
     for name, value in (
-        ("_lane_libs", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
+        ("_lane_libs", {}), ("_lane_draw_checks", {}), ("_cc_probed", False),
+        ("_cc_error", None), ("_probe_lib", None),
     ):
         monkeypatch.setattr(native, name, value)
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path_factory.getbasetemp() / "clang"))

@@ -18,6 +18,7 @@ cases fake a failed compiler probe and run everywhere.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import os
 import signal
@@ -57,6 +58,8 @@ from repro.sim.stagegraph import (
     edn_graph,
     omega_graph,
 )
+from repro.workloads import make_traffic
+from repro.workloads.models import FixedPattern, HotspotTraffic, UniformTraffic
 
 GRAPHS = {
     "edn": lambda: edn_graph(EDNParams(16, 4, 4, 2)),
@@ -208,7 +211,8 @@ class TestDemandDtype:
             return original(self, dests, ws)
 
         monkeypatch.setattr(NativeKernel, "counts", spy)
-        traffic = make_traffic("hotspot:0.1,rate=0.5", 64, 64)
+        # A model the lane kernel cannot draw, so every chunk is a matrix.
+        traffic = make_traffic("permutation:0.5", 64, 64)
         got = measure_acceptance(NativeStageRouter(graph), traffic, cycles=70, seed=3)
         monkeypatch.undo()
         want = measure_acceptance(CompiledStageRouter(graph), traffic, cycles=70, seed=3)
@@ -437,7 +441,8 @@ class TestEntryTranspose:
             pytest.skip(reason)
         monkeypatch.setattr(native, "_FLAG_LADDER", ((f"-march={march}",),))
         for name, value in (
-            ("_lane_libs", {}), ("_cc_probed", False), ("_cc_error", None), ("_probe_lib", None)
+            ("_lane_libs", {}), ("_lane_draw_checks", {}), ("_cc_probed", False),
+            ("_cc_error", None), ("_probe_lib", None),
         ):
             monkeypatch.setattr(native, name, value)
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(width_caches[march]))
@@ -497,6 +502,32 @@ class TestEntryTranspose:
                 assert_counts_equal(got, want)
                 assert_counts_equal(got, reference_counts(graph, dests, faults))
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_drawn_entry_matches_the_matrix_entry(self, vector_width, dtype):
+        # The load-time check passes at this width, and every plan below
+        # lowered in `dtype` counts drawn chunks as it counts the matrix,
+        # in whole and partial lane blocks (and PCG64 lane groups).
+        assert native._lane_draws(dtype)
+        for case in sorted(WIDTH_CASES):
+            graph, faults = WIDTH_CASES[case]()
+            plan = compile_stage_plan(graph, faults=faults)
+            if np.dtype(dtype).itemsize < plan.wire_dtype.itemsize:
+                continue
+            plan.wire_dtype = np.dtype(dtype)  # a private plan, lowered in `dtype`
+            kernel, ws = native.NativeKernel(plan), plan.workspace()
+            n, m = graph.n_inputs, graph.n_outputs
+            for traffic in (
+                UniformTraffic(n, m, rate=0.37),
+                HotspotTraffic(n, m, rate=0.6, hot_fraction=0.1, hot_output=m - 1),
+                FixedPattern(np.arange(n)[::-1] % m, m, rate=0.37),
+            ):
+                ours, theirs = make_rng(3), make_rng(3)
+                for batch in (1, L - 1, L + 1, 2 * L + 3):
+                    got = kernel.drawn_counts(traffic.draw_descriptor(), ours, batch, ws)
+                    want = kernel.counts(traffic.generate_batch(theirs, batch, dtype), ws)
+                    assert_counts_equal(got, want)
+                    assert native._stream_state(ours) == native._stream_state(theirs)
+
     @pytest.mark.parametrize("batch", [1, L - 1, L + 1, 2 * L + 3])
     @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
     def test_kernel_matches_both_engines(self, vector_width, case, batch):
@@ -508,6 +539,41 @@ class TestEntryTranspose:
         assert_counts_equal(got, want)
         assert_counts_equal(got, reference_counts(graph, dests, faults))
         assert got.offered_per_cycle.tolist() == (dests >= 0).sum(axis=1).tolist()
+
+
+def _off_by_one_bit(descriptor):
+    return dataclasses.replace(descriptor, shift=descriptor.shift + 1)
+
+
+def _rate_flipped(descriptor):
+    bound, ge = descriptor.rate
+    return dataclasses.replace(descriptor, rate=(bound, not ge))
+
+
+def _pattern_to_one_output(descriptor):
+    return dataclasses.replace(descriptor, pattern=np.zeros_like(descriptor.pattern))
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "model, wrong",
+    [
+        (UniformTraffic, _off_by_one_bit),
+        (FixedPattern, _rate_flipped),
+        (FixedPattern, _pattern_to_one_output),
+    ],
+)
+def test_load_check_turns_wrong_lane_draws_off(monkeypatch, model, wrong):
+    """A wrong descriptor fails the lane draws' load-time check, and every
+    chunk then takes the demand matrix."""
+    assert native._lane_draws(np.int16)
+    real = model.draw_descriptor
+    monkeypatch.setattr(model, "draw_descriptor", lambda self: wrong(real(self)))
+    monkeypatch.setattr(native, "_lane_draw_checks", {})
+    assert not native._lane_draws(np.int16)
+    router = NativeStageRouter(omega_graph(64))
+    rng = make_rng(1)
+    assert router.draw_batch_counts(make_traffic("hotspot:0.1", 64, 64), rng, L) is None
 
 
 @needs_cc

@@ -66,6 +66,17 @@ class TestChunkWorkspace:
         b.fill(2)
         assert (a == 1).all() and (b == 2).all()
 
+    def test_every_view_starts_on_a_cache_line(self):
+        # The native lane kernel's 64-byte frontier rows must not straddle
+        # two cache lines, whatever the allocator hands out.
+        ws = ChunkWorkspace()
+        for size in (1, 3, 64, 1000, 4097, 2 * 4160 * 32):
+            for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8):
+                for name in ("native_frontier", "other"):
+                    view = ws.array(name, size, dtype)
+                    assert view.size == size and view.dtype == dtype
+                    assert view.ctypes.data % 64 == 0, (name, size, dtype)
+
     def test_clear_releases(self):
         ws = ChunkWorkspace()
         ws.array("x", 1024, np.int64)
