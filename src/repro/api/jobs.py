@@ -32,14 +32,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.api import registry
 from repro.api.spec import NetworkSpec, RunConfig
 from repro.core.exceptions import ConfigurationError
 from repro.core.faults import WireFault
+from repro.sim import montecarlo
+from repro.sim import plan as plan_cache
+from repro.workloads import registry as workloads
 
 if TYPE_CHECKING:
     from repro.sim.montecarlo import AcceptanceMeasurement
@@ -369,6 +374,80 @@ class CellResult:
     quarantined: bool = False
 
 
+#: Traffic models the cell-path memo keeps, oldest dropped first.
+_TRAFFIC_MEMO = 64
+
+
+class _CellMemo:
+    """What :func:`measure_cell` builds for a cell that the next cell can
+    reuse as it is.  Thread-safe.
+
+    * **Routers** per ``(spec, resolved backend)``, for the plan-backed
+      engines only (``batched`` and ``native``): between measurements
+      they hold nothing but their plan and its per-thread scratch.  An
+      entry goes when the plan cache drops its plan
+      (:data:`repro.sim.plan._drop_listeners`), so the memo never keeps
+      alive a plan the cache has evicted, and it never holds more
+      routers than the cache holds plans per backend.
+    * **Traffic models** per ``(workload, n_inputs, n_outputs)``, for the
+      models with a :class:`~repro.workloads.models.DrawDescriptor`
+      (uniform, hot-spot, fixed patterns), which are immutable; at most
+      ``_TRAFFIC_MEMO`` of them.  Trace, bursty, mixture and permutation
+      models are built per cell.
+    """
+
+    __slots__ = ("_lock", "_routers", "_traffic")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._routers: dict = {}
+        self._traffic: dict = {}
+
+    def router(self, spec: NetworkSpec, backend):
+        key = (spec, backend.name)
+        with self._lock:
+            router = self._routers.get(key)
+        if router is None:
+            router = registry.build_router(spec, backend.name)
+            plan = getattr(router, "_plan", None)
+            if isinstance(plan, plan_cache.StagePlan):
+                with self._lock:
+                    self._routers[key] = router
+                if not plan_cache.is_cached(plan):  # dropped before the entry went in
+                    self.forget([plan])
+        return router
+
+    def traffic(self, workload: Optional[str], n_inputs: int, n_outputs: int):
+        key = ("uniform" if workload is None else workload, n_inputs, n_outputs)
+        with self._lock:
+            model = self._traffic.get(key)
+        if model is None:
+            model = workloads.make_traffic(*key)
+            if model.draw_descriptor() is not None:
+                with self._lock:
+                    if len(self._traffic) >= _TRAFFIC_MEMO:
+                        del self._traffic[next(iter(self._traffic))]
+                    self._traffic[key] = model
+        return model
+
+    def forget(self, plans) -> None:
+        """Drop the routers of ``plans``."""
+        dropped = {id(plan) for plan in plans}
+        with self._lock:
+            for key in [k for k, r in self._routers.items() if id(r._plan) in dropped]:
+                del self._routers[key]
+
+
+_memo = _CellMemo()
+
+
+def _forget_plans(plans) -> None:
+    _memo.forget(plans)
+
+
+plan_cache._drop_listeners.append(_forget_plans)
+
+
 def measure_cell(cell: SweepCell, *, progress=None):
     """Execute one cell — the single definition of cell semantics.
 
@@ -380,6 +459,12 @@ def measure_cell(cell: SweepCell, *, progress=None):
     forwarded to the harness (chunk-boundary streaming callback); it
     observes only, so results are identical with or without it.
 
+    What does not change between cells is kept (:class:`_CellMemo`):
+    the router of each ``(spec, backend)``, and the traffic models whose
+    chunks the native lane kernel draws itself.  The backend is resolved
+    on every call, so a host that loses its compiler mid-process moves to
+    ``batched`` at once.
+
     A cell whose config sets ``buffer_depth`` runs the buffered
     packet-switched discipline instead
     (:func:`~repro.sim.buffered.measure_buffered`, warmup fixed at
@@ -389,14 +474,11 @@ def measure_cell(cell: SweepCell, *, progress=None):
     interpreter for ``vectorized``/``reference``: bit-identical every
     way, so the content key's ``backend`` field stays honest.
     """
-    from repro.api.registry import build_router, resolve_backend
-    from repro.sim.montecarlo import measure_acceptance
-
     config = cell.config
     if config.buffer_depth is not None:
         from repro.sim.buffered import measure_buffered
 
-        backend = resolve_backend(cell.spec, config.backend, buffered=True)
+        backend = registry.resolve_backend(cell.spec, config.backend, buffered=True)
         cycles = config.cycles if config.cycles is not None else 400
         return measure_buffered(
             cell.spec.stage_graph(),
@@ -409,5 +491,6 @@ def measure_cell(cell: SweepCell, *, progress=None):
             engine=backend.buffered_engine,
             faults=cell.spec.faults,
         )
-    router = build_router(cell.spec, cell.config.backend)
-    return measure_acceptance(router, config=cell.config, progress=progress)
+    router = _memo.router(cell.spec, registry.resolve_backend(cell.spec, config.backend))
+    traffic = _memo.traffic(config.traffic, router.n_inputs, router.n_outputs)
+    return montecarlo.measure_acceptance(router, traffic, config=config, progress=progress)

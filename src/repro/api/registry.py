@@ -56,6 +56,7 @@ availability.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -167,14 +168,16 @@ def available_backends(spec: NetworkSpec, *, buffered: bool = False) -> list[str
     >>> available_backends(NetworkSpec.benes(16))
     ['looping']
     """
-    ordered = list(AUTO_PREFERENCE) + [n for n in BACKENDS if n not in AUTO_PREFERENCE]
-    return [
-        name
-        for name in ordered
-        if name in BACKENDS
-        and BACKENDS[name].supports(spec, buffered=buffered)
-        and BACKENDS[name].runnable()
-    ]
+    return [entry.name for entry in _runnable(spec, buffered)]
+
+
+def _runnable(spec: NetworkSpec, buffered: bool):
+    """The backends that serve ``spec`` here, preference first, lazily."""
+    later = (name for name in BACKENDS if name not in AUTO_PREFERENCE)
+    for name in itertools.chain(AUTO_PREFERENCE, later):
+        entry = BACKENDS.get(name)
+        if entry is not None and entry.supports(spec, buffered=buffered) and entry.runnable():
+            yield entry
 
 
 def resolve_backend(
@@ -205,9 +208,9 @@ def resolve_backend(
     True
     """
     if backend == "auto":
-        names = available_backends(spec, buffered=buffered)
-        if names:
-            return BACKENDS[names[0]]
+        # The first match, without building the whole list.
+        for entry in _runnable(spec, buffered):
+            return entry
         raise ConfigurationError(
             f"no registered backend supports {spec} with "
             f"priority={spec.priority!r}, wire_policy={spec.wire_policy!r}, "

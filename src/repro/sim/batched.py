@@ -47,6 +47,7 @@ from repro.core.exceptions import ConfigurationError, LabelError
 from repro.core.labels import ilog2
 from repro.core.tags import RetirementOrder
 from repro.sim.stagegraph import IDLE, BufferedCycleOutcome, VectorCycleResult, edn_graph
+from repro.sim.stats import ratio_sums
 
 __all__ = [
     "CompiledStageRouter",
@@ -201,12 +202,22 @@ class BatchAcceptanceCounts:
 
     Produced by :meth:`CompiledStageRouter.route_batch_counts` — everything the
     Monte-Carlo acceptance harness consumes, at a fraction of the cost of
-    materializing per-message outcome arrays.
+    materializing per-message outcome arrays.  ``sums`` holds the six exact
+    :class:`~repro.sim.stats.RatioStats` sums of delivered over offered
+    (``n, Σd, Σo, Σd², Σo², Σdo``), which the harness adds with
+    ``RatioStats._add``: the native lane kernel computes them in C, and
+    they are formed from the per-cycle arrays otherwise.  A run of several
+    chunks drawn in the lane kernel carries no per-cycle arrays (``None``).
     """
 
-    offered_per_cycle: np.ndarray
-    delivered_per_cycle: np.ndarray
+    offered_per_cycle: Optional[np.ndarray]
+    delivered_per_cycle: Optional[np.ndarray]
     blocked_by_stage: dict[int, int]
+    sums: Optional[tuple[int, int, int, int, int, int]] = None
+
+    def __post_init__(self) -> None:
+        if self.sums is None:
+            self.sums = ratio_sums(self.delivered_per_cycle, self.offered_per_cycle)
 
 
 class CompiledStageRouter:

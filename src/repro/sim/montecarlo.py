@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 
+from repro.sim.batched import BatchAcceptanceCounts
 from repro.sim.rng import SeedLike, make_rng
 from repro.sim.stats import Interval, RatioStats, _check_confidence
 from repro.workloads.models import TrafficGenerator
@@ -314,14 +315,21 @@ def measure_acceptance(
         # its chunks generated in that dtype; the values are the same.
         dtype = getattr(router, "demand_dtype", np.int64)
         # One that draws chunks itself (the native lane kernel) is asked
-        # first; it declines, drawing nothing, where it cannot.
+        # first; it declines, drawing nothing, where it cannot.  Unless a
+        # stopping rule or a progress callback watches chunk boundaries, it
+        # is asked for every remaining full chunk at once, as long as the
+        # run's int64 sums stay exact (cycles·N² < 2**63).
         drawn = getattr(router, "draw_batch_counts", None)
+        longest = 1
+        if not adaptive and progress is None:
+            longest = max(1, ((1 << 63) - 1) // (batch * router.n_inputs**2))
         remaining = cycles
         while remaining > 0 and not stopped:
             chunk = min(batch, remaining)
-            remaining -= chunk
-            counts = None if drawn is None else drawn(traffic, rng, chunk)
+            chunks = max(1, min(remaining // batch, longest))
+            counts = None if drawn is None else drawn(traffic, rng, chunk, chunks)
             if counts is None:
+                chunks = 1
                 dests = traffic.generate_batch(rng, chunk, dtype)
                 chunk_rng = (
                     [make_rng(key) for key in spawner.spawn(chunk)]
@@ -334,18 +342,22 @@ def measure_acceptance(
                     counts = router.route_batch_counts(dests, chunk_rng)
                 elif batched:
                     result = router.route_batch(dests, chunk_rng)
-                    _absorb_histogram(result)
-                    ratio.push_many(result.delivered_per_cycle, result.offered_per_cycle)
+                    counts = BatchAcceptanceCounts(
+                        result.offered_per_cycle,
+                        result.delivered_per_cycle,
+                        result.blocked_stage_histogram(),
+                    )
                 else:
                     for i in range(chunk):
                         cycle_rng = chunk_rng[i] if per_cycle_streams else rng
                         result = router.route(dests[i], cycle_rng)
                         ratio.push(result.num_delivered, result.num_offered)
                         _absorb_histogram(result)
+            remaining -= chunk * chunks
             if counts is not None:
                 for stage, count in counts.blocked_by_stage.items():
                     blocked[stage] = blocked.get(stage, 0) + count
-                ratio.push_many(counts.delivered_per_cycle, counts.offered_per_cycle)
+                ratio._add(*counts.sums)
             _report()
             if _converged():
                 stopped = True

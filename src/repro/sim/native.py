@@ -52,7 +52,8 @@ The toolchain probe's source (``_C_PROBE``) also carries the PCG64
 traffic draws of :mod:`repro.workloads.models`, handed over by
 :func:`draw_library`.  The lane kernel can draw a chunk's label traffic
 itself (:meth:`NativeStageRouter.draw_batch_counts`), on the same PCG64
-primitives (``_PCG_SOURCE``).
+primitives (``_PCG_SOURCE``), and route a run of such chunks in one call,
+adding up their :class:`~repro.sim.stats.RatioStats` sums in C.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from typing import Optional
 
@@ -123,7 +125,15 @@ __all__ = [
 # step together and each step yields an entry row of all eight; elsewhere
 # each row is filled lane after lane.  Rows are stored through the input
 # permutation, so nothing is transposed.  Lanes past the batch are idle;
-# ``state`` comes back as that of the chunk's last word.
+# ``state`` comes back as that of the chunk's last word.  A fixed pattern
+# at full rate draws nothing: each of its rows is one broadcast store.
+#
+# Runs.  One call routes ``cycles`` cycles in chunks of ``batch``, each
+# chunk's streams begun where ``generate_batch`` would begin them, and adds
+# up the six exact sums of :class:`~repro.sim.stats.RatioStats` (delivered
+# over offered, per cycle) and the per-stage blocked totals.  Per-cycle
+# counts are written only where the caller passes arrays for them, so a
+# run's memory does not grow with its cycles.
 #
 # Pull resolution.  Label priority grants bucket ``j`` of a switch to
 # its live inputs in wire order, so output slot ``(j, r)`` holds the
@@ -304,9 +314,10 @@ void repro_enter(const wire_t *restrict dests, int64_t n, int64_t c0, int64_t nb
 /* A chunk's traffic drawn in place from one PCG64 stream (see
  * repro.workloads.models.DrawDescriptor): label words (shift >= 0) or the
  * pattern, then hot-spot words (hot) and rate words (rate), which set an
- * entry where (word >= bound) == ge.  NULL = a demand matrix. */
+ * entry where (word >= bound) == ge.  NULL = a demand matrix.  The stream
+ * itself is the kernel's `state` argument: state high, low (on return, the
+ * last word's), increment high, low. */
 typedef struct {
-    uint64_t *state;            /* state high, low (on return, the last word's); increment */
     int64_t shift;
     const int64_t *pattern;
     int64_t hot, hot_ge, hot_value;
@@ -330,10 +341,10 @@ typedef struct {
 } streams_t;
 
 /* The chunk's streams: cycle c of a region starts c strides past the
- * region's first word.  t->state becomes the chunk's last word's. */
-static void streams_begin(const traffic_t *t, int64_t n, int64_t batch, streams_t *z)
+ * region's first word.  st becomes the chunk's last word's state. */
+static void streams_begin(const traffic_t *t, uint64_t *st, int64_t n, int64_t batch,
+                          streams_t *z)
 {
-    uint64_t *st = t->state;
     const u128 s = ((u128)st[0] << 64) | st[1];
     const uint64_t per[REGIONS] = {t->shift >= 0 ? n / 2 : 0, t->hot ? n : 0, t->rate ? n : 0};
     uint64_t used = 0;
@@ -357,6 +368,29 @@ static inline u128 next_cycle(streams_t *z, int r)
     const u128 s = z->next[r];
     z->next[r] = s * z->mul[r] + z->add[r];
     return s;
+}
+
+/* A fixed pattern at full rate: each entry row one broadcast store, idle
+ * past the batch, and each lane's live labels counted as they are stored. */
+static void pattern_enter(const int64_t *restrict pattern, int64_t n, int64_t nb,
+                          const int64_t *restrict perm, wire_t *restrict frontier,
+                          wire_t *restrict live)
+{
+    vec_t *rows = (vec_t *)frontier, idle[NV], acc[NV];
+    for (int h = 0; h < NV; h++) {
+        for (int j = 0; j < LV; j++)
+            idle[h][j] = -(wire_t)(h * LV + j >= nb);
+        acc[h] = (vec_t){0};
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const vec_t v = (vec_t){0} + (wire_t)pattern[i];
+        vec_t *row = rows + (perm ? perm[i] : i) * NV;
+        for (int h = 0; h < NV; h++) {
+            row[h] = v | idle[h];
+            acc[h] -= row[h] >= 0;
+        }
+    }
+    memcpy(live, acc, sizeof acc);
 }
 
 /* The entry rows' live labels, per lane. */
@@ -548,30 +582,44 @@ static stage_t *const routine[LOG_SLOTS + 1][LOG_SLOTS + 1] = {
     %(table)s
 };
 
-/* Label-priority counts of `batch` cycles of the (batch, n) demand matrix,
- * or of the traffic drawn in place, over the plan's nstages descriptor
- * rows; frontier holds two columns of maxw rows. */
+/* Label-priority counts of `cycles` cycles in chunks of `batch`: of the
+ * (cycles, n) demand matrix, or of the traffic drawn in place on `state`,
+ * each chunk's streams begun where the last chunk's words end.  Over the
+ * plan's nstages descriptor rows; frontier holds two columns of maxw rows.
+ * blocked[] gets each stage's total and sums[] the run's {cycles, sum d,
+ * sum o, sum d*d, sum o*o, sum d*o} of each cycle's delivered d and offered
+ * o (the caller keeps cycles * n * n below 2**63); offered[] and
+ * delivered[] get them per cycle unless NULL. */
 void repro_lane_counts(
-    const wire_t *restrict dests, const traffic_t *restrict traffic, int64_t n, int64_t batch,
+    const wire_t *restrict dests, const traffic_t *restrict traffic, uint64_t *restrict state,
+    int64_t n, int64_t batch, int64_t cycles,
     const int64_t *restrict stages, int64_t nstages, int64_t maxw,
     const wire_t *restrict links, const uint8_t *restrict falive,
     const int64_t *restrict input_perm, wire_t *restrict frontier,
     int64_t *restrict offered, int64_t *restrict delivered,
-    int64_t *restrict blocked)
+    int64_t *restrict blocked, int64_t *restrict sums)
 {
     vec_t off[NV], live[NV], blk[NV];
+    int64_t sd = 0, so = 0, sdd = 0, soo = 0, sdo = 0;
 #if defined(__SIZEOF_INT128__)
     streams_t z;
-    if (traffic)
-        streams_begin(traffic, n, batch, &z);
 #endif
     for (int64_t i = 0; i < nstages; i++)
         blocked[i] = 0;
-    for (int64_t c0 = 0; c0 < batch; c0 += LANES) {
-        const int64_t nb = batch - c0 < LANES ? batch - c0 : LANES;
+    for (int64_t c0 = 0, end = 0, nb; c0 < cycles; c0 += nb) {
+        if (c0 == end) {    /* a chunk begins; its blocks are LANES cycles or its rest */
+            end = cycles - c0 < batch ? cycles : c0 + batch;
+#if defined(__SIZEOF_INT128__)
+            if (traffic)
+                streams_begin(traffic, state, n, end - c0, &z);
+#endif
+        }
+        nb = end - c0 < LANES ? end - c0 : LANES;
         vec_t *cur = (vec_t *)frontier, *nxt = cur + maxw * NV, *swap;
 #if defined(__SIZEOF_INT128__)
-        if (traffic)
+        if (traffic && traffic->shift < 0 && !traffic->hot && !traffic->rate)
+            pattern_enter(traffic->pattern, n, nb, input_perm, frontier, (wire_t *)live);
+        else if (traffic)
             draw_enter(traffic, &z, n, nb, input_perm, frontier, (wire_t *)live);
         else
 #endif
@@ -595,10 +643,24 @@ void repro_lane_counts(
                 blocked[i] += ((const wire_t *)blk)[l];
         }
         for (int64_t l = 0; l < nb; l++) {
-            offered[c0 + l] = ((const wire_t *)off)[l];
-            delivered[c0 + l] = ((const wire_t *)live)[l];
+            const int64_t o = ((const wire_t *)off)[l], d = ((const wire_t *)live)[l];
+            sd += d;
+            so += o;
+            sdd += d * d;
+            soo += o * o;
+            sdo += d * o;
+            if (offered) {
+                offered[c0 + l] = o;
+                delivered[c0 + l] = d;
+            }
         }
     }
+    sums[0] = cycles;
+    sums[1] = sd;
+    sums[2] = so;
+    sums[3] = sdd;
+    sums[4] = soo;
+    sums[5] = sdo;
 }
 """
 
@@ -748,26 +810,56 @@ def _lane_library(wire) -> ctypes.CDLL:
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.repro_lane_counts.restype = None
         lib.repro_lane_counts.argtypes = [
-            ptr, ptr, i64, i64,          # dests, traffic, n, batch
+            ptr, ptr, ptr,               # dests, traffic, state
+            i64, i64, i64,               # n, batch, cycles
             ptr, i64, i64,               # stages, nstages, maxw
             ptr, ptr, ptr,               # links, falive, input_perm
-            ptr, ptr, ptr, ptr,          # frontier, offered, delivered, blocked
+            ptr, ptr, ptr,               # frontier, offered, delivered
+            ptr, ptr,                    # blocked, sums
         ]
         _lane_libs[char] = lib
     return lib
 
 
 class _Traffic(ctypes.Structure):
-    """``traffic_t``: a chunk's draws as the lane kernel takes them."""
+    """``traffic_t``: a model's draws as the lane kernel takes them."""
 
     _fields_ = [
         (name, {"p": ctypes.c_void_p, "i": ctypes.c_int64, "u": ctypes.c_uint64}[kind])
         for name, kind in (
-            ("state", "p"), ("shift", "i"), ("pattern", "p"), ("hot", "i"),
-            ("hot_ge", "i"), ("hot_value", "i"), ("hot_bound", "u"), ("rate", "i"),
-            ("rate_ge", "i"), ("rate_bound", "u"),
+            ("shift", "i"), ("pattern", "p"), ("hot", "i"), ("hot_ge", "i"),
+            ("hot_value", "i"), ("hot_bound", "u"), ("rate", "i"), ("rate_ge", "i"),
+            ("rate_bound", "u"),
         )
     ]
+
+
+#: ``traffic_t`` per :class:`DrawDescriptor`, built at its first chunk and
+#: dropped with it.  It holds no stream (the kernel takes the state as an
+#: argument), so threads drawing on one model share it.
+_traffic_structs: "weakref.WeakKeyDictionary[DrawDescriptor, _Traffic]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _traffic_struct(draws: DrawDescriptor) -> _Traffic:
+    """The ``traffic_t`` of ``draws`` (its pattern stays alive with it)."""
+    traffic = _traffic_structs.get(draws)
+    if traffic is None:
+        traffic = _Traffic()
+        if draws.shift is None:
+            traffic.shift = -1
+            traffic.pattern = draws.pattern.ctypes.data
+        else:
+            traffic.shift = draws.shift
+        if draws.hot is not None:
+            traffic.hot = 1
+            traffic.hot_bound, traffic.hot_ge, traffic.hot_value = draws.hot
+        if draws.rate is not None:
+            traffic.rate = 1
+            traffic.rate_bound, traffic.rate_ge = draws.rate
+        _traffic_structs[draws] = traffic
+    return traffic
 
 
 #: Per wire dtype: whether its lane library draws traffic in place here.
@@ -803,8 +895,9 @@ def _lane_draws_agree(wire) -> bool:
     """Whether drawn chunks match ``generate_batch`` + the matrix entry.
 
     Two small plans (one with an input permutation), lowered in ``wire``,
-    route uniform, hot-spot with rate, and pattern-with-rate chunks of 37
-    and 5 cycles both ways on fixed-seed twin streams; counts, blocked
+    route uniform, hot-spot with rate, pattern-with-rate and full-rate
+    pattern chunks of 37 and 5 cycles, and a run of three chunks of 13,
+    both ways on fixed-seed twin streams; counts (the run's sums), blocked
     totals and the streams' states must agree.  ``uinteger`` is compared
     only while ``has_uint32`` is set: NumPy's own ``integers`` (the matrix
     path's small draws) leaves it at the last high half it used, where
@@ -827,17 +920,23 @@ def _lane_draws_agree(wire) -> bool:
             UniformTraffic(n, n),
             HotspotTraffic(n, n, rate=0.5, hot_fraction=0.25, hot_output=3),
             structured_permutation("bit_reversal", n, rate=0.75),
+            structured_permutation("bit_reversal", n),
         ):
             ours = np.random.Generator(np.random.PCG64(_CHECK_SEED))
             theirs = np.random.Generator(np.random.PCG64(_CHECK_SEED))
-            for batch in (37, 5):
-                got = kernel.drawn_counts(model.draw_descriptor(), ours, batch, ws)
-                want = kernel.counts(model.generate_batch(theirs, batch, wire), ws)
+            for batch, chunks in ((37, 1), (5, 1), (13, 3)):
+                got = kernel.drawn_counts(model.draw_descriptor(), ours, batch, ws, chunks)
+                want = kernel.counts(np.concatenate([
+                    model.generate_batch(theirs, batch, wire) for _ in range(chunks)
+                ]), ws)
                 if not (
-                    np.array_equal(got.offered_per_cycle, want.offered_per_cycle)
-                    and np.array_equal(got.delivered_per_cycle, want.delivered_per_cycle)
+                    got.sums == want.sums
                     and got.blocked_by_stage == want.blocked_by_stage
                     and _stream_state(ours) == _stream_state(theirs)
+                    and (got.offered_per_cycle is None or (
+                        np.array_equal(got.offered_per_cycle, want.offered_per_cycle)
+                        and np.array_equal(got.delivered_per_cycle, want.delivered_per_cycle)
+                    ))
                 ):
                     return False
     return True
@@ -1743,14 +1842,20 @@ class _ContendedTables:
         )
 
 
-_contended_local = threading.local()
+_scratch_local = threading.local()
 
 
-def _contended_workspace() -> ChunkWorkspace:
-    """This thread's scratch for the random-priority kernel, shared by plans."""
-    ws = getattr(_contended_local, "ws", None)
+def _scratch() -> ChunkWorkspace:
+    """This thread's scratch for the native kernels, shared by every plan.
+
+    The lane kernel's frontier and the random kernel's work arrays depend
+    on a chunk's shape only, so one workspace per thread serves every plan
+    (cells churn through many shapes, and faulted cells through many
+    plans), and a kernel call finds its buffers warm.
+    """
+    ws = getattr(_scratch_local, "ws", None)
     if ws is None:
-        ws = _contended_local.ws = ChunkWorkspace()
+        ws = _scratch_local.ws = ChunkWorkspace()
     return ws
 
 
@@ -1849,7 +1954,7 @@ class NativeKernel:
     ``_GROUP_SLOTS``, which no lane routine holds: NumPy routes it.
     """
 
-    __slots__ = ("tables", "wire", "_fn")
+    __slots__ = ("tables", "wire", "_fn", "_frontier_size")
 
     def __init__(self, plan):
         self.wire = plan.wire_dtype
@@ -1859,6 +1964,7 @@ class NativeKernel:
         elif max(stage.capacity for stage in plan.graph.stages) <= _GROUP_SLOTS:
             self.tables = _PlanTables(plan)
             self._fn = _lane_library(self.wire).repro_lane_counts
+            self._frontier_size = 2 * self.tables.maxw * _LANES
 
     def counts(self, dests: np.ndarray, ws, rng=None) -> BatchAcceptanceCounts:
         """Route a validated ``(batch, n)`` demand matrix; counts only.
@@ -1876,61 +1982,69 @@ class NativeKernel:
             return self.tables.random_counts(dests, ws, rng)
         dests = np.ascontiguousarray(dests, dtype=self.wire)
         batch, n = dests.shape
-        return self._lanes(dests.ctypes.data, None, n, batch, ws)
+        return self._lanes(dests.ctypes.data, None, None, n, batch, batch, ws, True)
 
     def drawn_counts(
-        self, draws: DrawDescriptor, rng: np.random.Generator, batch: int, ws
+        self, draws: DrawDescriptor, rng: np.random.Generator, batch: int, ws,
+        chunks: int = 1,
     ) -> Optional[BatchAcceptanceCounts]:
-        """Label counts of ``batch`` cycles drawn inside the lane kernel.
+        """Label counts of ``chunks`` chunks of ``batch`` cycles drawn
+        inside the lane kernel, in one call.
 
         The words are ``rng``'s (a ``PCG64`` generator), consumed as
-        ``generate_batch`` of the model behind ``draws`` consumes them
-        (:func:`~repro.workloads.models.advance_pcg64`), and the counts are
-        those of routing that chunk.  ``None``, with nothing drawn, when a
-        32-bit half is pending before label draws.  Callers check that the
-        library draws (:func:`_lane_draws`) and that ``draws`` fits the plan.
+        ``chunks`` calls of ``generate_batch`` of the model behind ``draws``
+        consume them (:func:`~repro.workloads.models.advance_pcg64`), and
+        the counts are those of routing those chunks.  A single chunk
+        comes with its per-cycle counts; a run of several with its sums and
+        blocked totals only, so its memory does not grow with its cycles.
+        Its sums are int64 in C, so ``batch * chunks * n_inputs**2`` must be
+        below ``2**63`` (:meth:`~repro.sim.stats.RatioStats.push_many`'s
+        bound).  ``None``, with nothing drawn, when a 32-bit half is pending
+        before label draws.  Callers check that the library draws
+        (:func:`_lane_draws`) and that ``draws`` fits the plan.
         """
-        traffic = _Traffic()
-        if draws.shift is None:
-            traffic.shift = -1
-            traffic.pattern = draws.pattern.ctypes.data
-        else:
-            traffic.shift = draws.shift
-        if draws.hot is not None:
-            traffic.hot = 1
-            traffic.hot_bound, traffic.hot_ge, traffic.hot_value = draws.hot
-        if draws.rate is not None:
-            traffic.rate = 1
-            traffic.rate_bound, traffic.rate_ge = draws.rate
+        n, cycles = draws.n_inputs, batch * chunks
+        if cycles * n * n >= 1 << 63:
+            raise ValueError(
+                f"a run of {cycles} cycles at {n} inputs overflows its int64 sums"
+            )
+        traffic = ctypes.byref(_traffic_struct(draws))
         result = []
 
         def draw(words):
-            traffic.state = ctypes.addressof(words)
-            result.append(self._lanes(None, ctypes.byref(traffic), draws.n_inputs, batch, ws))
+            result.append(self._lanes(None, traffic, words, n, batch, cycles, ws, chunks == 1))
 
         if not advance_pcg64(rng, draw, pending_ok=draws.shift is None):
             return None
         return result[0]
 
-    def _lanes(self, dests, traffic, n, batch, ws) -> BatchAcceptanceCounts:
-        """One lane-kernel call on a demand matrix's address or a traffic_t."""
+    def _lanes(self, dests, traffic, state, n, batch, cycles, ws, per_cycle):
+        """One lane-kernel call on a demand matrix's address, or a
+        ``traffic_t`` and its stream; per-cycle counts if ``per_cycle``."""
         t = self.tables
         nstages = len(t.stages)
-        frontier = ws.array("native_frontier", 2 * t.maxw * _LANES, self.wire)
-        # offered, delivered (per cycle) and blocked (per stage) in one array.
-        out = np.empty(2 * batch + nstages, dtype=np.int64)
+        frontier = ws.array("native_frontier", self._frontier_size, self.wire)
+        # blocked (per stage), the six sums, and offered and delivered per
+        # cycle if asked for, in one array.
+        head = nstages + 6
+        out = np.empty(head + 2 * cycles if per_cycle else head, dtype=np.int64)
         at = _address(out)
+        offered = delivered = None
+        if per_cycle:
+            offered = at + 8 * head
+            delivered = offered + 8 * cycles
         stages, links, falive, input_perm = t._ptrs
         self._fn(
-            dests, traffic, n, batch, stages, nstages, t.maxw, links, falive,
-            input_perm, _address(frontier), at, at + 8 * batch, at + 16 * batch,
+            dests, traffic, state, n, batch, cycles, stages, nstages, t.maxw, links,
+            falive, input_perm, _address(frontier), offered, delivered,
+            at, at + 8 * nstages,
         )
+        values = out[:head].tolist()
         return BatchAcceptanceCounts(
-            offered_per_cycle=out[:batch],
-            delivered_per_cycle=out[batch : 2 * batch],
-            blocked_by_stage={
-                i + 1: int(v) for i, v in enumerate(out[2 * batch :].tolist()) if v
-            },
+            offered_per_cycle=out[head : head + cycles] if per_cycle else None,
+            delivered_per_cycle=out[head + cycles :] if per_cycle else None,
+            blocked_by_stage={i + 1: v for i, v in enumerate(values[:nstages]) if v},
+            sums=tuple(values[nstages:]),
         )
 
 
@@ -2000,14 +2114,19 @@ class NativeStageRouter(CompiledStageRouter):
         """
         return self._plan.wire_dtype
 
-    def draw_batch_counts(self, traffic, rng, batch: int) -> Optional[BatchAcceptanceCounts]:
-        """Draw ``batch`` cycles of ``traffic`` on ``rng`` and count them, in
-        one lane-kernel call, or return ``None`` with nothing drawn.
+    def draw_batch_counts(
+        self, traffic, rng, batch: int, chunks: int = 1
+    ) -> Optional[BatchAcceptanceCounts]:
+        """Draw ``chunks`` chunks of ``batch`` cycles of ``traffic`` on
+        ``rng`` and count them, in one lane-kernel call, or return ``None``
+        with nothing drawn.
 
         The counts, and ``rng``'s state afterwards, are those of
-        ``route_batch_counts(traffic.generate_batch(rng, batch,
-        self.demand_dtype))``, with no demand matrix in between: each lane
-        of the kernel computes its own cycle's ``PCG64`` words.  ``None``
+        ``chunks`` calls of ``route_batch_counts(traffic.generate_batch(rng,
+        batch, self.demand_dtype))``, with no demand matrix in between: each
+        lane of the kernel computes its own cycle's ``PCG64`` words.  A run
+        of several chunks carries its sums and blocked totals but no
+        per-cycle counts (see :meth:`NativeKernel.drawn_counts`).  ``None``
         for random priority, a plan that routes on NumPy, a model without a
         :class:`~repro.workloads.models.DrawDescriptor` or with other
         terminal counts than the graph's, a generator other than
@@ -2028,7 +2147,7 @@ class NativeStageRouter(CompiledStageRouter):
             or not _lane_draws(kernel.wire)
         ):
             return None
-        return kernel.drawn_counts(draws, rng, batch, self._plan.workspace())
+        return kernel.drawn_counts(draws, rng, batch, _scratch(), chunks)
 
     def route_batch_counts(
         self, dests: np.ndarray, rng=None, *, workspace=None
@@ -2041,13 +2160,9 @@ class NativeStageRouter(CompiledStageRouter):
         # to the wire dtype, so a too-wide label raises instead of wrapping.
         dests = _check_demand_shape(dests, g.n_inputs)
         _check_destination_bounds(dests.reshape(-1), g.n_outputs)
+        ws = workspace if workspace is not None else _scratch()
         if self.priority == "label":
-            ws = workspace if workspace is not None else self._plan.workspace()
             return kernel.counts(dests, ws)
-        # The random kernel's scratch depends on the batch shape only, so
-        # one per-thread workspace serves every plan (random cells with
-        # drawn faults churn through many plans).
-        ws = workspace if workspace is not None else _contended_workspace()
         cycle_rngs = self._cycle_rngs(rng, dests.shape[0])
         return kernel.counts(dests, ws, rng if cycle_rngs is None else cycle_rngs)
 

@@ -522,6 +522,17 @@ _cache_lock = threading.Lock()
 _hits = 0
 _misses = 0
 
+#: Called, outside the lock, with the plans the cache has just dropped
+#: (evicted, or cleared), so a memo of objects holding plans (the cell
+#: path's routers, :mod:`repro.api.jobs`) lets go of them too.
+_drop_listeners: list = []
+
+
+def _dropped(plans: list) -> None:
+    if plans:
+        for listener in _drop_listeners:
+            listener(plans)
+
 
 def compile_stage_plan(
     graph: "StageGraph",
@@ -546,14 +557,22 @@ def _cached(key: tuple, compile_fn) -> StagePlan:
     # Compile outside the lock (compilation touches only local state);
     # a concurrent duplicate compile is wasted work, not a hazard.
     plan = compile_fn()
+    evicted = []
     with _cache_lock:
         existing = _cache.get(key)
         if existing is not None:
             return existing
         _cache[key] = plan
         while len(_cache) > PLAN_CACHE_MAXSIZE:
-            _cache.popitem(last=False)
+            evicted.append(_cache.popitem(last=False)[1])
+    _dropped(evicted)
     return plan
+
+
+def is_cached(plan: StagePlan) -> bool:
+    """Whether the cache holds ``plan`` itself now."""
+    with _cache_lock:
+        return _cache.get(plan.key) is plan
 
 
 def stage_plan_for(
@@ -588,9 +607,11 @@ def clear_plan_cache() -> None:
     """Drop every cached plan and reset the hit/miss counters."""
     global _hits, _misses
     with _cache_lock:
+        cleared = list(_cache.values())
         _cache.clear()
         _hits = 0
         _misses = 0
+    _dropped(cleared)
 
 
 def plan_cache_info() -> dict:

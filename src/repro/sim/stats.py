@@ -214,20 +214,10 @@ class RatioStats:
     def push_many(self, numerators, denominators) -> None:
         """Absorb whole per-cycle count arrays (one chunk) at once.
 
-        Equal to pushing pair by pair: the chunk's six sums are formed
-        by int64 reductions, which are exact.  They cannot overflow: a
-        count is at most ``N`` per cycle, so a chunk of ``m`` cycles at
-        ``N`` inputs needs ``m·N² < 2**63``, and no demand array that
-        fits in memory gets near that.
+        Equal to pushing pair by pair: the chunk's six sums
+        (:func:`ratio_sums`) are added at once.
         """
-        nums = _int64_array(numerators)
-        dens = _int64_array(denominators)
-        if nums.shape != dens.shape or nums.ndim != 1:
-            raise ValueError("push_many needs two equal-length 1-D arrays")
-        sx, sy = int(nums.sum()), int(dens.sum())
-        self._add(
-            nums.size, sx, sy, int(nums @ nums), int(dens @ dens), int(nums @ dens)
-        )
+        self._add(*ratio_sums(numerators, denominators))
 
     def merge(self, other: "RatioStats") -> None:
         """Absorb another accumulator's stream into this one.
@@ -275,6 +265,22 @@ class RatioStats:
         se = self.standard_error()
         t = _t_quantile(0.5 + confidence / 2.0, n - 1)
         return Interval(point, point - t * se, point + t * se)
+
+
+def ratio_sums(numerators, denominators) -> tuple[int, int, int, int, int, int]:
+    """The six :class:`RatioStats` sums of per-cycle count arrays.
+
+    Formed by int64 reductions, which are exact.  They cannot overflow: a
+    count is at most ``N`` per cycle, so a chunk of ``m`` cycles at ``N``
+    inputs needs ``m·N² < 2**63``, and no demand array that fits in memory
+    gets near that.  The native lane kernel adds the same sums in C.
+    """
+    nums = _int64_array(numerators)
+    dens = _int64_array(denominators)
+    if nums.shape != dens.shape or nums.ndim != 1:
+        raise ValueError("push_many needs two equal-length 1-D arrays")
+    sx, sy = int(nums.sum()), int(dens.sum())
+    return nums.size, sx, sy, int(nums @ nums), int(dens @ dens), int(nums @ dens)
 
 
 def _int64_array(values) -> np.ndarray:
@@ -358,6 +364,12 @@ class LatencyStats(RatioStats):
         if self._n == 0:
             return 0.0
         return self._sx / self._n
+
+    @property
+    def ratio(self) -> float:
+        """The mean latency: the interval's point, 0.0 when empty like
+        :attr:`mean` (not :class:`RatioStats`' empty acceptance of 1.0)."""
+        return self.mean
 
     def percentile(self, q: float) -> int:
         """Smallest latency ``v`` with at least ``ceil(q * count)`` mass at or below it."""
@@ -476,6 +488,12 @@ class RetryStats(RatioStats):
 
     def record_abandoned(self, count: int = 1) -> None:
         self._abandoned += count
+
+    @property
+    def ratio(self) -> float:
+        """Attempts per delivered message; 0.0 when none was delivered,
+        as an empty latency histogram reads."""
+        return self._sx / self._n if self._n else 0.0
 
     @property
     def delivered(self) -> int:

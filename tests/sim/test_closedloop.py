@@ -199,3 +199,21 @@ class TestRetryStats:
         stats.record_abandoned(4)
         assert stats.abandoned == 5
         assert stats.delivered == 0
+
+
+def test_an_empty_closed_loop_stream_reads_zero_everywhere():
+    # No message is ever offered: attempts and latency have no observation,
+    # and their points read 0.0, as the latency histogram's mean does (not
+    # the 1.0 an empty acceptance ratio reads).
+    from repro.api.jobs import SweepCell, measure_cell, measurement_to_payload
+
+    cell = SweepCell(
+        NetworkSpec.parse("edn:16,4,4,2"),
+        RunConfig(cycles=20, seed=0, retry="4", traffic="uniform:0"),
+    )
+    result = measure_cell(cell)
+    assert result.delivered_messages == 0 and result.latency_histogram.count == 0
+    assert result.attempts.point == result.latency.point == 0.0
+    assert result.latency_histogram.mean == 0.0
+    closed = measurement_to_payload(result)["closed_loop"]
+    assert closed["attempts"] == closed["latency"] == [0.0, None, None]

@@ -26,7 +26,12 @@ hotspot rows and all-to-one rows, at batches around the native kernel's
   lane library: counts vs ``generate_batch`` + the matrix entry,
   :class:`CompiledStageRouter` and the reference interpreter, and the
   generator's state after every chunk; every fallback takes the matrix
-  path and agrees.
+  path and agrees;
+* runs of several chunks in one lane-kernel call: their sums, blocked
+  totals and generator state vs the same chunks drawn one call each and
+  vs the matrix path; a pending 32-bit half declines a run;
+* every engine's ``BatchAcceptanceCounts.sums`` are ``push_many``'s sums
+  of its own per-cycle counts.
 
 Examples are derandomized and their number fixed, so a run costs the
 same few seconds every time.  Native cases need a working C compiler;
@@ -35,6 +40,7 @@ without one the NumPy engines are still checked against the references.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -49,6 +55,7 @@ from repro.sim import native
 from repro.sim.batched import BatchAcceptanceCounts, CompiledStageRouter
 from repro.sim.montecarlo import measure_acceptance
 from repro.sim.plan import compile_stage_plan
+from repro.sim.stats import RatioStats
 from repro.workloads import make_traffic, models
 from repro.workloads.models import STRUCTURED_PATTERNS, FixedPattern
 from repro.sim.stagegraph import (
@@ -185,10 +192,19 @@ def counts_of(rows) -> BatchAcceptanceCounts:
     )
 
 
+def push_many_sums(counts) -> tuple:
+    ratio = RatioStats()
+    ratio.push_many(counts.delivered_per_cycle, counts.offered_per_cycle)
+    return ratio.sums
+
+
 def assert_counts_equal(got, want):
     np.testing.assert_array_equal(got.offered_per_cycle, want.offered_per_cycle)
     np.testing.assert_array_equal(got.delivered_per_cycle, want.delivered_per_cycle)
     assert got.blocked_by_stage == want.blocked_by_stage
+    # Whoever computed them (the lane kernel in C, NumPy otherwise), an
+    # engine's sums are push_many's sums of its own per-cycle counts.
+    assert got.sums == push_many_sums(got) and want.sums == push_many_sums(want)
 
 
 def generator(kind: str, seed: int, pending: bool) -> np.random.Generator:
@@ -349,10 +365,11 @@ DRAWS = HAS_CC and native._lane_draws(np.int16)
 needs_draws = pytest.mark.skipif(not DRAWS, reason="the lane kernel does not draw here")
 
 #: Traffic the lane kernel draws: rates 0, 0.37 and 1, hot fractions 0,
-#: 0.1 and 1, another hot output, and patterns thinned by a rate.
+#: 0.1 and 1, another hot output, and patterns at full rate (no words
+#: drawn) and thinned by a rate.
 DRAWN_TRAFFIC = (
     "uniform", "uniform:0", "uniform:0.37", "hotspot:0", "hotspot:0.1", "hotspot:1",
-    "hotspot:0.1,out=last,rate=0.37", "bitrev:0.37", "identity:0.37",
+    "hotspot:0.1,out=last,rate=0.37", "bitrev", "bitrev:0.37", "identity:0.37",
 )
 DRAWN_BATCHES = (1, 31, 33, 64, 67)
 #: The lane library's wire dtypes; a plan is lowered in its own or a wider one.
@@ -416,7 +433,8 @@ def test_drawn_chunks_match_the_matrix_path(graph, data, spec, batch, wire, seed
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(stage_graphs(), st.sampled_from(DRAWN_TRAFFIC), st.integers(0, 2**31 - 1))
 def test_measurements_are_those_of_the_matrix_path(graph, spec, seed):
-    # The router's own selection, over chunks of 32 and a short last one.
+    # The router's own selection: a run of two chunks of 32, then a short
+    # last one.
     assume(max(stage.capacity for stage in graph.stages) <= native._GROUP_SLOTS)
     router = native.NativeStageRouter(graph)
     traffic = traffic_for(spec, graph)
@@ -429,10 +447,84 @@ def test_measurements_are_those_of_the_matrix_path(graph, spec, seed):
 
     with mock.patch.object(native.NativeStageRouter, "draw_batch_counts", spy):
         got = measure_acceptance(router, traffic, cycles=70, batch=32, seed=seed)
-    assert len(drawn) == 3 and None not in drawn
+    assert len(drawn) == 2 and None not in drawn
     with mock.patch.object(native.NativeStageRouter, "draw_batch_counts", lambda *a: None):
         want = measure_acceptance(router, traffic, cycles=70, batch=32, seed=seed)
     assert got == want
+
+
+def summed(parts) -> tuple:
+    """The sums and blocked totals of several chunks' counts, added up."""
+    blocked = Counter()
+    for part in parts:
+        blocked.update(part.blocked_by_stage)
+    return tuple(map(sum, zip(*(part.sums for part in parts)))), dict(blocked)
+
+
+@needs_draws
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    stage_graphs(),
+    st.data(),
+    st.sampled_from(DRAWN_TRAFFIC),
+    st.sampled_from(DRAWN_BATCHES[1:]),
+    st.integers(1, 4),
+    st.sampled_from(WIRES),
+    st.integers(0, 2**31 - 1),
+)
+def test_runs_match_single_chunks_and_the_matrix_path(
+    graph, data, spec, batch, chunks, wire, seed
+):
+    # A run of `chunks` chunks in one call, then a partial last chunk,
+    # against the same chunks drawn one call each and against the matrix
+    # path, on three twin streams.
+    faults = data.draw(fault_sets(graph))
+    last = data.draw(st.integers(1, batch - 1))
+    plan = lowered(graph, faults, wire)
+    kernel, ws = native.NativeKernel(plan), plan.workspace()
+    assume(kernel.tables is not None)  # a capacity above 8 routes on NumPy
+    traffic = traffic_for(spec, graph)
+    draws = traffic.draw_descriptor()
+    ours, single, theirs = (np.random.default_rng(seed) for _ in range(3))
+    with mock.patch.object(models, "_C_MIN_WORDS", 0):
+        run = kernel.drawn_counts(draws, ours, batch, ws, chunks)
+        tail = kernel.drawn_counts(draws, ours, last, ws)
+        sizes = [batch] * chunks + [last]
+        singles = [kernel.drawn_counts(draws, single, size, ws) for size in sizes]
+        matrix = [
+            kernel.counts(traffic.generate_batch(theirs, size, plan.wire_dtype), ws)
+            for size in sizes
+        ]
+    assert (run.offered_per_cycle is None) == (chunks > 1)
+    assert summed([run, tail]) == summed(singles) == summed(matrix)
+    assert ours.bit_generator.state == single.bit_generator.state
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert_same_stream(ours, theirs)
+
+
+@needs_draws
+@pytest.mark.parametrize("spec", ["uniform", "hotspot:0.1,rate=0.5"])
+def test_a_pending_half_declines_a_run(spec):
+    router = native.NativeStageRouter(square64())
+    traffic = make_traffic(spec, 64, 64)
+    probe = generator("pcg64", 9, pending=True)
+    assert router.draw_batch_counts(traffic, probe, 32, 3) is None
+    assert_same_stream(probe, generator("pcg64", 9, pending=True))  # nothing drawn
+
+
+@needs_draws
+def test_a_long_run_holds_no_per_cycle_arrays():
+    # 200,000 cycles in one run: per-cycle counts would take 3.2 MB.
+    router = native.NativeStageRouter(square64())
+    traffic = make_traffic("hotspot:0.1,rate=0.5", 64, 64)
+    measure_acceptance(router, traffic, cycles=64, batch=32, seed=1)  # warm
+    tracemalloc.start()
+    try:
+        measure_acceptance(router, traffic, cycles=200_000, batch=32, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def square64() -> StageGraph:

@@ -28,14 +28,9 @@ pytestmark = pytest.mark.skipif(CLANG is None, reason="no clang on PATH")
 
 
 @pytest.fixture(autouse=True)
-def built_with_clang(monkeypatch, tmp_path_factory):
+def built_with_clang(monkeypatch, tmp_path_factory, fresh_native_state):
     """Every probe and lane library of the test built by clang, afresh."""
     monkeypatch.setattr(native, "_compiler", lambda: CLANG)
-    for name, value in (
-        ("_lane_libs", {}), ("_lane_draw_checks", {}), ("_cc_probed", False),
-        ("_cc_error", None), ("_probe_lib", None),
-    ):
-        monkeypatch.setattr(native, name, value)
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path_factory.getbasetemp() / "clang"))
     # Routers find their plans, and the kernels riding them, in the plan
     # cache: start and leave it empty so no GCC kernel serves a test here.

@@ -342,11 +342,12 @@ class TestLaneKernelBoundaries:
         dests[::3, ::2] = 63
         check_native(graph, dests)
 
-    def test_portable_build_without_march_native(self, monkeypatch, tmp_path):
+    def test_portable_build_without_march_native(
+        self, monkeypatch, tmp_path, fresh_native_state
+    ):
         # Without -march=native an x86-64 build computes on 16-byte
         # vectors, so each 32-lane row is four of them.
         monkeypatch.setattr(native, "_FLAG_LADDER", ((),))
-        monkeypatch.setattr(native, "_lane_libs", {})
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         graph, faults = edn_graph(EDNParams(16, 4, 4, 2)), FAULTS["edn"]
         plan = compile_stage_plan(graph, faults=faults)
@@ -433,18 +434,14 @@ class TestEntryTranspose:
         return {march: tmp_path_factory.mktemp(f"native-{march}") for march in MARCHES}
 
     @pytest.fixture(params=MARCHES)
-    def vector_width(self, request, monkeypatch, width_caches):
+    def vector_width(self, request, monkeypatch, width_caches, fresh_native_state):
         """The probe library and the lane kernels built with ``-march=param``."""
         march = request.param
         reason = cannot_run(march)
         if reason is not None:
             pytest.skip(reason)
         monkeypatch.setattr(native, "_FLAG_LADDER", ((f"-march={march}",),))
-        for name, value in (
-            ("_lane_libs", {}), ("_lane_draw_checks", {}), ("_cc_probed", False),
-            ("_cc_error", None), ("_probe_lib", None),
-        ):
-            monkeypatch.setattr(native, name, value)
+        fresh_native_state()  # nothing probed or built at another width
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(width_caches[march]))
         if native._probe_cc() is not None:
             pytest.skip(f"-march={march} does not build here: {native._cc_error}")
