@@ -63,6 +63,7 @@ from repro.serve.protocol import (
     parse_address,
 )
 from repro.serve.supervisor import MAX_ATTEMPTS, RetryLedger, fork_context
+from repro.sim.native import take_pool_share
 
 __all__ = ["SimulationServer", "serve_forever", "start_server_thread", "ServerHandle"]
 
@@ -256,9 +257,7 @@ class SimulationServer:
         self._rebuild_lock = asyncio.Lock()
         _PROGRESS_QUEUE = self._ctx.Queue()
         self._progress_queue = _PROGRESS_QUEUE
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._ctx
-        )
+        self._pool = self._new_pool(self.workers)
         self._drain_stop.clear()
         self._drain_thread = threading.Thread(
             target=self._drain_progress, name="repro-serve-progress", daemon=True
@@ -583,6 +582,14 @@ class SimulationServer:
             self._counters["cells_resubmitted"] += 1
         return may_retry
 
+    def _new_pool(self, size: int) -> ProcessPoolExecutor:
+        """A pool of ``size`` workers, each taking its share of the cores
+        among the server's :attr:`workers` for lane-kernel runs."""
+        return ProcessPoolExecutor(
+            max_workers=size, mp_context=self._ctx,
+            initializer=take_pool_share, initargs=(self.workers,),
+        )
+
     async def _probe_and_deliver(self, flight: _InFlight) -> bool:
         """Last chance before quarantine: run the suspect alone.
 
@@ -594,7 +601,7 @@ class SimulationServer:
         delivered and cached as usual, returns True); death or stall on
         the probe convicts (returns False and the caller quarantines).
         """
-        probe = ProcessPoolExecutor(max_workers=1, mp_context=self._ctx)
+        probe = self._new_pool(1)
         try:
             future = probe.submit(_run_cell, (flight.key, flight.payload))
             try:
@@ -658,9 +665,7 @@ class SimulationServer:
                 # down" at the top of their loop.
                 self._pool = None
                 return
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._ctx
-            )
+            self._pool = self._new_pool(self.workers)
             self._counters["pool_rebuilds"] += 1
 
     # ------------------------------------------------------------------

@@ -40,6 +40,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional, Sequence
 
+from repro.sim.native import take_pool_share
+
 __all__ = [
     "RETRY_BACKOFF",
     "MAX_ATTEMPTS",
@@ -205,6 +207,8 @@ def supervised_map(
     Shards lost to worker death or deadline expiry are resubmitted on a
     fresh pool (up to ``max_attempts`` runs each, after ``backoff``
     seconds); shards that exhaust their attempts raise ``RuntimeError``.
+    Each worker splits lane-kernel runs across at most its share of the
+    cores (:func:`~repro.sim.native.take_pool_share`).
     """
     ctx = fork_context()
     results: list = [None] * len(payloads)
@@ -214,14 +218,15 @@ def supervised_map(
     while outstanding:
         if attempt > 0:
             time.sleep(backoff)
+        size = min(jobs, len(outstanding))
         pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(outstanding)), mp_context=ctx
+            max_workers=size, mp_context=ctx,
+            initializer=take_pool_share, initargs=(size,),
         )
         run = ShardRun()  # pre-bound so the finally sees it if run_shards raises
         try:
             run = run_shards(
-                pool, target, payloads, outstanding,
-                jobs=min(jobs, len(outstanding)), timeout=timeout,
+                pool, target, payloads, outstanding, jobs=size, timeout=timeout,
             )
         finally:
             # An abandoned stalled worker may never return; do not wait on

@@ -207,13 +207,16 @@ class BatchAcceptanceCounts:
     (``n, Σd, Σo, Σd², Σo², Σdo``), which the harness adds with
     ``RatioStats._add``: the native lane kernel computes them in C, and
     they are formed from the per-cycle arrays otherwise.  A run of several
-    chunks drawn in the lane kernel carries no per-cycle arrays (``None``).
+    chunks drawn in the lane kernel carries no per-cycle arrays (``None``),
+    and ``threads`` says how many threads the lane kernel split it across
+    (1 on every other path).
     """
 
     offered_per_cycle: Optional[np.ndarray]
     delivered_per_cycle: Optional[np.ndarray]
     blocked_by_stage: dict[int, int]
     sums: Optional[tuple[int, int, int, int, int, int]] = None
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.sums is None:

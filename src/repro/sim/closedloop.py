@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.sim.montecarlo import AcceptanceMeasurement
+from repro.sim.montecarlo import AcceptanceMeasurement, _within
 from repro.sim.stats import Interval, LatencyStats, RatioStats, RetryStats
 
 if TYPE_CHECKING:
@@ -224,9 +224,7 @@ def drive_closed_loop(
                     next_eligible[waiting] = t + 1 + delays
 
         if rel_err is not None and ratio.n >= floor:
-            interval = ratio.confidence_interval(confidence)
-            point = abs(interval.point)
-            if interval.halfwidth <= rel_err * (point if point > 0 else 1.0):
+            if _within(ratio.confidence_interval(confidence), rel_err):
                 stopped = True
                 break
 

@@ -31,9 +31,11 @@ Adaptive early stopping: pass ``rel_err`` (or set ``RunConfig.rel_err``)
 to turn ``cycles`` into a *budget*.  The harness then adds each chunk's
 exact integer sums and stops at the first chunk boundary
 (after ``min_cycles``) where the delta-method confidence interval's
-half-width falls to ``rel_err * acceptance``, so sweeps spend cycles only
-where the estimator is still noisy — see ``docs/PERFORMANCE.md`` for the
-stopping-rule math and measured cycle savings.
+half-width falls to ``rel_err * acceptance`` (and is not zero: a stream
+with nothing blocked yet reads a zero-width interval), so sweeps spend
+cycles only where the estimator is still noisy — see
+``docs/PERFORMANCE.md`` for the stopping-rule math and measured cycle
+savings.
 """
 
 from __future__ import annotations
@@ -81,6 +83,17 @@ def _contention_priority(router: "CycleRouter") -> Optional[str]:
         if isinstance(priority, str):
             return priority
     return None
+
+
+def _within(interval: Interval, rel_err: float) -> bool:
+    """The ``rel_err`` stopping rule: the interval's half-width is not zero
+    and at most ``rel_err`` times its point (times 1 at a zero point).
+
+    A zero-width interval is what a stream with nothing blocked yet reads,
+    not a sign of precision, so no run stops on one.
+    """
+    point = abs(interval.point)
+    return 0 < interval.halfwidth <= rel_err * (point if point > 0 else 1.0)
 
 
 def _spawn_source(seed: SeedLike, rng: np.random.Generator):
@@ -197,7 +210,8 @@ def measure_acceptance(
     ``rel_err`` turns ``cycles`` into a budget: the run stops at the first
     chunk boundary — after ``min_cycles`` (default
     :data:`DEFAULT_MIN_CYCLES`) — where the interval half-width at
-    ``confidence`` is at most ``rel_err`` times the acceptance estimate.
+    ``confidence`` is at most ``rel_err`` times the acceptance estimate,
+    and above zero.
 
     ``progress`` is an optional callback invoked at every cycle/chunk
     boundary (the same boundaries the stopping rule checks) with
@@ -282,9 +296,7 @@ def measure_acceptance(
         """The stopping rule, checked at cycle/chunk boundaries only."""
         if not adaptive or ratio.n < floor:
             return False
-        interval = ratio.confidence_interval(confidence)
-        point = abs(interval.point)
-        return interval.halfwidth <= rel_err * (point if point > 0 else 1.0)
+        return _within(ratio.confidence_interval(confidence), rel_err)
 
     def _report() -> None:
         if progress is not None:

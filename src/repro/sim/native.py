@@ -16,15 +16,18 @@ use with the host toolchain (``cc``/``gcc``/``clang``), cached on disk by
 source, compile command and host ISA, and called through :mod:`ctypes`
 (the GIL is released for the duration of the call).
 
-The kernel runs **serially**.  Parallelism comes from one layer only:
+A run of several chunks splits into ranges of whole chunks, one per
+thread: the caller's and persistent helper threads of the lane library.
+Each range begins its stream where the chunks before it end and adds
+exact integer sums, so the split moves no count, sum or stream state.  A
+process takes as many threads as its CPU affinity allows, and a worker of
 the process layer (:class:`~repro.experiments.parallel.ParallelSweep`
-and the serve worker pool), whose workers are forked on purpose so they
-inherit warm plan caches.  A threaded kernel (OpenMP) leaves a thread
-pool behind that does not survive ``fork``: a forked worker's first
-kernel call would deadlock, and on a loaded host threads only
-oversubscribe the cores the workers already use.  Routing decisions are
-bit-identical to
-:meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
+and the serve worker pool, forked on purpose so they inherit warm plan
+caches) its share of them (:func:`lane_share`), so the workers do not
+oversubscribe the cores.  No helper lives across a ``fork``: a fork
+handler joins them first, where an OpenMP pool left behind deadlocked a
+forked worker's first kernel call.  Routing decisions are bit-identical
+to :meth:`~repro.sim.batched.CompiledStageRouter.route_batch_counts`
 (pinned by the cross-backend equivalence suite).
 
 Importing this module never hard-fails.  Without a C compiler that
@@ -87,6 +90,8 @@ __all__ = [
     "NativeStageRouter",
     "NativeKernel",
     "kernel_for",
+    "lane_share",
+    "take_pool_share",
     "available_tiers",
     "default_tier",
     "unavailable_reason",
@@ -134,6 +139,15 @@ __all__ = [
 # over offered, per cycle) and the per-stage blocked totals.  Per-cycle
 # counts are written only where the caller passes arrays for them, so a
 # run's memory does not grow with its cycles.
+#
+# Ranges.  A run of k chunks splits into up to ``threads`` contiguous
+# ranges of whole chunks.  Range t starts its stream at the run's state
+# jumped past the words of the chunks before it (``pcg_jump``), routes on
+# its own frontier, and keeps its own sums and blocked totals; the call
+# adds them up and returns the last range's end state.  The caller routes
+# the first range and persistent helper threads of the library the others
+# (see ``helper_t``); a caller that finds the helpers serving another run
+# routes alone.
 #
 # Pull resolution.  Label priority grants bucket ``j`` of a switch to
 # its live inputs in wire order, so output slot ``(j, r)`` holds the
@@ -240,7 +254,9 @@ def _c_enum(names) -> str:
     return ", ".join(f"S_{name}" for name in names)
 
 
-_LANE_SOURCE = r"""#include <stdint.h>
+_LANE_SOURCE = r"""#define _GNU_SOURCE     /* pthread_setname_np */
+#include <pthread.h>
+#include <stdint.h>
 #include <string.h>
 
 /* The lane kernel for %(ctype)s wires (see repro.sim.native): one source
@@ -340,15 +356,33 @@ typedef struct {
     u128 next[REGIONS], mul[REGIONS], add[REGIONS], inc;
 } streams_t;
 
+/* The words one cycle draws from each region. */
+static void region_words(const traffic_t *t, int64_t n, uint64_t per[REGIONS])
+{
+    per[LABELS] = t->shift >= 0 ? (uint64_t)n / 2 : 0;
+    per[HOT] = t->hot ? (uint64_t)n : 0;
+    per[RATE] = t->rate ? (uint64_t)n : 0;
+}
+
+/* st (state high, low, increment high, low) moved `words` words on. */
+static void pcg_jump(uint64_t *st, uint64_t words)
+{
+    u128 mul, add;
+    pcg_stride(((u128)st[2] << 64) | st[3], words, &mul, &add);
+    const u128 s = (((u128)st[0] << 64) | st[1]) * mul + add;
+    st[0] = (uint64_t)(s >> 64);
+    st[1] = (uint64_t)s;
+}
+
 /* The chunk's streams: cycle c of a region starts c strides past the
  * region's first word.  st becomes the chunk's last word's state. */
 static void streams_begin(const traffic_t *t, uint64_t *st, int64_t n, int64_t batch,
                           streams_t *z)
 {
     const u128 s = ((u128)st[0] << 64) | st[1];
-    const uint64_t per[REGIONS] = {t->shift >= 0 ? n / 2 : 0, t->hot ? n : 0, t->rate ? n : 0};
-    uint64_t used = 0;
+    uint64_t per[REGIONS], used = 0;
     u128 mul, add;
+    region_words(t, n, per);
     z->inc = ((u128)st[2] << 64) | st[3];
     for (int r = 0; r < REGIONS; r++) {
         pcg_stride(z->inc, used + 1, &mul, &add);
@@ -356,10 +390,7 @@ static void streams_begin(const traffic_t *t, uint64_t *st, int64_t n, int64_t b
         pcg_stride(z->inc, per[r], &z->mul[r], &z->add[r]);
         used += per[r] * (uint64_t)batch;
     }
-    pcg_stride(z->inc, used, &mul, &add);
-    const u128 last = s * mul + add;
-    st[0] = (uint64_t)(last >> 64);
-    st[1] = (uint64_t)last;
+    pcg_jump(st, used);
 }
 
 /* The state of region r's next cycle; the region moves one cycle on. */
@@ -582,26 +613,50 @@ static stage_t *const routine[LOG_SLOTS + 1][LOG_SLOTS + 1] = {
     %(table)s
 };
 
-/* Label-priority counts of `cycles` cycles in chunks of `batch`: of the
- * (cycles, n) demand matrix, or of the traffic drawn in place on `state`,
- * each chunk's streams begun where the last chunk's words end.  Over the
- * plan's nstages descriptor rows; frontier holds two columns of maxw rows.
- * blocked[] gets each stage's total and sums[] the run's {cycles, sum d,
- * sum o, sum d*d, sum o*o, sum d*o} of each cycle's delivered d and offered
- * o (the caller keeps cycles * n * n below 2**63); offered[] and
- * delivered[] get them per cycle unless NULL. */
-void repro_lane_counts(
-    const wire_t *restrict dests, const traffic_t *restrict traffic, uint64_t *restrict state,
-    int64_t n, int64_t batch, int64_t cycles,
-    const int64_t *restrict stages, int64_t nstages, int64_t maxw,
-    const wire_t *restrict links, const uint8_t *restrict falive,
-    const int64_t *restrict input_perm, wire_t *restrict frontier,
-    int64_t *restrict offered, int64_t *restrict delivered,
-    int64_t *restrict blocked, int64_t *restrict sums)
+/* A run: `cycles` cycles in chunks of `batch`, of the (cycles, n) demand
+ * matrix or of the traffic drawn in place, over the plan's nstages
+ * descriptor rows; per-cycle counts into offered[] and delivered[] unless
+ * NULL. */
+typedef struct {
+    const wire_t *dests;
+    const traffic_t *traffic;
+    int64_t n, batch;
+    const int64_t *stages;
+    int64_t nstages, maxw;
+    const wire_t *links;
+    const uint8_t *falive;
+    const int64_t *input_perm;
+    int64_t *offered, *delivered;
+} run_t;
+
+/* A range of a run's whole chunks: its cycles c0 .. c0 + cycles - 1, routed
+ * on its own frontier (two columns of maxw rows) from its own stream state
+ * (on return, that of its last word), its per-stage totals into blocked[]
+ * and its five sums {sum d, sum o, sum d*d, sum o*o, sum d*o} into sums[]. */
+typedef struct {
+    const run_t *run;
+    int64_t c0, cycles;
+    uint64_t state[4];
+    wire_t *frontier;
+    int64_t *blocked, sums[5];
+} range_t;
+
+static void route_range(range_t *g)
 {
+    const run_t *run = g->run;
+    const int64_t n = run->n, batch = run->batch, cycles = g->cycles;
+    const int64_t nstages = run->nstages, maxw = run->maxw;
+    const int64_t *restrict stages = run->stages, *restrict input_perm = run->input_perm;
+    const wire_t *restrict dests = run->dests ? run->dests + g->c0 * n : 0;
+    const wire_t *restrict links = run->links;
+    const uint8_t *restrict falive = run->falive;
+    wire_t *restrict frontier = g->frontier;
+    int64_t *restrict offered = run->offered ? run->offered + g->c0 : 0;
+    int64_t *restrict delivered = run->delivered ? run->delivered + g->c0 : 0;
     vec_t off[NV], live[NV], blk[NV];
-    int64_t sd = 0, so = 0, sdd = 0, soo = 0, sdo = 0;
+    int64_t blocked[nstages + 1], sd = 0, so = 0, sdd = 0, soo = 0, sdo = 0;
 #if defined(__SIZEOF_INT128__)
+    const traffic_t *restrict traffic = run->traffic;
     streams_t z;
 #endif
     for (int64_t i = 0; i < nstages; i++)
@@ -611,7 +666,7 @@ void repro_lane_counts(
             end = cycles - c0 < batch ? cycles : c0 + batch;
 #if defined(__SIZEOF_INT128__)
             if (traffic)
-                streams_begin(traffic, state, n, end - c0, &z);
+                streams_begin(traffic, g->state, n, end - c0, &z);
 #endif
         }
         nb = end - c0 < LANES ? end - c0 : LANES;
@@ -655,12 +710,197 @@ void repro_lane_counts(
             }
         }
     }
+    memcpy(g->blocked, blocked, nstages * sizeof *blocked);
+    g->sums[0] = sd;
+    g->sums[1] = so;
+    g->sums[2] = sdd;
+    g->sums[3] = soo;
+    g->sums[4] = sdo;
+}
+
+/* Helpers: threads of this library that route a run's other ranges while
+ * its caller routes the first.  They start at the first split run.  Each
+ * parks on its own condition variable, and every field of a helper is read
+ * and written under its own mutex, so a job is posted and its end seen by
+ * the plain mutex/condition handshake.  pool_mu is held by the one caller
+ * the helpers serve; a caller that finds it taken routes alone.  A fork
+ * holds it too: the prepare handler takes it and stops and joins every
+ * helper, and the parent and child handlers release it.  So no helper
+ * lives across a fork, and the next split run on either side starts them
+ * again. */
+enum { MAX_RANGES = %(max_ranges)d };
+
+typedef struct {
+    pthread_t id;
+    pthread_mutex_t mu;
+    pthread_cond_t go, done;
+    range_t *job;       /* posted; NULL again once routed */
+    int stop;
+} helper_t;
+
+static pthread_mutex_t pool_mu = PTHREAD_MUTEX_INITIALIZER;
+static helper_t helper[MAX_RANGES - 1];
+static int helpers, atfork_set;
+
+static void *helper_main(void *arg)
+{
+    helper_t *h = arg;
+#if defined(__linux__)
+    pthread_setname_np(pthread_self(), "repro-lanes");
+#endif
+    pthread_mutex_lock(&h->mu);
+    for (;;) {
+        while (!h->job && !h->stop)
+            pthread_cond_wait(&h->go, &h->mu);
+        if (h->stop)
+            break;
+        range_t *job = h->job;
+        pthread_mutex_unlock(&h->mu);
+        route_range(job);
+        pthread_mutex_lock(&h->mu);
+        h->job = 0;
+        pthread_cond_signal(&h->done);
+    }
+    pthread_mutex_unlock(&h->mu);
+    return 0;
+}
+
+/* The fork's prepare handler: every helper stopped and joined, pool_mu kept. */
+static void helpers_stop(void)
+{
+    pthread_mutex_lock(&pool_mu);
+    for (int i = 0; i < helpers; i++) {
+        helper_t *h = &helper[i];
+        pthread_mutex_lock(&h->mu);
+        h->stop = 1;
+        pthread_cond_signal(&h->go);
+        pthread_mutex_unlock(&h->mu);
+        pthread_join(h->id, 0);
+        pthread_cond_destroy(&h->go);
+        pthread_cond_destroy(&h->done);
+        pthread_mutex_destroy(&h->mu);
+    }
+    helpers = 0;
+}
+
+static void pool_release(void)
+{
+    pthread_mutex_unlock(&pool_mu);
+}
+
+/* Under pool_mu: up to `want` helpers running, started as needed; how many. */
+static int helpers_start(int want)
+{
+    if (!atfork_set)
+        atfork_set = pthread_atfork(helpers_stop, pool_release, pool_release) == 0;
+    while (atfork_set && helpers < want) {
+        helper_t *h = &helper[helpers];
+        h->job = 0;
+        h->stop = 0;
+        pthread_mutex_init(&h->mu, 0);
+        pthread_cond_init(&h->go, 0);
+        pthread_cond_init(&h->done, 0);
+        if (pthread_create(&h->id, 0, helper_main, h) != 0) {
+            pthread_cond_destroy(&h->go);
+            pthread_cond_destroy(&h->done);
+            pthread_mutex_destroy(&h->mu);
+            break;
+        }
+        helpers++;
+    }
+    return helpers < want ? helpers : want;
+}
+
+/* Label-priority counts of a run (see run_t), cut into at most `threads`
+ * ranges of whole chunks, one per thread: the caller's and the helpers'.
+ * Range t begins its stream where the chunks before it end (`state`
+ * jumped by their words), so its counts, and the last range's end state,
+ * are those of routing the chunks one after another; the run's state
+ * comes back as the last range's.  frontier holds `threads` frontiers of
+ * two columns of maxw rows each.  blocked[] gets each stage's total and
+ * sums[] the run's {cycles, sum d, sum o, sum d*d, sum o*o, sum d*o} of
+ * each cycle's delivered d and offered o (the caller keeps cycles * n * n
+ * below 2**63).  Returns the threads the run used: 1 for a single chunk,
+ * when the helpers are serving another run, or where none could start. */
+int64_t repro_lane_counts(
+    const wire_t *dests, const traffic_t *traffic, uint64_t *state,
+    int64_t n, int64_t batch, int64_t cycles,
+    const int64_t *stages, int64_t nstages, int64_t maxw,
+    const wire_t *links, const uint8_t *falive,
+    const int64_t *input_perm, wire_t *frontier,
+    int64_t *offered, int64_t *delivered,
+    int64_t *blocked, int64_t *sums, int64_t threads)
+{
+    const run_t run = {dests, traffic, n, batch, stages, nstages, maxw, links, falive,
+                       input_perm, offered, delivered};
+    const int64_t chunks = (cycles + batch - 1) / batch;
+    int64_t ranges = threads < chunks ? threads : chunks;
+    int pooled = 0;
+    if (ranges > MAX_RANGES)
+        ranges = MAX_RANGES;
+    if (ranges > 1 && pthread_mutex_trylock(&pool_mu) == 0) {
+        pooled = 1;
+        ranges = 1 + helpers_start((int)ranges - 1);
+    } else {
+        ranges = 1;
+    }
+    range_t part[ranges];
+    int64_t part_blocked[ranges * nstages + 1];
+#if defined(__SIZEOF_INT128__)
+    uint64_t words = 0;
+    if (traffic) {
+        uint64_t per[REGIONS];
+        region_words(traffic, n, per);
+        words = (per[LABELS] + per[HOT] + per[RATE]) * (uint64_t)batch;
+    }
+#endif
+    for (int64_t t = 0; t < ranges; t++) {
+        const int64_t first = t * chunks / ranges * batch, next = (t + 1) * chunks / ranges * batch;
+        range_t *g = &part[t];
+        g->run = &run;
+        g->c0 = first;
+        g->cycles = (next < cycles ? next : cycles) - first;
+        g->frontier = frontier + t * 2 * maxw * LANES;
+        g->blocked = part_blocked + t * nstages;
+        if (state) {
+            memcpy(g->state, state, sizeof g->state);
+#if defined(__SIZEOF_INT128__)
+            if (traffic && t)
+                pcg_jump(g->state, words * (uint64_t)(first / batch));
+#endif
+        }
+    }
+    for (int64_t t = 1; t < ranges; t++) {
+        helper_t *h = &helper[t - 1];
+        pthread_mutex_lock(&h->mu);
+        h->job = &part[t];
+        pthread_cond_signal(&h->go);
+        pthread_mutex_unlock(&h->mu);
+    }
+    route_range(&part[0]);
+    for (int64_t t = 1; t < ranges; t++) {
+        helper_t *h = &helper[t - 1];
+        pthread_mutex_lock(&h->mu);
+        while (h->job)
+            pthread_cond_wait(&h->done, &h->mu);
+        pthread_mutex_unlock(&h->mu);
+    }
+    if (pooled)
+        pthread_mutex_unlock(&pool_mu);
     sums[0] = cycles;
-    sums[1] = sd;
-    sums[2] = so;
-    sums[3] = sdd;
-    sums[4] = soo;
-    sums[5] = sdo;
+    for (int j = 1; j < 6; j++)
+        sums[j] = 0;
+    for (int64_t i = 0; i < nstages; i++)
+        blocked[i] = 0;
+    for (int64_t t = 0; t < ranges; t++) {
+        for (int j = 1; j < 6; j++)
+            sums[j] += part[t].sums[j - 1];
+        for (int64_t i = 0; i < nstages; i++)
+            blocked[i] += part[t].blocked[i];
+    }
+    if (state)
+        memcpy(state, part[ranges - 1].state, 2 * sizeof *state);
+    return ranges;
 }
 """
 
@@ -669,6 +909,7 @@ def _lane_source(ctype) -> str:
     """The lane kernel's C source for one wire type (``"int16_t"``, ...)."""
     return _LANE_SOURCE % {
         "ctype": ctype,
+        "max_ranges": _MAX_THREADS,
         "wire_min": ctype[:-2].upper() + "_MIN",
         "shuffle": _SHUFFLE_MACRO,
         "pcg": _PCG_SOURCE,
@@ -709,7 +950,10 @@ def _compiler() -> Optional[str]:
 
 
 #: Extra compiler flags, best first; degrading flag by flag lets any
-#: working toolchain produce a kernel.  No ``-fopenmp``: kernels are serial.
+#: working toolchain produce a kernel.  No ``-fopenmp``: libgomp's pool does
+#: not survive ``fork``, so a lane-kernel run splits across the lane
+#: library's own pthreads instead, which a fork handler stops (every build
+#: gets ``-pthread``).
 _FLAG_LADDER = (("-march=native",), ())
 
 #: Optimization level of every build.  ``-O3`` builds the lane kernel
@@ -754,7 +998,8 @@ def _build_shared_object(source: str, stem: str) -> Path:
     if compiler is None:
         raise ConfigurationError("no cc, gcc or clang on PATH")
     commands = [
-        [compiler, _OPT_LEVEL, "-fPIC", "-shared", *extra] for extra in _FLAG_LADDER
+        [compiler, _OPT_LEVEL, "-fPIC", "-shared", "-pthread", *extra]
+        for extra in _FLAG_LADDER
     ]
     digest = hashlib.sha256(
         repr((commands, _isa_fingerprint(compiler), source)).encode()
@@ -808,17 +1053,55 @@ def _lane_library(wire) -> ctypes.CDLL:
         path = _build_shared_object(_lane_source(ctype), f"repro_lanes{ctype[3:-2]}")
         lib = ctypes.CDLL(str(path))
         ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        lib.repro_lane_counts.restype = None
+        lib.repro_lane_counts.restype = i64  # the threads the run used
         lib.repro_lane_counts.argtypes = [
             ptr, ptr, ptr,               # dests, traffic, state
             i64, i64, i64,               # n, batch, cycles
             ptr, i64, i64,               # stages, nstages, maxw
             ptr, ptr, ptr,               # links, falive, input_perm
             ptr, ptr, ptr,               # frontier, offered, delivered
-            ptr, ptr,                    # blocked, sums
+            ptr, ptr, i64,               # blocked, sums, threads
         ]
         _lane_libs[char] = lib
     return lib
+
+
+#: The most threads one lane-kernel run splits across (``MAX_RANGES`` in
+#: the C).
+_MAX_THREADS = 64
+
+#: This process's :func:`lane_share`; ``None`` until first read.
+_share: Optional[int] = None
+
+
+def _cores() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
+def lane_share() -> int:
+    """The most threads a lane-kernel run of several chunks splits across.
+
+    A process on its own takes its CPU-affinity count.  A worker of
+    :class:`~repro.serve.server.SimulationServer`'s or
+    :func:`~repro.serve.supervisor.supervised_map`'s pool takes the share
+    its pool's initializer gave it (:func:`take_pool_share`), so a pool's
+    workers together run no more threads than there are cores.
+    """
+    global _share
+    if _share is None:
+        _share = _cores()
+    return _share
+
+
+def take_pool_share(workers: int) -> None:
+    """A pool initializer: each of ``workers`` processes splits its runs
+    across at most ``max(1, cores // workers)`` threads."""
+    global _share
+    _share = max(1, _cores() // workers)
 
 
 class _Traffic(ctypes.Structure):
@@ -896,8 +1179,9 @@ def _lane_draws_agree(wire) -> bool:
 
     Two small plans (one with an input permutation), lowered in ``wire``,
     route uniform, hot-spot with rate, pattern-with-rate and full-rate
-    pattern chunks of 37 and 5 cycles, and a run of three chunks of 13,
-    both ways on fixed-seed twin streams; counts (the run's sums), blocked
+    pattern chunks of 37 and 5 cycles, and a run of three chunks of 13
+    split across two threads, both ways on fixed-seed twin streams; counts
+    (the run's sums), blocked
     totals and the streams' states must agree.  ``uinteger`` is compared
     only while ``has_uint32`` is set: NumPy's own ``integers`` (the matrix
     path's small draws) leaves it at the last high half it used, where
@@ -925,7 +1209,9 @@ def _lane_draws_agree(wire) -> bool:
             ours = np.random.Generator(np.random.PCG64(_CHECK_SEED))
             theirs = np.random.Generator(np.random.PCG64(_CHECK_SEED))
             for batch, chunks in ((37, 1), (5, 1), (13, 3)):
-                got = kernel.drawn_counts(model.draw_descriptor(), ours, batch, ws, chunks)
+                got = kernel.drawn_counts(
+                    model.draw_descriptor(), ours, batch, ws, chunks, _threads=2
+                )
                 want = kernel.counts(np.concatenate([
                     model.generate_batch(theirs, batch, wire) for _ in range(chunks)
                 ]), ws)
@@ -1986,7 +2272,7 @@ class NativeKernel:
 
     def drawn_counts(
         self, draws: DrawDescriptor, rng: np.random.Generator, batch: int, ws,
-        chunks: int = 1,
+        chunks: int = 1, *, _threads: Optional[int] = None,
     ) -> Optional[BatchAcceptanceCounts]:
         """Label counts of ``chunks`` chunks of ``batch`` cycles drawn
         inside the lane kernel, in one call.
@@ -1997,11 +2283,14 @@ class NativeKernel:
         the counts are those of routing those chunks.  A single chunk
         comes with its per-cycle counts; a run of several with its sums and
         blocked totals only, so its memory does not grow with its cycles.
-        Its sums are int64 in C, so ``batch * chunks * n_inputs**2`` must be
-        below ``2**63`` (:meth:`~repro.sim.stats.RatioStats.push_many`'s
-        bound).  ``None``, with nothing drawn, when a 32-bit half is pending
-        before label draws.  Callers check that the library draws
-        (:func:`_lane_draws`) and that ``draws`` fits the plan.
+        A run splits its chunks across at most :func:`lane_share` threads
+        (``_threads``, for tests, forces the count) with the same counts
+        and end state.  Its sums are int64 in C, so ``batch * chunks *
+        n_inputs**2`` must be below ``2**63``
+        (:meth:`~repro.sim.stats.RatioStats.push_many`'s bound).  ``None``,
+        with nothing drawn, when a 32-bit half is pending before label
+        draws.  Callers check that the library draws (:func:`_lane_draws`)
+        and that ``draws`` fits the plan.
         """
         n, cycles = draws.n_inputs, batch * chunks
         if cycles * n * n >= 1 << 63:
@@ -2009,21 +2298,26 @@ class NativeKernel:
                 f"a run of {cycles} cycles at {n} inputs overflows its int64 sums"
             )
         traffic = ctypes.byref(_traffic_struct(draws))
+        threads = min(chunks, lane_share()) if _threads is None else _threads
         result = []
 
         def draw(words):
-            result.append(self._lanes(None, traffic, words, n, batch, cycles, ws, chunks == 1))
+            result.append(self._lanes(
+                None, traffic, words, n, batch, cycles, ws, chunks == 1, threads
+            ))
 
         if not advance_pcg64(rng, draw, pending_ok=draws.shift is None):
             return None
         return result[0]
 
-    def _lanes(self, dests, traffic, state, n, batch, cycles, ws, per_cycle):
+    def _lanes(self, dests, traffic, state, n, batch, cycles, ws, per_cycle, threads=1):
         """One lane-kernel call on a demand matrix's address, or a
-        ``traffic_t`` and its stream; per-cycle counts if ``per_cycle``."""
+        ``traffic_t`` and its stream; per-cycle counts if ``per_cycle``;
+        split across at most ``threads`` threads, each on its own frontier."""
         t = self.tables
         nstages = len(t.stages)
-        frontier = ws.array("native_frontier", self._frontier_size, self.wire)
+        threads = max(1, min(threads, _MAX_THREADS))
+        frontier = ws.array("native_frontier", threads * self._frontier_size, self.wire)
         # blocked (per stage), the six sums, and offered and delivered per
         # cycle if asked for, in one array.
         head = nstages + 6
@@ -2034,10 +2328,10 @@ class NativeKernel:
             offered = at + 8 * head
             delivered = offered + 8 * cycles
         stages, links, falive, input_perm = t._ptrs
-        self._fn(
+        used = self._fn(
             dests, traffic, state, n, batch, cycles, stages, nstages, t.maxw, links,
             falive, input_perm, _address(frontier), offered, delivered,
-            at, at + 8 * nstages,
+            at, at + 8 * nstages, threads,
         )
         values = out[:head].tolist()
         return BatchAcceptanceCounts(
@@ -2045,6 +2339,7 @@ class NativeKernel:
             delivered_per_cycle=out[head + cycles :] if per_cycle else None,
             blocked_by_stage={i + 1: v for i, v in enumerate(values[:nstages]) if v},
             sums=tuple(values[nstages:]),
+            threads=used,
         )
 
 

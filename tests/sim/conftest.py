@@ -25,6 +25,7 @@ FRESH_STATE = {
         "_traffic_structs": weakref.WeakKeyDictionary,
         "_contended": lambda: None,
         "_scratch_local": threading.local,
+        "_share": lambda: None,
     },
     jobs: {"_memo": jobs._CellMemo},
 }

@@ -114,6 +114,19 @@ class TestDriveClosedLoop:
         )
         assert result.delivered_messages > 0
 
+    def test_adaptive_stopping_never_stops_on_a_zero_width_interval(self):
+        # A lightly loaded crossbar blocks nothing in many short streams;
+        # their interval is then its point, and no run may stop on it.
+        stops = [
+            self._run(
+                NetworkSpec.crossbar(16), RetryPolicy(4), cycles=160, seed=seed,
+                traffic="uniform:0.05", rel_err=0.01,
+            )
+            for seed in range(40)
+        ]
+        assert not [m for m in stops if m.converged and m.acceptance.halfwidth == 0]
+        assert all(m.cycles == 160 for m in stops if m.acceptance.halfwidth == 0)
+
     def test_adaptive_stopping_respects_budget(self):
         result = self._run(
             NetworkSpec.edn(8, 2, 4, 2),

@@ -27,9 +27,10 @@ hotspot rows and all-to-one rows, at batches around the native kernel's
   :class:`CompiledStageRouter` and the reference interpreter, and the
   generator's state after every chunk; every fallback takes the matrix
   path and agrees;
-* runs of several chunks in one lane-kernel call: their sums, blocked
-  totals and generator state vs the same chunks drawn one call each and
-  vs the matrix path; a pending 32-bit half declines a run;
+* runs of several chunks in one lane-kernel call, split across 1-4
+  threads: their sums, blocked totals and generator state vs the same
+  chunks drawn one call each and vs the matrix path; a pending 32-bit half
+  declines a run;
 * every engine's ``BatchAcceptanceCounts.sums`` are ``push_many``'s sums
   of its own per-cycle counts.
 
@@ -468,16 +469,18 @@ def summed(parts) -> tuple:
     st.data(),
     st.sampled_from(DRAWN_TRAFFIC),
     st.sampled_from(DRAWN_BATCHES[1:]),
+    st.integers(1, 6),
     st.integers(1, 4),
     st.sampled_from(WIRES),
     st.integers(0, 2**31 - 1),
 )
 def test_runs_match_single_chunks_and_the_matrix_path(
-    graph, data, spec, batch, chunks, wire, seed
+    graph, data, spec, batch, chunks, threads, wire, seed
 ):
-    # A run of `chunks` chunks in one call, then a partial last chunk,
-    # against the same chunks drawn one call each and against the matrix
-    # path, on three twin streams.
+    # A run of `chunks` chunks in one call, split across `threads` threads
+    # (forced, so a one-core host splits too; 5 chunks on 3 threads split
+    # unevenly), then a partial last chunk, against the same chunks drawn
+    # one call each and against the matrix path, on three twin streams.
     faults = data.draw(fault_sets(graph))
     last = data.draw(st.integers(1, batch - 1))
     plan = lowered(graph, faults, wire)
@@ -487,8 +490,8 @@ def test_runs_match_single_chunks_and_the_matrix_path(
     draws = traffic.draw_descriptor()
     ours, single, theirs = (np.random.default_rng(seed) for _ in range(3))
     with mock.patch.object(models, "_C_MIN_WORDS", 0):
-        run = kernel.drawn_counts(draws, ours, batch, ws, chunks)
-        tail = kernel.drawn_counts(draws, ours, last, ws)
+        run = kernel.drawn_counts(draws, ours, batch, ws, chunks, _threads=threads)
+        tail = kernel.drawn_counts(draws, ours, last, ws, _threads=threads)
         sizes = [batch] * chunks + [last]
         singles = [kernel.drawn_counts(draws, single, size, ws) for size in sizes]
         matrix = [
@@ -496,6 +499,7 @@ def test_runs_match_single_chunks_and_the_matrix_path(
             for size in sizes
         ]
     assert (run.offered_per_cycle is None) == (chunks > 1)
+    assert (run.threads, tail.threads) == (min(chunks, threads), 1)
     assert summed([run, tail]) == summed(singles) == summed(matrix)
     assert ours.bit_generator.state == single.bit_generator.state
     assert ours.bit_generator.state == theirs.bit_generator.state

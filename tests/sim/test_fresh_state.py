@@ -56,4 +56,5 @@ def test_the_fixture_starts_from_nothing(fresh_native_state):
     assert native._lane_libs == {} and native._lane_draw_checks == {}
     assert not native._cc_probed and native._probe_lib is None and native._contended is None
     assert not hasattr(native._scratch_local, "ws") and len(native._traffic_structs) == 0
+    assert native._share is None
     assert jobs._memo._routers == {} and jobs._memo._traffic == {}

@@ -265,6 +265,17 @@ class TestAdaptiveEarlyStopping:
         # The stopping promise: half-width within rel_err of the point.
         assert measurement.acceptance.halfwidth <= 0.02 * measurement.point
 
+    def test_never_stops_on_a_zero_width_interval(self):
+        # At 5% load a 16-port crossbar often routes its first 64 cycles
+        # with nothing blocked, and the interval is then its point, 1 [1, 1]:
+        # no evidence of precision.  Before the rule asked for a nonzero
+        # width, 76 of these 200 seeds stopped there as converged.
+        router, traffic = CrossbarNetwork(16), UniformTraffic(16, 16, 0.05)
+        for seed in range(200):
+            m = measure_acceptance(router, traffic, cycles=100_000, seed=seed, rel_err=0.01)
+            assert m.converged is True, seed
+            assert m.acceptance.halfwidth > 0, seed
+
     def test_respects_budget_when_target_unreachable(self):
         router, traffic = self._setup()
         measurement = measure_acceptance(
