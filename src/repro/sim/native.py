@@ -20,6 +20,8 @@ A run of several chunks splits into ranges of whole chunks, one per
 thread: the caller's and persistent helper threads of the lane library.
 Each range begins its stream where the chunks before it end and adds
 exact integer sums, so the split moves no count, sum or stream state.  A
+helper polls for its next range a fraction of a millisecond before it
+sleeps, so a stream of runs hands each over without a wake-up.  A
 process takes as many threads as its CPU affinity allows, and a worker of
 the process layer (:class:`~repro.experiments.parallel.ParallelSweep`
 and the serve worker pool, forked on purpose so they inherit warm plan
@@ -257,7 +259,9 @@ def _c_enum(names) -> str:
 _LANE_SOURCE = r"""#define _GNU_SOURCE     /* pthread_setname_np */
 #include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* The lane kernel for %(ctype)s wires (see repro.sim.native): one source
  * for every plan, each stage a descriptor row. */
@@ -468,7 +472,7 @@ static void draw_enter(const traffic_t *restrict t, streams_t *restrict z, int64
             break;
         }
         lanes_t lab = lanes_of(z, LABELS), hot = lanes_of(z, HOT), rate = lanes_of(z, RATE);
-        mask_v idle;
+        mask_v idle = {0};
         word_v w = {0};
         for (int j = 0; j < 8; j++)
             idle[j] = -(int64_t)(g + j >= nb);
@@ -657,7 +661,7 @@ static void route_range(range_t *g)
     int64_t blocked[nstages + 1], sd = 0, so = 0, sdd = 0, soo = 0, sdo = 0;
 #if defined(__SIZEOF_INT128__)
     const traffic_t *restrict traffic = run->traffic;
-    streams_t z;
+    streams_t z = {0};
 #endif
     for (int64_t i = 0; i < nstages; i++)
         blocked[i] = 0;
@@ -719,28 +723,89 @@ static void route_range(range_t *g)
 }
 
 /* Helpers: threads of this library that route a run's other ranges while
- * its caller routes the first.  They start at the first split run.  Each
- * parks on its own condition variable, and every field of a helper is read
- * and written under its own mutex, so a job is posted and its end seen by
- * the plain mutex/condition handshake.  pool_mu is held by the one caller
- * the helpers serve; a caller that finds it taken routes alone.  A fork
- * holds it too: the prepare handler takes it and stops and joins every
- * helper, and the parent and child handlers release it.  So no helper
- * lives across a fork, and the next split run on either side starts them
- * again. */
+ * its caller routes the first.  They start at the first split run.  A job
+ * is posted to a helper's slot (`job`), and its end seen, by the plain
+ * mutex/condition handshake: every store to a slot is made under the
+ * helper's mutex and signalled, and every wait re-reads the slot under it,
+ * so no wake-up is lost.  Before either side waits, it polls the slot for
+ * SPIN_NS (`spin_while`): a helper that has routed its range, so the next
+ * run of a stream finds it awake, and a caller that has routed its own,
+ * so a helper that ends soon after is seen at once.  Each helper routes on
+ * its own frontier, grown as plans need it and freed when it stops, so the
+ * lines a core writes stay its own as plans rotate.  pool_mu is held by
+ * the one caller the helpers serve; a caller that finds it taken routes
+ * alone.  A fork holds it too: the prepare handler takes it and stops and
+ * joins every helper, polling or parked, and the parent and child handlers
+ * release it.  So no helper lives across a fork, and the next split run on
+ * either side starts them again. */
 enum { MAX_RANGES = %(max_ranges)d };
+
+/* How long (ns) a thread polls a slot before it sleeps.  On the 2-core
+ * host of docs/PERFORMANCE.md waking a parked helper and waiting for it
+ * added 31 us to a tiny split run back to back and 21-52 us after 0.3-1
+ * ms of idle, against under 1 us for a helper still polling; a budget of
+ * 200 us split mc-label cells fastest there (50 us gained less, 1 ms no
+ * more), and it bounds what a poll can take from a thread that shares
+ * the core. */
+#define SPIN_NS 200000
 
 typedef struct {
     pthread_t id;
     pthread_mutex_t mu;
     pthread_cond_t go, done;
-    range_t *job;       /* posted; NULL again once routed */
-    int stop;
+    range_t *job;       /* posted; NULL again once routed (atomic) */
+    int stop;           /* atomic */
+    wire_t *frontier;   /* the helper's own, `room` bytes */
+    size_t room;
 } helper_t;
 
 static pthread_mutex_t pool_mu = PTHREAD_MUTEX_INITIALIZER;
 static helper_t helper[MAX_RANGES - 1];
 static int helpers, atfork_set;
+
+static inline void relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* Polls h's slot while it holds `from` and h is not stopping, for at most
+ * SPIN_NS; whether either changed. */
+static int spin_while(helper_t *h, const range_t *from)
+{
+    const int64_t end = now_ns() + SPIN_NS;
+    do {
+        for (int i = 0; i < 32; i++) {
+            if (__atomic_load_n(&h->job, __ATOMIC_ACQUIRE) != from
+                || __atomic_load_n(&h->stop, __ATOMIC_ACQUIRE))
+                return 1;
+            relax();
+        }
+    } while (now_ns() < end);
+    return 0;
+}
+
+/* h's frontier made `bytes` long, 64-byte aligned; NULL if it cannot be. */
+static wire_t *frontier_of(helper_t *h, size_t bytes)
+{
+    if (bytes > h->room) {
+        void *p = 0;
+        free(h->frontier);
+        h->frontier = posix_memalign(&p, 64, bytes) == 0 ? p : 0;
+        h->room = h->frontier ? bytes : 0;
+    }
+    return h->frontier;
+}
 
 static void *helper_main(void *arg)
 {
@@ -748,20 +813,27 @@ static void *helper_main(void *arg)
 #if defined(__linux__)
     pthread_setname_np(pthread_self(), "repro-lanes");
 #endif
-    pthread_mutex_lock(&h->mu);
     for (;;) {
-        while (!h->job && !h->stop)
-            pthread_cond_wait(&h->go, &h->mu);
-        if (h->stop)
+        if (!spin_while(h, 0)) {
+            pthread_mutex_lock(&h->mu);
+            while (!__atomic_load_n(&h->job, __ATOMIC_ACQUIRE)
+                   && !__atomic_load_n(&h->stop, __ATOMIC_ACQUIRE))
+                pthread_cond_wait(&h->go, &h->mu);
+            pthread_mutex_unlock(&h->mu);
+        }
+        range_t *job = __atomic_load_n(&h->job, __ATOMIC_ACQUIRE);
+        if (!job)   /* stopped: no run is in flight */
             break;
-        range_t *job = h->job;
-        pthread_mutex_unlock(&h->mu);
-        route_range(job);
+        /* Left NULL, the caller routes the range on its own frontier. */
+        job->frontier = frontier_of(h, 2 * (size_t)job->run->maxw * LANES * sizeof(wire_t));
+        if (job->frontier)
+            route_range(job);
         pthread_mutex_lock(&h->mu);
-        h->job = 0;
+        __atomic_store_n(&h->job, (range_t *)0, __ATOMIC_RELEASE);
         pthread_cond_signal(&h->done);
+        pthread_mutex_unlock(&h->mu);
     }
-    pthread_mutex_unlock(&h->mu);
+    free(h->frontier);
     return 0;
 }
 
@@ -772,7 +844,7 @@ static void helpers_stop(void)
     for (int i = 0; i < helpers; i++) {
         helper_t *h = &helper[i];
         pthread_mutex_lock(&h->mu);
-        h->stop = 1;
+        __atomic_store_n(&h->stop, 1, __ATOMIC_RELEASE);
         pthread_cond_signal(&h->go);
         pthread_mutex_unlock(&h->mu);
         pthread_join(h->id, 0);
@@ -788,6 +860,13 @@ static void pool_release(void)
     pthread_mutex_unlock(&pool_mu);
 }
 
+/* Every helper stopped and joined, for a process that will not split. */
+void repro_lane_helpers_stop(void)
+{
+    helpers_stop();
+    pool_release();
+}
+
 /* Under pool_mu: up to `want` helpers running, started as needed; how many. */
 static int helpers_start(int want)
 {
@@ -797,6 +876,8 @@ static int helpers_start(int want)
         helper_t *h = &helper[helpers];
         h->job = 0;
         h->stop = 0;
+        h->frontier = 0;
+        h->room = 0;
         pthread_mutex_init(&h->mu, 0);
         pthread_cond_init(&h->go, 0);
         pthread_cond_init(&h->done, 0);
@@ -816,11 +897,11 @@ static int helpers_start(int want)
  * Range t begins its stream where the chunks before it end (`state`
  * jumped by their words), so its counts, and the last range's end state,
  * are those of routing the chunks one after another; the run's state
- * comes back as the last range's.  frontier holds `threads` frontiers of
- * two columns of maxw rows each.  blocked[] gets each stage's total and
- * sums[] the run's {cycles, sum d, sum o, sum d*d, sum o*o, sum d*o} of
- * each cycle's delivered d and offered o (the caller keeps cycles * n * n
- * below 2**63).  Returns the threads the run used: 1 for a single chunk,
+ * comes back as the last range's.  frontier (two columns of maxw rows) is
+ * the caller's; each helper routes on its own.  blocked[] gets each
+ * stage's total and sums[] the run's {cycles, sum d, sum o, sum d*d,
+ * sum o*o, sum d*o} of each cycle's delivered d and offered o (the caller
+ * keeps cycles * n * n below 2**63).  Returns the threads the run used: 1 for a single chunk,
  * when the helpers are serving another run, or where none could start. */
 int64_t repro_lane_counts(
     const wire_t *dests, const traffic_t *traffic, uint64_t *state,
@@ -860,7 +941,7 @@ int64_t repro_lane_counts(
         g->run = &run;
         g->c0 = first;
         g->cycles = (next < cycles ? next : cycles) - first;
-        g->frontier = frontier + t * 2 * maxw * LANES;
+        g->frontier = t ? 0 : frontier;
         g->blocked = part_blocked + t * nstages;
         if (state) {
             memcpy(g->state, state, sizeof g->state);
@@ -873,20 +954,27 @@ int64_t repro_lane_counts(
     for (int64_t t = 1; t < ranges; t++) {
         helper_t *h = &helper[t - 1];
         pthread_mutex_lock(&h->mu);
-        h->job = &part[t];
+        __atomic_store_n(&h->job, &part[t], __ATOMIC_RELEASE);
         pthread_cond_signal(&h->go);
         pthread_mutex_unlock(&h->mu);
     }
     route_range(&part[0]);
     for (int64_t t = 1; t < ranges; t++) {
         helper_t *h = &helper[t - 1];
+        if (spin_while(h, &part[t]))
+            continue;
         pthread_mutex_lock(&h->mu);
-        while (h->job)
+        while (__atomic_load_n(&h->job, __ATOMIC_ACQUIRE))
             pthread_cond_wait(&h->done, &h->mu);
         pthread_mutex_unlock(&h->mu);
     }
     if (pooled)
         pthread_mutex_unlock(&pool_mu);
+    for (int64_t t = 1; t < ranges; t++)
+        if (!part[t].frontier) {    /* its helper could not grow a frontier */
+            part[t].frontier = frontier;
+            route_range(&part[t]);
+        }
     sums[0] = cycles;
     for (int j = 1; j < 6; j++)
         sums[j] = 0;
@@ -965,6 +1053,15 @@ _OPT_LEVEL = "-O2"
 _isa_fingerprints: dict = {}
 
 
+def _build_commands(compiler: str) -> list:
+    """The compile commands of a build with ``compiler``, best rung of
+    :data:`_FLAG_LADDER` first, without source and output."""
+    return [
+        [compiler, _OPT_LEVEL, "-fPIC", "-shared", "-pthread", *extra]
+        for extra in _FLAG_LADDER
+    ]
+
+
 def _isa_fingerprint(compiler: str) -> str:
     """A hash of the macros ``compiler -march=native`` predefines here.
 
@@ -997,10 +1094,7 @@ def _build_shared_object(source: str, stem: str) -> Path:
     compiler = _compiler()
     if compiler is None:
         raise ConfigurationError("no cc, gcc or clang on PATH")
-    commands = [
-        [compiler, _OPT_LEVEL, "-fPIC", "-shared", "-pthread", *extra]
-        for extra in _FLAG_LADDER
-    ]
+    commands = _build_commands(compiler)
     digest = hashlib.sha256(
         repr((commands, _isa_fingerprint(compiler), source)).encode()
     ).hexdigest()[:16]
@@ -1043,8 +1137,8 @@ _lane_libs: dict = {}
 def _lane_library(wire) -> ctypes.CDLL:
     """The lane kernel's library for wire dtype ``wire``, built at first use.
 
-    It exports ``repro_lane_counts`` and, for tests, its entry
-    ``repro_enter``.
+    It exports ``repro_lane_counts``, ``repro_lane_helpers_stop`` and, for
+    tests, its entry ``repro_enter``.
     """
     char = np.dtype(wire).char
     lib = _lane_libs.get(char)
@@ -1062,6 +1156,8 @@ def _lane_library(wire) -> ctypes.CDLL:
             ptr, ptr, ptr,               # frontier, offered, delivered
             ptr, ptr, i64,               # blocked, sums, threads
         ]
+        lib.repro_lane_helpers_stop.restype = None
+        lib.repro_lane_helpers_stop.argtypes = []
         _lane_libs[char] = lib
     return lib
 
@@ -1155,7 +1251,9 @@ def _lane_draws(wire) -> bool:
     True where a C compiler works, its library has the drawn entry (it
     needs 128-bit integers), on a little-endian host, and its load-time
     check (:func:`_lane_draws_agree`) passed; decided once per process and
-    dtype.  Else every chunk takes the demand matrix.
+    dtype.  Else every chunk takes the demand matrix.  The check splits a
+    run on two threads; a process whose :func:`lane_share` is 1 then stops
+    the helper it started, which no run of its own would use.
     """
     char = np.dtype(wire).char
     ok = _lane_draw_checks.get(char)
@@ -1167,6 +1265,8 @@ def _lane_draws(wire) -> bool:
             and _lane_draws_agree(wire)
         )
         _lane_draw_checks[char] = ok
+        if char in _lane_libs and lane_share() == 1:
+            _lane_libs[char].repro_lane_helpers_stop()
     return ok
 
 
@@ -2313,11 +2413,11 @@ class NativeKernel:
     def _lanes(self, dests, traffic, state, n, batch, cycles, ws, per_cycle, threads=1):
         """One lane-kernel call on a demand matrix's address, or a
         ``traffic_t`` and its stream; per-cycle counts if ``per_cycle``;
-        split across at most ``threads`` threads, each on its own frontier."""
+        split across at most ``threads`` threads.  The caller's range routes
+        on the workspace's frontier, each helper's on the helper's own."""
         t = self.tables
         nstages = len(t.stages)
-        threads = max(1, min(threads, _MAX_THREADS))
-        frontier = ws.array("native_frontier", threads * self._frontier_size, self.wire)
+        frontier = ws.array("native_frontier", self._frontier_size, self.wire)
         # blocked (per stage), the six sums, and offered and delivered per
         # cycle if asked for, in one array.
         head = nstages + 6

@@ -8,15 +8,22 @@ these tests pin the helpers' life cycle and the share of threads a
 process takes:
 
 * after a split run, a forked pool worker and a bare ``os.fork`` child
-  each run split runs and return the parent's counts;
+  each run split runs and return the parent's counts, also when forked
+  within the spin budget, while a helper still polls its slot;
 * no helper thread exists in the parent across a fork (Linux: helper
   threads are named ``repro-lanes`` in ``/proc/self/task``);
+* idle helpers park: they stop taking CPU time soon after a run;
+* runs back to back (the helper still polling) and runs after a gap
+  longer than the budget (the helper parked) get the serial results, and
+  so do runs of a process pinned to one CPU, where caller and helper
+  poll in turn;
 * Python threads running split runs of different plans at once get the
   serial results (a caller that finds the helpers busy routes alone);
 * a few seconds of short split runs with random gaps return the serial
   results every time;
 * workers of the serve and sweep pools take ``max(1, cores // workers)``
-  threads, and a process on its own its CPU-affinity count.
+  threads, a process on its own its CPU-affinity count, and a process
+  with a share of 1 keeps no helper.
 
 Every wait has a deadline, so a lost wake-up fails its test instead of
 stalling the suite.
@@ -104,10 +111,29 @@ def helper_threads() -> int:
     return count
 
 
-def in_pool_worker(fn, *args):
-    """``fn(*args)`` in a ``fork_context()`` pool worker, within the deadline."""
+def helper_cpu() -> dict:
+    """CPU seconds (user + system) of each helper thread, by thread id."""
+    seconds = {}
+    for task in Path("/proc/self/task").iterdir():
+        try:
+            if (task / "comm").read_text().strip() != "repro-lanes":
+                continue
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended meanwhile
+            continue
+        # Fields 14 and 15 of stat(5), utime and stime, in clock ticks.
+        seconds[task.name] = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    return seconds
+
+
+def in_pool_worker(fn, *args, before=None):
+    """``fn(*args)`` in a ``fork_context()`` pool worker, within the
+    deadline; ``before()``, if given, runs just before the fork."""
     pool = ProcessPoolExecutor(max_workers=1, mp_context=fork_context())
     try:
+        if before is not None:
+            before()
+        # A fork-context pool forks its worker inside the first submit.
         return pool.submit(fn, *args).result(timeout=DEADLINE)
     except TimeoutError:
         for proc in pool._processes.values():  # a hung worker must not outlive the test
@@ -117,10 +143,13 @@ def in_pool_worker(fn, *args):
         pool.shutdown(cancel_futures=True)
 
 
-def in_fork_child(fn, *args):
+def in_fork_child(fn, *args, before=None):
     """``fn(*args)`` in a bare ``os.fork`` child, its result read back
-    through a pipe within the deadline."""
+    through a pipe within the deadline; ``before()``, if given, runs just
+    before the fork."""
     read, write = os.pipe()
+    if before is not None:
+        before()
     pid = os.fork()
     if pid == 0:  # the child never returns into pytest
         os.close(read)
@@ -181,6 +210,10 @@ def test_forked_children_split_after_the_parent_did():
     assert counts_of(want) == counts_of(split_runs(1))
     assert in_pool_worker(split_runs, 2) == want
     assert in_fork_child(split_runs, 2) == want
+    # Forked within the spin budget of a split run: the prepare handler
+    # stops a helper that still polls its slot.
+    assert in_pool_worker(split_runs, 2, before=lambda: one_run(0, 2)) == want
+    assert in_fork_child(split_runs, 2, before=lambda: one_run(0, 2)) == want
 
 
 def _child_helpers() -> tuple:
@@ -201,6 +234,77 @@ def test_no_helper_lives_across_a_fork():
     assert helper_threads() == 0
     assert (before, counts_of(runs)) == (0, counts_of(want)) and after >= 1
     assert counts_of(split_runs(2)) == counts_of(want) and helper_threads() >= 1
+
+
+@needs_draws
+@linux_only
+def test_idle_helpers_park():
+    split_runs(2)
+    before = helper_cpu()
+    assert before
+    time.sleep(0.5)
+    after = helper_cpu()
+    # A helper polls for a fraction of a millisecond after its last range,
+    # then sleeps; one that kept polling would take the whole half second.
+    grown = {tid: after.get(tid, spent) - spent for tid, spent in before.items()}
+    assert max(grown.values()) < 0.02, grown
+
+
+@needs_draws
+def test_runs_back_to_back_and_after_the_helpers_parked():
+    serial = counts_of(split_runs(1))
+
+    def loop():
+        # No gap: the helper still polls when the next run posts.  5 ms:
+        # past the spin budget, so each run wakes a parked helper.
+        for gap in (0.0, 0.005):
+            for _ in range(20):
+                runs = split_runs(2)
+                assert counts_of(runs) == serial and {run[3] for run in runs} == {2}
+                time.sleep(gap)
+
+    bounded([loop])
+
+
+_PINNED = """
+import os
+import numpy as np
+from repro.sim import native
+from repro.sim.plan import ChunkWorkspace, stage_plan_for
+from repro.sim.stagegraph import omega_graph
+from repro.workloads.models import UniformTraffic
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+kernel = native.kernel_for(stage_plan_for(omega_graph(256)))
+draws, ws = UniformTraffic(256, 256).draw_descriptor(), ChunkWorkspace()
+
+
+def run(threads):
+    counts = kernel.drawn_counts(
+        draws, np.random.default_rng(7), 32, ws, 4, _threads=threads
+    )
+    return counts.sums, counts.blocked_by_stage, counts.threads
+
+
+serial = run(1)
+for i in range(50):
+    got = run(2)
+    assert got[:2] == serial[:2] and got[2] == 2, (i, got, serial)
+print("ok")
+"""
+
+
+@needs_draws
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_split_runs_on_one_cpu():
+    # Caller and helper share the CPU: each polls only for the spin
+    # budget before it sleeps and lets the other run.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PINNED], env=env, capture_output=True,
+        text=True, timeout=DEADLINE,
+    )
+    assert out.returncode == 0 and out.stdout.split() == ["ok"], out.stderr
 
 
 @needs_draws
@@ -298,3 +402,31 @@ def test_a_process_on_its_own_takes_its_affinity_count(cpus):
     assert share == affinity
     if cpus == "one":
         assert share == 1
+
+
+_SHARE_ONE = """
+import os
+from pathlib import Path
+from repro.api import NetworkSpec, RunConfig
+from repro.api.jobs import SweepCell, measure_cell
+from repro.sim import native
+
+native.take_pool_share(os.cpu_count())
+measure_cell(SweepCell(NetworkSpec.parse("omega:256"),
+                       RunConfig(cycles=64, seed=1, traffic="uniform")))
+names = [(task / "comm").read_text().strip() for task in Path("/proc/self/task").iterdir()]
+print(native.lane_share(), names.count("repro-lanes"))
+"""
+
+
+@needs_draws
+@linux_only
+def test_a_process_with_a_share_of_one_keeps_no_helper():
+    # Its first label cell runs the load-time check, which splits a run on
+    # two threads; no run of the process itself would use the helper.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SHARE_ONE], env=env, capture_output=True,
+        text=True, timeout=DEADLINE, check=True,
+    ).stdout.split()
+    assert out == ["1", "0"]
